@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 the supplied map is not
 a coincidence of the parent lattice, 4 the brute-force oracle
 contradicted the lattice-algebra analysis (which indicates a bug and
-must never happen on the bundled configs).  Failures also emit a
-machine-readable error object on standard error.
+must never happen on the bundled configs), 5 any other package error,
+such as a failed internal invariant check (also a bug).  Failures also
+emit a machine-readable error object on standard error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from cslcolour.errors import (
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
 from cslcolour.ratmat import format_rational, parse_rational
-from cslcolour.render import RENDER_MODES, default_palette, render_svg
+from cslcolour.render import RENDER_MODES, render_svg
 
 
 @dataclass
@@ -54,6 +55,11 @@ class JobConfig:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass, so true/false are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_matrix(raw, dim: int, what: str):
@@ -82,7 +88,7 @@ def load_job_config(path: str) -> JobConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
     dim = raw.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     try:
         parent = lattice_new(_parse_matrix(raw.get("parent_basis"), dim, "parent_basis"))
         sub = lattice_new(_parse_matrix(raw.get("sub_basis"), dim, "sub_basis"))
@@ -137,7 +143,7 @@ def load_job_config(path: str) -> JobConfig:
         _require(isinstance(render, dict), "render must be an object")
         render_radius = render.get("radius")
         _require(
-            isinstance(render_radius, int) and render_radius >= 0,
+            _is_int(render_radius) and render_radius >= 0,
             "render.radius must be a non-negative integer",
         )
         if render.get("palette") is not None:
@@ -147,11 +153,12 @@ def load_job_config(path: str) -> JobConfig:
                 and all(isinstance(c, str) and c.startswith("#") for c in palette),
                 "render.palette must be an array of #rrggbb strings",
             )
-        highlight = bool(render.get("highlight_csl", False))
+        highlight = render.get("highlight_csl", False)
+        _require(isinstance(highlight, bool), "render.highlight_csl must be true or false")
     oracle_radius = raw.get("oracle_radius")
     if oracle_radius is not None:
         _require(
-            isinstance(oracle_radius, int) and oracle_radius >= 1,
+            _is_int(oracle_radius) and oracle_radius >= 1,
             "oracle_radius must be a positive integer",
         )
     return JobConfig(
@@ -330,6 +337,9 @@ def main(argv=None) -> int:
     except NotCoincidence as exc:
         _error("NotCoincidence", str(exc))
         return 3
+    except CslcolourError as exc:
+        _error(type(exc).__name__, str(exc))
+        return 5
 
 
 if __name__ == "__main__":

@@ -9,6 +9,14 @@ sublattice, its image, the parent CSL, and the sublattice CSL, and
 decides colour coincidence through a single lattice equality: A is a
 colour coincidence exactly when it maps sub meet csl(A^-1) onto
 sub meet csl(A), i.e. when the zero colour is fixed.
+
+Cost model: each lattice of the diagram is built once, a fixed number
+of Hermite forms per analysis whatever the number of colours m.  The
+colour sets I and J are the images of csl(A^-1) and csl(A) in the
+finite group parent/sub, of orders s and t; they, and the colour
+permutation, are enumerated as subgroups generated by the images of d
+basis rows, in O(s + t) group steps rather than one Hermite form per
+colour.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-from cslcolour.lattice import (
+# colour_of and coset_meets_lattice are not used here any more; the
+# names stay bound because bench/tracing.py wraps every module's binding
+from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
     _hermite,
@@ -112,16 +122,23 @@ def csl(lat: Lattice, amap: CommensurableMap) -> Lattice:
     return intersect(lat, transform(lat, amap.matrix))
 
 
-def sigma(lat: Lattice, amap: CommensurableMap) -> int:
-    """Coincidence index [lat : csl]; cross-checked against the image side."""
-    inter = csl(lat, amap)
+def _two_sided_index(lat: Lattice, image: Lattice, inter: Lattice) -> int:
+    """[lat : inter], cross-checked against [image : inter]."""
     from_lat = index(lat, inter)
-    from_image = index(transform(lat, amap.matrix), inter)
+    from_image = index(image, inter)
     if from_lat != from_image:
         raise InternalInvariantViolation(
             f"two-sided index mismatch: {from_lat} vs {from_image}"
         )
     return from_lat
+
+
+def sigma(lat: Lattice, amap: CommensurableMap) -> int:
+    """Coincidence index [lat : csl]; cross-checked against the image side."""
+    if not is_coincidence(lat, amap):
+        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
+    image = transform(lat, amap.matrix)
+    return _two_sided_index(lat, image, intersect(lat, image))
 
 
 @dataclass(frozen=True)
@@ -194,13 +211,93 @@ def _check_analysis(a: ColouringAnalysis) -> None:
             raise InternalInvariantViolation(f"analysis invariant failed: {label}")
 
 
-def _colours_meeting(colouring: Colouring, lat: Lattice) -> tuple[int, ...]:
-    """Colours whose cosets intersect `lat`, in rep order."""
-    out = []
-    for i, rep in enumerate(colouring.reps):
-        if coset_meets_lattice(rep, colouring.sub, lat) is not None:
-            out.append(i)
-    return tuple(out)
+def _subgroup(gens: Sequence[tuple[int, ...]], moduli: tuple[int, ...]) -> list:
+    """Elements of the subgroup of Z_n1 x ... x Z_nk generated by `gens`.
+
+    The subgroup H grows one cyclic extension at a time: the first
+    multiple k.g of a generator that lies in H fixes the order of g
+    modulo H, and H + <g> is the disjoint union of the cosets H + i.g
+    for 0 <= i < k.  The work is linear in the size of the result.
+    """
+    zero = (0,) * len(moduli)
+    elems = [zero]
+    seen = {zero}
+    for g in gens:
+        base = elems[:]
+        shift = g
+        while shift not in seen:
+            for h in base:
+                x = tuple((a + b) % n for a, b, n in zip(h, shift, moduli))
+                seen.add(x)
+                elems.append(x)
+            shift = tuple((a + b) % n for a, b, n in zip(shift, g, moduli))
+    return elems
+
+
+def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
+    """The index diagram of one colouring under one map, each lattice built once.
+
+    The colour sets are the images of csl1 and csl1_inv in parent/sub,
+    the subgroups generated by the keys of their basis rows.  Under a
+    colour coincidence the pairs (colour of x, colour of A.x) over
+    csl1_inv form a subgroup of (parent/sub)^2, generated by the pairs
+    of the basis rows, and that subgroup is the permutation's graph.
+    """
+    parent = colouring.parent
+    sub = colouring.sub
+    if not is_coincidence(parent, amap):
+        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
+    image_parent = transform(parent, amap.matrix)
+    csl1 = intersect(parent, image_parent)
+    csl1_inv = transform(csl1, amap.inverse)
+    image_sub = transform(sub, amap.matrix)
+    csl2 = intersect(sub, image_sub)
+    sub_in_csl = intersect(sub, csl1)
+    image_sub_in_csl = intersect(image_sub, csl1)
+    sub_in_inv = intersect(sub, csl1_inv)
+    cc = transform(sub_in_inv, amap.matrix) == sub_in_csl
+
+    key = colouring._key_of_coords
+    coords = colouring._coords_of_point
+    colour = colouring._colour_of_key
+    moduli = colouring._key_moduli
+    inv_basis = csl1_inv.basis
+    inv_keys = [key(coords(b)) for b in inv_basis]
+    set_i = tuple(sorted(map(colour, _subgroup(inv_keys, moduli))))
+    fwd_keys = [key(coords(b)) for b in csl1.basis]
+    set_j = tuple(sorted(map(colour, _subgroup(fwd_keys, moduli))))
+    perm = None
+    if cc:
+        image_keys = [key(coords(amap.apply(b))) for b in inv_basis]
+        graph = _subgroup(
+            [x + y for x, y in zip(inv_keys, image_keys)], moduli + moduli
+        )
+        n = len(moduli)
+        perm = tuple(sorted((colour(p[:n]), colour(p[n:])) for p in graph))
+        if tuple(i for i, _ in perm) != set_i:
+            raise InternalInvariantViolation(
+                "a colour of csl1_inv does not map to exactly one colour"
+            )
+        if sorted(j for _, j in perm) != list(set_j):
+            raise InternalInvariantViolation("permutation image is not the J colour set")
+        if perm[0] != (0, 0):
+            raise InternalInvariantViolation("permutation does not fix colour 0")
+    return ColouringAnalysis(
+        m=colouring.m,
+        sigma1=_two_sided_index(parent, image_parent, csl1),
+        sigma2=_two_sided_index(sub, image_sub, csl2),
+        s=index(csl1, image_sub_in_csl),
+        t=index(csl1, sub_in_csl),
+        u=index(sub_in_csl, csl2),
+        v=index(image_sub_in_csl, csl2),
+        csl1=csl1,
+        csl1_inv=csl1_inv,
+        csl2=csl2,
+        colour_coincidence=cc,
+        permutation=perm,
+        set_I=set_i,
+        set_J=set_j,
+    )
 
 
 def is_colour_coincidence(colouring: Colouring, amap: CommensurableMap) -> bool:
@@ -211,11 +308,7 @@ def is_colour_coincidence(colouring: Colouring, amap: CommensurableMap) -> bool:
     lattice equality is equivalent to the partition-bijection
     definition, and the window census cross-checks the equivalence.
     """
-    fwd = csl(colouring.parent, amap)
-    inv = csl(colouring.parent, amap.inverse_map)
-    lhs = transform(intersect(colouring.sub, inv), amap.matrix)
-    rhs = intersect(colouring.sub, fwd)
-    return lhs == rhs
+    return _diagram(colouring, amap).colour_coincidence
 
 
 def colour_permutation(
@@ -223,37 +316,13 @@ def colour_permutation(
 ) -> tuple[tuple[int, int], ...]:
     """The colour bijection induced by a colour coincidence.
 
-    For each colour i present in csl1_inv, a witness point of the coset
-    inside csl1_inv is mapped and its image classified.  Two distinct
-    witnesses are used per colour and must classify identically; the
-    pair list must be a bijection onto the colours of csl1 fixing 0.
+    Pairs (i, j) in order of i: colour i of csl1_inv maps to colour j of
+    csl1.  Raises NotColourCoincidence when the map is not one.
     """
-    if not is_colour_coincidence(colouring, amap):
+    perm = _diagram(colouring, amap).permutation
+    if perm is None:
         raise NotColourCoincidence("map does not fix the zero colour")
-    inv = csl(colouring.parent, amap.inverse_map)
-    fwd = csl(colouring.parent, amap)
-    meet = intersect(colouring.sub, inv)
-    offset = meet.basis[0]
-    pairs = []
-    for i, rep in enumerate(colouring.reps):
-        witness = coset_meets_lattice(rep, colouring.sub, inv)
-        if witness is None:
-            continue
-        second = tuple(x + y for x, y in zip(witness, offset))
-        j1 = colour_of(colouring, amap.apply(witness))
-        j2 = colour_of(colouring, amap.apply(second))
-        if j1 != j2:
-            raise InternalInvariantViolation(
-                f"image colour depends on the witness for colour {i}"
-            )
-        pairs.append((i, j1))
-    images = [j for _, j in pairs]
-    expected_images = _colours_meeting(colouring, fwd)
-    if sorted(images) != list(expected_images):
-        raise InternalInvariantViolation("permutation image is not the J colour set")
-    if pairs[0] != (0, 0):
-        raise InternalInvariantViolation("permutation does not fix colour 0")
-    return tuple(pairs)
+    return perm
 
 
 def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
@@ -262,42 +331,7 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     All reported numbers come from pure lattice algebra; every identity
     that must relate them is verified before returning.
     """
-    parent = colouring.parent
-    sub = colouring.sub
-    if not is_coincidence(parent, amap):
-        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    csl1 = csl(parent, amap)
-    csl1_inv = csl(parent, amap.inverse_map)
-    csl2 = csl(sub, amap)
-    sigma1 = sigma(parent, amap)
-    sigma2 = sigma(sub, amap)
-    image_sub = transform(sub, amap.matrix)
-    sub_in_csl = intersect(sub, csl1)
-    image_sub_in_csl = intersect(image_sub, csl1)
-    t = index(csl1, sub_in_csl)
-    s = index(csl1, image_sub_in_csl)
-    u = index(sub_in_csl, csl2)
-    v = index(image_sub_in_csl, csl2)
-    set_i = _colours_meeting(colouring, csl1_inv)
-    set_j = _colours_meeting(colouring, csl1)
-    cc = is_colour_coincidence(colouring, amap)
-    perm = colour_permutation(colouring, amap) if cc else None
-    analysis = ColouringAnalysis(
-        m=colouring.m,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        s=s,
-        t=t,
-        u=u,
-        v=v,
-        csl1=csl1,
-        csl1_inv=csl1_inv,
-        csl2=csl2,
-        colour_coincidence=cc,
-        permutation=perm,
-        set_I=set_i,
-        set_J=set_j,
-    )
+    analysis = _diagram(colouring, amap)
     _check_analysis(analysis)
     return analysis
 
@@ -364,8 +398,7 @@ def _membership_memo(parent: Lattice, sub: Lattice) -> _ResidueMemo:
 
 
 def _colour_memo(colouring: Colouring) -> _ResidueMemo:
-    d, _, _ = snf(_relative_basis(colouring.parent, colouring.sub))
-    return _ResidueMemo(d[-1][-1], colouring.colour_of_coords)
+    return _ResidueMemo(colouring.moduli[-1], colouring.colour_of_coords)
 
 
 def window_census(

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from cslcolour.errors import (
@@ -227,6 +228,38 @@ def _residue(rel_hnf: IntMatrix, coords: Sequence[int]) -> tuple[int, ...]:
     return tuple(x)
 
 
+def _radix_reps(
+    parent: Lattice, rel: IntMatrix, moduli: Sequence[int], v: IntMatrix
+) -> list[Vector]:
+    """Coset reps in mixed-radix order of the SNF coordinates (see coset_reps)."""
+    v_inv_rat = rat_inverse(v)
+    if any(x.denominator != 1 for row in v_inv_rat for x in row):
+        raise InternalInvariantViolation("unimodular inverse must be integral")
+    v_inv = tuple(tuple(x.numerator for x in row) for row in v_inv_rat)
+    rel_h, _, rank = _hermite(rel)
+    if rank != parent.dim:
+        raise InternalInvariantViolation("relative basis lost rank")
+    reps = []
+    seen = set()
+    # one Fraction per distinct entry, shared by all the reps that hold it:
+    # the reps live as long as the colouring, and every object they hold
+    # is one more for each full garbage collection to scan
+    entries: dict[int, Fraction] = {}
+    for radix in product(*(range(n) for n in moduli)):
+        coords = _residue(rel_h, vec_mat(radix, v_inv))
+        if coords in seen:
+            raise InternalInvariantViolation("coset enumeration repeated a coset")
+        seen.add(coords)
+        rep = []
+        for x in vec_mat(coords, parent.hnf_rows):
+            entry = entries.get(x)
+            if entry is None:
+                entry = entries[x] = Fraction(x, parent.den)
+            rep.append(entry)
+        reps.append(tuple(rep))
+    return reps
+
+
 def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
     """Deterministic coset representatives of sub inside parent.
 
@@ -238,30 +271,21 @@ def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
     """
     rel = _relative_basis(parent, sub)
     d, _, v = snf(rel)
-    v_inv_rat = rat_inverse(v)
-    if any(x.denominator != 1 for row in v_inv_rat for x in row):
-        raise InternalInvariantViolation("unimodular inverse must be integral")
-    v_inv = tuple(tuple(x.numerator for x in row) for row in v_inv_rat)
-    rel_h, _, rank = _hermite(rel)
-    if rank != parent.dim:
-        raise InternalInvariantViolation("relative basis lost rank")
-    reps = []
-    seen = set()
-    for radix in product(*(range(d[i][i]) for i in range(parent.dim))):
-        coords = _residue(rel_h, vec_mat(radix, v_inv))
-        if coords in seen:
-            raise InternalInvariantViolation("coset enumeration repeated a coset")
-        seen.add(coords)
-        reps.append(vec_mat(tuple(Fraction(c) for c in coords), parent.basis))
-    return reps
+    return _radix_reps(parent, rel, [d[i][i] for i in range(parent.dim)], v)
 
 
 class Colouring:
     """A colouring of `parent` by the m cosets of `sub`.
 
-    Colour i is the coset reps[i] + sub; reps[0] is always 0.  Custom
-    representatives may be supplied (validated); otherwise the
-    deterministic coset_reps order is used.
+    Colours are numbered by Smith normal form coordinates.  With
+    D = U.rel.V the SNF of sub's basis in parent coordinates, the point
+    with integer parent coordinates c lies in the coset keyed by
+    (c.V)_j mod d_j, and its colour is the mixed-radix index of that
+    key, first factor most significant.  That is the order coset_reps
+    enumerates, so colour i is the coset reps[i] + sub and reps[0] is
+    always 0.  The default reps are computed on first access.  Custom
+    representatives may be supplied (validated); they renumber the
+    colours through a table indexed by the same mixed-radix key.
     """
 
     def __init__(
@@ -270,44 +294,78 @@ class Colouring:
         sub: Lattice,
         reps: Optional[Sequence[Sequence]] = None,
     ):
-        if not is_sublattice(sub, parent):
-            raise NotASublattice("colouring needs sub inside parent")
+        if sub.dim != parent.dim:
+            raise DimensionMismatch("lattices live in different dimensions")
         self.parent = parent
         self.sub = sub
-        self._rel = _relative_basis(parent, sub)
-        rel_h, _, _ = _hermite(self._rel)
-        self._rel_hnf = tuple(tuple(r) for r in rel_h)
         self._parent_inv = rat_inverse(parent.basis)
-        self.m = index(parent, sub)
-        if reps is None:
-            chosen = coset_reps(parent, sub)
-        else:
+        try:
+            self._rel = tuple(self._coords_of_point(row) for row in sub.basis)
+        except NotInParent:
+            raise NotASublattice("colouring needs sub inside parent") from None
+        d, _, self._v = snf(self._rel)
+        # the SNF elementary divisors d_1 | d_2 | ... of parent/sub
+        self.moduli = tuple(d[j][j] for j in range(parent.dim))
+        self.m = prod(self.moduli)
+        # (column j of V, d_j, mixed-radix weight) for each factor d_j > 1
+        radix = []
+        weight = 1
+        for j in reversed(range(parent.dim)):
+            if self.moduli[j] > 1:
+                radix.append((tuple(row[j] for row in self._v), self.moduli[j], weight))
+            weight *= self.moduli[j]
+        self._radix = tuple(reversed(radix))
+        self._key_moduli = tuple(n for _, n, _ in self._radix)
+        self._table: Optional[list] = None
+        self._reps: Optional[list[Vector]] = None
+        if reps is not None:
             chosen = [tuple(row) for row in rat_matrix(reps)]
             if len(chosen) != self.m:
                 raise ValueError(f"expected {self.m} representatives, got {len(chosen)}")
             if any(x != 0 for x in chosen[0]):
                 raise ValueError("first representative must be the zero vector")
-        table = {}
-        for i, rep in enumerate(chosen):
-            key = self._coords_residue_of_point(rep)
-            if key in table:
-                raise ValueError("representatives are congruent mod sub")
-            table[key] = i
-        self.reps: list[Vector] = [tuple(r) for r in chosen]
-        self._residue_to_colour = table
+            # no table yet, so colour_of_coords gives the mixed-radix index
+            table = [None] * self.m
+            for i, rep in enumerate(chosen):
+                key = self.colour_of_coords(self._coords_of_point(rep))
+                if table[key] is not None:
+                    raise ValueError("representatives are congruent mod sub")
+                table[key] = i
+            self._table = table
+            self._reps = chosen
 
-    def _coords_residue_of_point(self, v: Sequence[Fraction]) -> tuple[int, ...]:
+    @property
+    def reps(self) -> list[Vector]:
+        """Colour i is the coset reps[i] + sub; reps[0] is the zero vector."""
+        if self._reps is None:
+            self._reps = _radix_reps(self.parent, self._rel, self.moduli, self._v)
+        return self._reps
+
+    def _coords_of_point(self, v: Sequence[Fraction]) -> tuple[int, ...]:
         coords = vec_mat(tuple(v), self._parent_inv)
         ints = []
         for x in coords:
             if x.denominator != 1:
                 raise NotInParent(f"{tuple(v)} is not in the parent lattice")
             ints.append(x.numerator)
-        return _residue(self._rel_hnf, ints)
+        return tuple(ints)
+
+    def _key_of_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """The coset of parent coordinates as an element of Z_d1 x ... (d_j > 1)."""
+        return tuple(sum(map(mul, coords, col)) % modulus for col, modulus, _ in self._radix)
+
+    def _colour_of_key(self, key: Sequence[int]) -> int:
+        index = sum(k * weight for k, (_, _, weight) in zip(key, self._radix))
+        return index if self._table is None else self._table[index]
 
     def colour_of_coords(self, coords: Sequence[int]) -> int:
         """Colour index of a point given in integer parent coordinates."""
-        return self._residue_to_colour[_residue(self._rel_hnf, coords)]
+        # _colour_of_key(_key_of_coords(coords)) inlined: this runs once per
+        # point of a census or a render
+        index = 0
+        for col, modulus, weight in self._radix:
+            index += sum(map(mul, coords, col)) % modulus * weight
+        return index if self._table is None else self._table[index]
 
     def __repr__(self) -> str:
         return f"Colouring(m={self.m}, parent={self.parent!r}, sub={self.sub!r})"
@@ -318,8 +376,7 @@ def colour_of(colouring: Colouring, v: Sequence) -> int:
     vec = tuple(Fraction(x) for x in v)
     if len(vec) != colouring.parent.dim:
         raise DimensionMismatch("point dimension differs from colouring")
-    key = colouring._coords_residue_of_point(vec)
-    return colouring._residue_to_colour[key]
+    return colouring.colour_of_coords(colouring._coords_of_point(vec))
 
 
 def coset_meets_lattice(

@@ -364,6 +364,51 @@ def test_non_coincidence_map_exit3(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "NotCoincidence"
 
 
+def test_boolean_dim_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", dim=True)
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert "dim" in json.loads(err)["error"]["message"]
+
+
+def test_boolean_render_radius_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", render={"radius": True})
+    code, _, err = run(capsys, "render", path, "--mode", "parent",
+                       "--out", str(tmp_path / "fig.svg"))
+    assert code == 2
+    assert "render.radius" in json.loads(err)["error"]["message"]
+
+
+def test_boolean_oracle_radius_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", oracle_radius=True)
+    code, _, err = run(capsys, "oracle", path)
+    assert code == 2
+    assert "oracle_radius" in json.loads(err)["error"]["message"]
+
+
+def test_string_highlight_csl_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json",
+                   render={"radius": 8, "highlight_csl": "false"})
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert "highlight_csl" in json.loads(err)["error"]["message"]
+
+
+def test_other_package_error_exit5(capsys, monkeypatch):
+    def broken(colouring, amap):
+        raise cslcolour.InternalInvariantViolation("injected invariant failure")
+
+    monkeypatch.setattr(cli_module, "analyze", broken)
+    code, out, err = run(capsys, "analyze", config("example1.json"))
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "InternalInvariantViolation",
+        "message": "injected invariant failure",
+    }
+
+
 # ---------------------------------------------------------------------------
 # determinism and goldens
 

@@ -1,0 +1,254 @@
+"""The index diagram against an independent oracle, its cost, and lazy reps.
+
+The oracle below decides colour coincidence from the partition-bijection
+definition and shares no code with ``cslcolour.coincidence``: colours are
+cosets of the sublattice S in Z^2, keyed by x.adj(S) mod |det S|; the
+CSLs are scanned modulo n.Z^2 (n the denominator of the rotation, so
+n.Z^2 lies in both CSLs) and closed under addition.  Colour indices are
+read off the colouring's representatives.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
+import pytest
+
+import cslcolour.coincidence as coincidence_module
+import cslcolour.lattice as lattice_module
+import cslcolour.ratmat as ratmat_module
+from cslcolour import (
+    Colouring,
+    analyze,
+    colour_of,
+    commensurable_map,
+    coset_reps,
+    enumerate_square_rotations,
+    lattice_new,
+    standard_lattice,
+)
+from conftest import SUBLATTICE_BASES
+
+Z2 = standard_lattice(2)
+
+
+def rotation(a: int, b: int, n: int):
+    return commensurable_map(
+        [[Fraction(a, n), Fraction(-b, n)], [Fraction(b, n), Fraction(a, n)]]
+    )
+
+
+def gauss(a: int, b: int):
+    """Basis of the Gaussian-integer ideal generated by a + b.i."""
+    return [[a, b], [-b, a]]
+
+
+# the 25 cosets of 5.Z^2, listed in an order unlike the SNF one
+SCRAMBLED_5Z2_REPS = [[0, 0]] + [
+    [i, j] for j in range(5) for i in range(5) if (i, j) != (0, 0)
+][::-1]
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def _closure(gens, add, zero, limit=None):
+    """Subgroup generated by gens: keep adding each generator until stable.
+
+    Returns None as soon as the subgroup exceeds `limit` elements.
+    """
+    elems = {zero}
+    for g in gens:
+        frontier = set(elems)
+        while frontier:
+            frontier = {add(h, g) for h in frontier} - elems
+            elems |= frontier
+            if limit is not None and len(elems) > limit:
+                return None
+    return elems
+
+
+def oracle(sub_rows, map_rows, reps):
+    """(I, J, colour coincidence, permutation) by the definition."""
+    (s00, s01), (s10, s11) = sub_rows
+    order = abs(s00 * s11 - s01 * s10)
+    adj = ((s11, -s01), (-s10, s00))
+
+    def key(x):
+        return tuple((x[0] * adj[0][j] + x[1] * adj[1][j]) % order for j in range(2))
+
+    def add(p, q):
+        return tuple((x + y) % order for x, y in zip(p, q))
+
+    colour = {key([int(c) for c in rep]): i for i, rep in enumerate(reps)}
+    assert len(colour) == order == len(reps)
+
+    a = [[Fraction(x) for x in row] for row in map_rows]
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    a_inv = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+
+    def apply(m, x):  # x -> x.M^T
+        return [m[i][0] * x[0] + m[i][1] * x[1] for i in range(2)]
+
+    n = lcm(*(x.denominator for row in a for x in row))
+    box = list(product(range(n), repeat=2)) + [(n, 0), (0, n)]
+    inv_pts = [x for x in box if all(c.denominator == 1 for c in apply(a, x))]
+    fwd_pts = [x for x in box if all(c.denominator == 1 for c in apply(a_inv, x))]
+    zero = (0, 0)
+    set_i = sorted(colour[k] for k in _closure([key(x) for x in inv_pts], add, zero))
+    set_j = sorted(colour[k] for k in _closure([key(x) for x in fwd_pts], add, zero))
+    # the pairs (colour of x, colour of A.x) over csl1_inv cover I and J;
+    # they form a bijection exactly when there are no more of them than
+    # colours on either side
+    pairs = _closure(
+        [(key(x), key([int(c) for c in apply(a, x)])) for x in inv_pts],
+        lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
+        (zero, zero),
+        limit=len(set_i),
+    )
+    if pairs is None or len(set_i) != len(set_j):
+        return tuple(set_i), tuple(set_j), False, None
+    perm = tuple(sorted((colour[p], colour[q]) for p, q in pairs))
+    return tuple(set_i), tuple(set_j), True, perm
+
+
+def assert_agrees(sub_rows, amap, reps=None):
+    colouring = Colouring(Z2, lattice_new(sub_rows), reps=reps)
+    got = analyze(colouring, amap)
+    set_i, set_j, cc, perm = oracle(sub_rows, amap.matrix, colouring.reps)
+    assert got.set_I == set_i
+    assert got.set_J == set_j
+    assert got.colour_coincidence == cc
+    assert got.permutation == perm
+    return got
+
+
+# ---------------------------------------------------------------------------
+# agreement with the oracle
+
+
+CORPUS_SAMPLE = random.Random(20101001).sample(
+    [(r, b) for r in range(52) for b in range(len(SUBLATTICE_BASES))], 80
+)
+
+
+@pytest.mark.parametrize("rot_index, sub_index", CORPUS_SAMPLE)
+def test_oracle_agrees_on_corpus_sample(rot_index, sub_index):
+    amap = enumerate_square_rotations(40)[rot_index]
+    assert_agrees(SUBLATTICE_BASES[sub_index], amap)
+
+
+# the cases of index m <= 700 among the large-index benchmark cases:
+# (rotation (a, b, n), sublattice basis)
+LARGE_INDEX_CASES = [
+    ((7, 24, 25), [[25, 0], [0, 25]]),
+    ((7, 24, 25), [[625, 0], [0, 1]]),
+    ((3, 4, 5), [[25, 0], [0, 25]]),
+    ((5, 12, 13), [[26, 0], [0, 26]]),
+    ((3, 4, 5), [[1, 7], [0, 600]]),
+    ((3, 4, 5), [[1, 0], [0, 500]]),
+    ((7, 24, 25), [[5, 0], [0, 125]]),
+    ((7, 24, 25), gauss(8, 19)),
+    ((5, 12, 13), gauss(23, 0)),
+    ((3, 4, 5), gauss(23, 10)),
+    ((5, 12, 13), gauss(18, 13)),
+]
+
+
+@pytest.mark.parametrize("rot, sub_rows", LARGE_INDEX_CASES)
+def test_oracle_agrees_on_large_index(rot, sub_rows):
+    assert_agrees(sub_rows, rotation(*rot))
+
+
+def test_oracle_agrees_with_custom_reps():
+    for rot in [(3, 4, 5), (5, 12, 13), (7, 24, 25)]:
+        assert_agrees([[5, 0], [0, 5]], rotation(*rot), reps=SCRAMBLED_5Z2_REPS)
+    # the ideal (1 + 2i) is prime to 13, so the rotation permutes its colours
+    ideal = assert_agrees(gauss(1, 2), rotation(5, 12, 13),
+                          reps=[[0, 0], [4, 0], [3, 0], [2, 0], [1, 0]])
+    assert ideal.colour_coincidence
+    assert ideal.permutation != tuple((i, i) for i in range(5))
+    example1 = assert_agrees([[6, 0], [2, 1]], rotation(4, 3, 5),
+                             reps=[[i, 0] for i in range(6)])
+    assert not example1.colour_coincidence
+
+
+# ---------------------------------------------------------------------------
+# cost: a fixed number of Hermite forms, no per-colour search
+
+
+def test_hermite_calls_do_not_grow_with_m(monkeypatch):
+    calls = []
+    original = ratmat_module._hermite
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    for module in (ratmat_module, lattice_module, coincidence_module):
+        monkeypatch.setattr(module, "_hermite", counting)
+
+    def never(*args):
+        raise AssertionError("coset_meets_lattice called during analyze")
+
+    for module in (lattice_module, coincidence_module):
+        monkeypatch.setattr(module, "coset_meets_lattice", never)
+    counts = {}
+    for k in (5, 200):
+        colouring = Colouring(Z2, lattice_new([[k, 0], [0, k]]))
+        calls.clear()
+        result = analyze(colouring, rotation(3, 4, 5))
+        counts[k] = len(calls)
+        assert result.m == k * k
+    assert counts[5] == counts[200]
+
+
+# ---------------------------------------------------------------------------
+# lazy representatives
+
+
+@pytest.mark.parametrize(
+    "sub_rows",
+    [
+        [[6, 0], [2, 1]],
+        [[25, 0], [0, 25]],
+        gauss(8, 19),
+        [[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 3, 0], [0, 1, 1, 3]],
+    ],
+)
+def test_default_reps_are_coset_reps_and_lazy(monkeypatch, sub_rows):
+    parent = standard_lattice(len(sub_rows))
+    sub = lattice_new(sub_rows)
+    built = []
+    original = lattice_module._radix_reps
+    monkeypatch.setattr(
+        lattice_module, "_radix_reps", lambda *args: built.append(1) or original(*args)
+    )
+    colouring = Colouring(parent, sub)
+    assert built == []
+    assert colouring.reps == coset_reps(parent, sub)
+    assert colouring.reps is colouring.reps
+    assert len(built) == 2  # once for the colouring, once for coset_reps
+    for i, rep in enumerate(colouring.reps):
+        assert colour_of(colouring, rep) == i
+
+
+def test_reps_share_one_fraction_per_distinct_entry():
+    # 40.Z^2 has 1600 reps with entries in 0..39: 40 Fractions, not 3200
+    reps = Colouring(Z2, lattice_new([[40, 0], [0, 40]])).reps
+    entries = {id(x): x for rep in reps for x in rep}
+    assert len(reps) == 1600
+    assert len(entries) == len(set(entries.values())) == 40
+
+
+def test_custom_reps_number_the_colours():
+    reps = SCRAMBLED_5Z2_REPS
+    colouring = Colouring(Z2, lattice_new([[5, 0], [0, 5]]), reps=reps)
+    assert colouring.reps == [tuple(Fraction(x) for x in rep) for rep in reps]
+    for i, rep in enumerate(colouring.reps):
+        assert colour_of(colouring, rep) == i
+        assert colour_of(colouring, (rep[0] + 5, rep[1] - 10)) == i
