@@ -36,6 +36,9 @@ from cslcolour.lattice import Colouring, Lattice, lattice_new
 from cslcolour.ratmat import format_rational, parse_rational
 from cslcolour.render import RENDER_MODES, render_svg
 
+# the most points a render or oracle window, (2R+1)^dim, may hold
+WINDOW_BUDGET = 2_000_000
+
 
 @dataclass
 class JobConfig:
@@ -60,6 +63,15 @@ def _require(cond: bool, message: str) -> None:
 def _is_int(x) -> bool:
     """A JSON integer; bool is an int subclass, so true/false are refused."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_window(radius: int, dim: int, what: str) -> None:
+    points = (2 * radius + 1) ** dim
+    _require(
+        points <= WINDOW_BUDGET,
+        f"{what} {radius} gives a window of {points} points in dimension {dim}, "
+        f"over the budget of {WINDOW_BUDGET}",
+    )
 
 
 def _parse_matrix(raw, dim: int, what: str):
@@ -146,6 +158,7 @@ def load_job_config(path: str) -> JobConfig:
             _is_int(render_radius) and render_radius >= 0,
             "render.radius must be a non-negative integer",
         )
+        _require_window(render_radius, dim, "render.radius")
         if render.get("palette") is not None:
             palette = render["palette"]
             _require(
@@ -161,6 +174,7 @@ def load_job_config(path: str) -> JobConfig:
             _is_int(oracle_radius) and oracle_radius >= 1,
             "oracle_radius must be a positive integer",
         )
+        _require_window(oracle_radius, dim, "oracle_radius")
     return JobConfig(
         dim=dim,
         parent=parent,

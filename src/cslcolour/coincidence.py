@@ -17,12 +17,18 @@ finite group parent/sub, of orders s and t; they, and the colour
 permutation, are enumerated as subgroups generated by the images of d
 basis rows, in O(s + t) group steps rather than one Hermite form per
 colour.
+
+Maps and lattices meet as integers: a CommensurableMap carries A^T and
+A^-T as (integer matrix, denominator) pairs, built once per map, and
+every image, meet, index and colour key of the diagram is computed on
+integer rows over a denominator (see `cslcolour.lattice`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
 from typing import Callable, Optional, Sequence
@@ -33,12 +39,13 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-# colour_of and coset_meets_lattice are not used here any more; the
+# colour_of, coset_meets_lattice and transform are not used here; the
 # names stay bound because bench/tracing.py wraps every module's binding
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
     _hermite,
+    _image,
     _relative_basis,
     _residue,
     colour_of,
@@ -48,10 +55,12 @@ from cslcolour.lattice import (  # noqa: F401
     transform,
 )
 from cslcolour.ratmat import (
+    IntMatrix,
     RatMatrix,
     clear_denominators,
     det_rat,
     identity,
+    int_inverse,
     mat_mul,
     rat_inverse,
     rat_matrix,
@@ -66,7 +75,9 @@ class CommensurableMap:
     """Invertible rational map acting on row vectors as v -> v . A^T.
 
     Carries its exact inverse and determinant.  Build through
-    :func:`commensurable_map`, which validates invertibility.
+    :func:`commensurable_map`, which validates invertibility.  The
+    integer forms of A^T and A^-T, which the lattice algebra uses, are
+    built on first use and kept.
     """
 
     matrix: RatMatrix
@@ -77,11 +88,21 @@ class CommensurableMap:
     def dim(self) -> int:
         return len(self.matrix)
 
-    @property
+    @cached_property
     def inverse_map(self) -> "CommensurableMap":
         return CommensurableMap(
             matrix=self.inverse, inverse=self.matrix, det=1 / self.det
         )
+
+    @cached_property
+    def _forward_ints(self) -> tuple[IntMatrix, int]:
+        """A^T as (N, q) with A^T = N / q: v -> v . A^T on integer rows."""
+        return clear_denominators(transpose(self.matrix))
+
+    @cached_property
+    def _backward_ints(self) -> tuple[IntMatrix, int]:
+        """A^-T as (N, q), the same form for the inverse map."""
+        return clear_denominators(transpose(self.inverse))
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(x) for x in v)
@@ -112,14 +133,14 @@ def is_coincidence(lat: Lattice, amap: CommensurableMap) -> bool:
     """
     if amap.dim != lat.dim:
         raise DimensionMismatch("map and lattice dimensions differ")
-    return abs(amap.det) == 1
+    return amap.det in (1, -1)
 
 
 def csl(lat: Lattice, amap: CommensurableMap) -> Lattice:
     """The coincidence site lattice: `lat` meet A(`lat`)."""
     if not is_coincidence(lat, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    return intersect(lat, transform(lat, amap.matrix))
+    return intersect(lat, _image(lat, *amap._forward_ints))
 
 
 def _two_sided_index(lat: Lattice, image: Lattice, inter: Lattice) -> int:
@@ -137,7 +158,7 @@ def sigma(lat: Lattice, amap: CommensurableMap) -> int:
     """Coincidence index [lat : csl]; cross-checked against the image side."""
     if not is_coincidence(lat, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    image = transform(lat, amap.matrix)
+    image = _image(lat, *amap._forward_ints)
     return _two_sided_index(lat, image, intersect(lat, image))
 
 
@@ -242,33 +263,38 @@ def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     colour coincidence the pairs (colour of x, colour of A.x) over
     csl1_inv form a subgroup of (parent/sub)^2, generated by the pairs
     of the basis rows, and that subgroup is the permutation's graph.
+    Basis rows are read as integer rows over each lattice's den.
     """
     parent = colouring.parent
     sub = colouring.sub
     if not is_coincidence(parent, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    image_parent = transform(parent, amap.matrix)
+    fwd = amap._forward_ints
+    image_parent = _image(parent, *fwd)
     csl1 = intersect(parent, image_parent)
-    csl1_inv = transform(csl1, amap.inverse)
-    image_sub = transform(sub, amap.matrix)
+    csl1_inv = _image(csl1, *amap._backward_ints)
+    image_sub = _image(sub, *fwd)
     csl2 = intersect(sub, image_sub)
     sub_in_csl = intersect(sub, csl1)
     image_sub_in_csl = intersect(image_sub, csl1)
     sub_in_inv = intersect(sub, csl1_inv)
-    cc = transform(sub_in_inv, amap.matrix) == sub_in_csl
+    cc = _image(sub_in_inv, *fwd) == sub_in_csl
 
     key = colouring._key_of_coords
-    coords = colouring._coords_of_point
+    coords = colouring._coords_of_ints
     colour = colouring._colour_of_key
     moduli = colouring._key_moduli
-    inv_basis = csl1_inv.basis
-    inv_keys = [key(coords(b)) for b in inv_basis]
+    inv_keys = [key(coords(b, csl1_inv.den)) for b in csl1_inv.hnf_rows]
     set_i = tuple(sorted(map(colour, _subgroup(inv_keys, moduli))))
-    fwd_keys = [key(coords(b)) for b in csl1.basis]
+    fwd_keys = [key(coords(b, csl1.den)) for b in csl1.hnf_rows]
     set_j = tuple(sorted(map(colour, _subgroup(fwd_keys, moduli))))
     perm = None
     if cc:
-        image_keys = [key(coords(amap.apply(b))) for b in inv_basis]
+        # A.b = b . A^T: the rows hnf_rows . N over den . q
+        num, den = fwd
+        image_keys = [
+            key(coords(b, csl1_inv.den * den)) for b in mat_mul(csl1_inv.hnf_rows, num)
+        ]
         graph = _subgroup(
             [x + y for x, y in zip(inv_keys, image_keys)], moduli + moduli
         )
@@ -420,11 +446,12 @@ def window_census(
     in_fwd = _membership_memo(parent, fwd)
     in_inv = _membership_memo(parent, inv)
     colour_at = _colour_memo(colouring)
-    # the map in parent coordinates: x -> x . T with T = B . A^T . B^-1
-    t_rat = mat_mul(
-        mat_mul(parent.basis, transpose(amap.matrix)), rat_inverse(parent.basis)
-    )
-    t_num, t_den = clear_denominators(t_rat)
+    # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
+    # H the parent's integer Hermite basis (its den cancels)
+    a_num, a_den = amap._forward_ints
+    h_inv, h_den = int_inverse(parent.hnf_rows)
+    t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
+    t_den = a_den * h_den
     observed_i: set[int] = set()
     observed_j: set[int] = set()
     transfer: dict[int, set[int]] = {}

@@ -2,11 +2,21 @@
 
 A lattice is stored in a canonical pair (den, hnf_rows): `den` is the
 smallest positive integer for which den*L is an integer lattice, and
-`hnf_rows` is the Hermite form basis of den*L.  Because every basis row
-is itself a lattice vector, the lcm of the entry denominators of any
-basis equals that minimal den, so two lattices are equal exactly when
+`hnf_rows` is the Hermite form basis of den*L.  Scaling a lattice
+scales its Hermite form, so dividing out gcd(den, all entries) leaves
+the minimal den (`_from_ints`), and two lattices are equal exactly when
 their stored pairs are equal.  That turns lattice equality, the
 backbone of the colour-coincidence criterion, into tuple comparison.
+
+Every operation works on integer rows over a common denominator: an
+image maps hnf_rows . N over den . q for a map N / q, a meet reads
+integer kernel rows of a stacked Hermite transform, membership and
+coordinates are one forward substitution against the triangular
+hnf_rows, and an index is a ratio of pivot products.
+``fractions.Fraction`` appears only at the edges, where rational input
+is parsed (`lattice_new`, `contains`, `transform`, custom
+representatives, `colour_of`) and rational output is formed (`basis`,
+`det_abs`, `coset_reps`, witnesses).
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -25,12 +35,15 @@ from cslcolour.errors import (
     NotInParent,
     RankDeficient,
 )
-from cslcolour.ratmat import (
+# rat_inverse is not used here; the name stays bound because
+# bench/tracing.py wraps it in this module
+from cslcolour.ratmat import (  # noqa: F401
     IntMatrix,
     RatMatrix,
     Vector,
     _hermite,
     clear_denominators,
+    int_inverse,
     mat_mul,
     rat_inverse,
     rat_matrix,
@@ -70,6 +83,26 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
+def _from_ints(rows: Sequence[Sequence[int]], den: int) -> Lattice:
+    """The lattice spanned by the integer rows over `den`, canonicalized.
+
+    The rows may number more than d but must have rank d.  Row
+    operations keep the gcd of all entries, so dividing it and den by
+    their common factor first leaves the minimal den, and the Hermite
+    form is taken of the smaller rows.  Raises RankDeficient when the
+    rows do not span rank d.
+    """
+    g = gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    h, _, rank = _hermite(rows)
+    d = len(h[0])
+    if rank < d:
+        raise RankDeficient("basis rows are linearly dependent")
+    return Lattice(dim=d, den=den, hnf_rows=tuple(tuple(row) for row in h[:d]))
+
+
 def lattice_new(basis: Sequence[Sequence]) -> Lattice:
     """Build the lattice spanned by the rows of `basis` (canonicalized).
 
@@ -80,11 +113,7 @@ def lattice_new(basis: Sequence[Sequence]) -> Lattice:
     d = len(rows)
     if d == 0 or len(rows[0]) != d:
         raise RankDeficient("basis must be square and nonempty")
-    ints, den = clear_denominators(rows)
-    h, _, rank = _hermite(ints)
-    if rank < d:
-        raise RankDeficient("basis rows are linearly dependent")
-    return Lattice(dim=d, den=den, hnf_rows=tuple(tuple(r) for r in h))
+    return _from_ints(*clear_denominators(rows))
 
 
 def standard_lattice(d: int) -> Lattice:
@@ -94,19 +123,29 @@ def standard_lattice(d: int) -> Lattice:
     )
 
 
-def _solve_upper_triangular(h: IntMatrix, w: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve x . h = w over Z for upper triangular h with nonzero pivots."""
+def _solve_upper_triangular(
+    h: IntMatrix, w: Sequence[int], scale: int = 1
+) -> Optional[tuple[int, ...]]:
+    """Solve x . (scale.h) = w over Z for upper triangular h with nonzero pivots."""
     d = len(h)
     x = [0] * d
     for j in range(d):
         acc = w[j]
         for i in range(j):
-            acc -= x[i] * h[i][j]
-        q, r = divmod(acc, h[j][j])
+            acc -= scale * x[i] * h[i][j]
+        q, r = divmod(acc, scale * h[j][j])
         if r:
             return None
         x[j] = q
     return tuple(x)
+
+
+def _coords(lat: Lattice, w: Sequence[int], q: int = 1) -> Optional[tuple[int, ...]]:
+    """Integer coordinates over lat's basis of the point w / q, or None.
+
+    x . hnf_rows / den = w / q is x . (q . hnf_rows) = den . w.
+    """
+    return _solve_upper_triangular(lat.hnf_rows, [lat.den * x for x in w], q)
 
 
 def contains(lat: Lattice, v: Sequence) -> bool:
@@ -114,35 +153,39 @@ def contains(lat: Lattice, v: Sequence) -> bool:
     vec = tuple(Fraction(x) for x in v)
     if len(vec) != lat.dim:
         raise DimensionMismatch(f"point has dimension {len(vec)}, lattice {lat.dim}")
-    w = []
-    for x in vec:
-        scaled = x * lat.den
-        if scaled.denominator != 1:
-            return False
-        w.append(scaled.numerator)
-    return _solve_upper_triangular(lat.hnf_rows, w) is not None
+    (w,), q = clear_denominators([vec])
+    return _coords(lat, w, q) is not None
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
     """True iff every basis row of sub lies in sup."""
     if sub.dim != sup.dim:
         raise DimensionMismatch("lattices live in different dimensions")
-    return all(contains(sup, row) for row in sub.basis)
+    return all(_coords(sup, row, sub.den) is not None for row in sub.hnf_rows)
 
 
 def index(sup: Lattice, sub: Lattice) -> int:
-    """Group index [sup : sub]; requires sub to be a sublattice of sup."""
+    """Group index [sup : sub]; requires sub to be a sublattice of sup.
+
+    The ratio of the covolumes, prod(pivots) / den^d on each side.
+    """
     if not is_sublattice(sub, sup):
         raise NotASublattice(f"{sub!r} is not inside {sup!r}")
-    ratio = sub.det_abs / sup.det_abs
-    if ratio.denominator != 1:
+    d = sup.dim
+    ratio, rest = divmod(
+        prod(sub.hnf_rows[i][i] for i in range(d)) * sup.den**d,
+        prod(sup.hnf_rows[i][i] for i in range(d)) * sub.den**d,
+    )
+    if rest:
         raise InternalInvariantViolation("index of a sublattice must be integral")
-    return ratio.numerator
+    return ratio
 
 
-def _common_integer_bases(l1: Lattice, l2: Lattice) -> tuple[IntMatrix, IntMatrix, int]:
-    """Integer bases of scale*l1 and scale*l2 for a common scale."""
-    scale = lcm(l1.den, l2.den)
+def _common_integer_bases(
+    l1: Lattice, l2: Lattice, den: int = 1
+) -> tuple[IntMatrix, IntMatrix, int]:
+    """Integer bases of scale*l1 and scale*l2 for a common scale, a multiple of den."""
+    scale = lcm(l1.den, l2.den, den)
     f1 = scale // l1.den
     f2 = scale // l2.den
     a = tuple(tuple(f1 * x for x in row) for row in l1.hnf_rows)
@@ -170,7 +213,7 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     gens = [vec_mat(row[:d], a) for row in kernel]
     if len(gens) != d:
         raise InternalInvariantViolation("kernel rank must be d")
-    return lattice_new([[Fraction(x, scale) for x in g] for g in gens])
+    return _from_ints(gens, scale)
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
@@ -182,7 +225,12 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     h, _, rank = _hermite(a + b)
     if rank != d:
         raise InternalInvariantViolation("sum of full-rank lattices lost rank")
-    return lattice_new([[Fraction(x, scale) for x in row] for row in h[:d]])
+    return _from_ints(h[:d], scale)
+
+
+def _image(lat: Lattice, num: IntMatrix, den: int) -> Lattice:
+    """Image of the lattice under v -> v . (num / den), num an integer matrix."""
+    return _from_ints(mat_mul(lat.hnf_rows, num), lat.den * den)
 
 
 def transform(lat: Lattice, map_matrix: Sequence[Sequence]) -> Lattice:
@@ -194,20 +242,17 @@ def transform(lat: Lattice, map_matrix: Sequence[Sequence]) -> Lattice:
     m = rat_matrix(map_matrix)
     if len(m) != lat.dim or len(m[0]) != lat.dim:
         raise DimensionMismatch("map and lattice dimensions differ")
-    return lattice_new(mat_mul(lat.basis, transpose(m)))
+    return _image(lat, *clear_denominators(transpose(m)))
 
 
 def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     """Integer matrix expressing sub's basis rows in parent coordinates."""
-    rel = mat_mul(sub.basis, rat_inverse(parent.basis))
     out = []
-    for row in rel:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise NotASublattice("sub basis does not lie in parent")
-            ints.append(x.numerator)
-        out.append(tuple(ints))
+    for row in sub.hnf_rows:
+        coords = _coords(parent, row, sub.den)
+        if coords is None:
+            raise NotASublattice("sub basis does not lie in parent")
+        out.append(coords)
     return tuple(out)
 
 
@@ -232,10 +277,9 @@ def _radix_reps(
     parent: Lattice, rel: IntMatrix, moduli: Sequence[int], v: IntMatrix
 ) -> list[Vector]:
     """Coset reps in mixed-radix order of the SNF coordinates (see coset_reps)."""
-    v_inv_rat = rat_inverse(v)
-    if any(x.denominator != 1 for row in v_inv_rat for x in row):
+    v_inv, v_den = int_inverse(v)
+    if v_den != 1:
         raise InternalInvariantViolation("unimodular inverse must be integral")
-    v_inv = tuple(tuple(x.numerator for x in row) for row in v_inv_rat)
     rel_h, _, rank = _hermite(rel)
     if rank != parent.dim:
         raise InternalInvariantViolation("relative basis lost rank")
@@ -298,10 +342,9 @@ class Colouring:
             raise DimensionMismatch("lattices live in different dimensions")
         self.parent = parent
         self.sub = sub
-        self._parent_inv = rat_inverse(parent.basis)
         try:
-            self._rel = tuple(self._coords_of_point(row) for row in sub.basis)
-        except NotInParent:
+            self._rel = _relative_basis(parent, sub)
+        except NotASublattice:
             raise NotASublattice("colouring needs sub inside parent") from None
         d, _, self._v = snf(self._rel)
         # the SNF elementary divisors d_1 | d_2 | ... of parent/sub
@@ -341,14 +384,18 @@ class Colouring:
             self._reps = _radix_reps(self.parent, self._rel, self.moduli, self._v)
         return self._reps
 
+    def _coords_of_ints(self, w: Sequence[int], q: int = 1) -> tuple[int, ...]:
+        """Integer parent coordinates of the point w / q; raises NotInParent."""
+        coords = _coords(self.parent, w, q)
+        if coords is None:
+            point = ", ".join(str(Fraction(x, q)) for x in w)
+            raise NotInParent(f"({point}) is not in the parent lattice")
+        return coords
+
     def _coords_of_point(self, v: Sequence[Fraction]) -> tuple[int, ...]:
-        coords = vec_mat(tuple(v), self._parent_inv)
-        ints = []
-        for x in coords:
-            if x.denominator != 1:
-                raise NotInParent(f"{tuple(v)} is not in the parent lattice")
-            ints.append(x.numerator)
-        return tuple(ints)
+        """Integer parent coordinates of a rational point; raises NotInParent."""
+        (w,), q = clear_denominators([v])
+        return self._coords_of_ints(w, q)
 
     def _key_of_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         """The coset of parent coordinates as an element of Z_d1 x ... (d_j > 1)."""
@@ -392,17 +439,13 @@ def coset_meets_lattice(
     if sub.dim != lat.dim or len(vec) != sub.dim:
         raise DimensionMismatch("dimension mismatch")
     d = sub.dim
-    rep_den = 1
-    for x in vec:
-        rep_den = lcm(rep_den, x.denominator)
-    scale = lcm(lcm(sub.den, lat.den), rep_den)
-    a = tuple(tuple(scale // sub.den * x for x in row) for row in sub.hnf_rows)
-    b = tuple(tuple(scale // lat.den * x for x in row) for row in lat.hnf_rows)
-    w = tuple((x * scale).numerator for x in vec)
+    (w,), rep_den = clear_denominators([vec])
+    a, b, scale = _common_integer_bases(sub, lat, rep_den)
+    w = tuple(scale // rep_den * x for x in w)
     h, u, rank = _hermite(a + b)
     if rank != d:
         raise InternalInvariantViolation("stacked bases must have rank d")
-    gamma = _solve_upper_triangular(tuple(tuple(r) for r in h[:d]), w)
+    gamma = _solve_upper_triangular(h[:d], w)
     if gamma is None:
         return None
     # (alpha, beta) = gamma . U[:d] satisfies alpha.A + beta.B = w, so
@@ -410,8 +453,7 @@ def coset_meets_lattice(
     # rep by a sub vector.
     alpha = vec_mat(gamma, u[:d])[:d]
     shift = vec_mat(alpha, a)
-    witness = tuple(x - Fraction(s, scale) for x, s in zip(vec, shift))
-    offset = tuple(x - y for x, y in zip(vec, witness))
-    if not contains(lat, witness) or not contains(sub, offset):
+    witness = tuple(x - s for x, s in zip(w, shift))
+    if _coords(lat, witness, scale) is None or _coords(sub, shift, scale) is None:
         raise InternalInvariantViolation("witness failed membership verification")
-    return witness
+    return tuple(Fraction(x, scale) for x in witness)

@@ -1,8 +1,14 @@
-"""Exact rational and integer matrix kernel.
+"""Exact integer matrix kernel, with rational edges.
 
-Scalars are ``fractions.Fraction`` values (arbitrary precision, always
-reduced, denominator positive); matrices are immutable tuples of row
-tuples.  Everything is pure and exact: no floats, no rounding, ever.
+Internally a rational matrix is an integer matrix plus one common
+denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms, the
+integer inverse and integer solving all run on Python ints only.
+``fractions.Fraction`` values appear at the edges: parsing ``p/q``
+text and user matrices (:func:`parse_rational`, :func:`rat_matrix`,
+:func:`clear_denominators`), the public rational results
+(:func:`rat_inverse`, :func:`det_rat`) and formatting.  Matrices are
+immutable tuples of row tuples.  Everything is exact: no floats, no
+rounding, ever.
 
 Conventions, fixed package-wide:
 
@@ -70,14 +76,17 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatMatrix:
 
 
 def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """Validate an integer matrix; other entries must have integral Fraction values."""
     out = []
     for row in rows:
         vals = []
         for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integer entry {x}")
-            vals.append(f.numerator)
+            if type(x) is not int:
+                f = Fraction(x)
+                if f.denominator != 1:
+                    raise ValueError(f"non-integer entry {x}")
+                x = f.numerator
+            vals.append(x)
         out.append(tuple(vals))
     return tuple(out)
 
@@ -100,10 +109,6 @@ def mat_mul(a, b):
 def vec_mat(v, m):
     """Row vector times matrix: ``(v . m)_j = sum_i v_i m_ij``."""
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
-def mat_scale(m, c):
-    return tuple(tuple(c * x for x in row) for row in m)
 
 
 def det_rat(m: Sequence[Sequence]) -> Fraction:
@@ -130,29 +135,50 @@ def det_rat(m: Sequence[Sequence]) -> Fraction:
     return det
 
 
-def rat_inverse(m: Sequence[Sequence]) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises Singular."""
+def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """Inverse of a square integer matrix as (N, q) with m^-1 = N / q.
+
+    q > 0 is the least common denominator of the inverse's entries.
+    Fraction-free Gauss-Jordan on [m | I]: each row keeps R . m = L for
+    its left part L and right part R, a row operation cross-multiplies
+    by the pivot, and every changed row is divided by the gcd of its
+    entries, which keeps them small.  At the end L is diagonal, so row r
+    of the inverse is R_r / L_rr, already in lowest terms.  Raises
+    Singular.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse needs a square matrix")
-    work = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
             raise Singular("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / work[col][col]
-        work[col] = [x * f for x in work[col]]
-        inv[col] = [x * f for x in inv[col]]
+        work[col], work[piv] = work[piv], work[col]
+        prow = work[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+            f = work[r][col]
+            if r != col and f:
+                row = [p * x - f * y for x, y in zip(work[r], prow)]
+                g = gcd(*row)
+                work[r] = [x // g for x in row]
+    den = lcm(*(abs(work[r][r]) for r in range(n)))
+    return (
+        tuple(tuple(den // work[r][r] * x for x in work[r][n:]) for r in range(n)),
+        den,
+    )
+
+
+def rat_inverse(m: Sequence[Sequence]) -> RatMatrix:
+    """Exact rational inverse; raises Singular.
+
+    With m = M / q for an integer M, the inverse is q . M^-1, read off
+    :func:`int_inverse`.
+    """
+    ints, q = clear_denominators(m)
+    inv, den = int_inverse(ints)
+    return tuple(tuple(Fraction(q * x, den) for x in row) for row in inv)
 
 
 def clear_denominators(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
@@ -163,7 +189,7 @@ def clear_denominators(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
         for x in row:
             den = lcm(den, x.denominator)
     ints = tuple(
-        tuple((x * den).numerator for x in row) for row in rows
+        tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
     )
     return ints, den
 
@@ -338,7 +364,3 @@ def solve_integer(
     x = vec_mat(tuple(y), u)
     assert vec_mat(x, m) == bi
     return tuple(int(t) for t in x)
-
-
-def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
-    return abs(det_rat(m)) == 1

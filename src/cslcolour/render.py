@@ -40,12 +40,15 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _embed_planar(colouring: Colouring, coords: Sequence[int]) -> tuple[float, float]:
-    x, y = vec_mat(tuple(Fraction(c) for c in coords), colouring.parent.basis)
-    return float(x), float(y)
+    parent = colouring.parent
+    x, y = vec_mat(coords, parent.hnf_rows)
+    # int / int is correctly rounded, the same float as the exact Fraction
+    return x / parent.den, y / parent.den
 
 
 def _embed_star(colouring: Colouring, coords: Sequence[int]) -> tuple[float, float]:
-    ambient = vec_mat(tuple(Fraction(c) for c in coords), colouring.parent.basis)
+    parent = colouring.parent
+    ambient = [Fraction(a, parent.den) for a in vec_mat(coords, parent.hnf_rows)]
     (xr, xs), (yr, ys) = star_coords(ambient)
     return float(xr) + float(xs) * SQRT2, float(yr) + float(ys) * SQRT2
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -392,6 +393,43 @@ def test_string_highlight_csl_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert "highlight_csl" in json.loads(err)["error"]["message"]
+
+
+def test_huge_oracle_radius_rejected_before_any_work(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started on an over-budget window")
+
+    for name in ("Colouring", "analyze", "window_census"):
+        monkeypatch.setattr(cli_module, name, never)
+    path = variant(tmp_path, "example1.json", oracle_radius=10**9)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "oracle", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]["message"]
+    assert "oracle_radius" in message and "budget" in message
+    assert peak < 1_000_000
+
+
+def test_window_budget_boundary(tmp_path):
+    def load(base="example1.json", **changes):
+        return cli_module.load_job_config(variant(tmp_path, base, **changes))
+
+    # the largest planar radius inside the budget, and one past it
+    inside = max(r for r in range(1000) if (2 * r + 1) ** 2 <= cli_module.WINDOW_BUDGET)
+    assert load(oracle_radius=inside).oracle_radius == inside
+    assert load(render={"radius": inside}).render_radius == inside
+    with pytest.raises(cslcolour.ConfigError, match="oracle_radius"):
+        load(oracle_radius=inside + 1)
+    with pytest.raises(cslcolour.ConfigError, match=r"render\.radius"):
+        load(render={"radius": inside + 1})
+    # the bound on the radius shrinks with the dimension: 41^4 > budget
+    with pytest.raises(cslcolour.ConfigError, match="dimension 4"):
+        load("ammann_beenker.json", render={"radius": 20})
 
 
 def test_other_package_error_exit5(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from conftest import SUBLATTICE_BASES
+from conftest import SUBLATTICE_BASES, cubic_rotations
 
 from cslcolour.coincidence import (
     analyze,
@@ -258,6 +258,30 @@ def test_enumerate_deterministic():
     first = [m.matrix for m in enumerate_square_rotations(13)]
     second = [m.matrix for m in enumerate_square_rotations(13)]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the cubic lattice: a closed form that shares no code with intersect
+
+
+def test_sigma_of_cubic_rotations_is_odd_part_of_quaternion_norm():
+    """Grimmer (1974), Baake (1997): for a primitive integer quaternion q,
+    the rotation R(q) of Z^3 has coincidence index |q|^2 / 2^l, the odd
+    part of |q|^2."""
+    z3 = standard_lattice(3)
+    rotations = cubic_rotations(30)
+    identities = 0
+    for q, rows in rotations:
+        odd = sum(x * x for x in q)
+        while odd % 2 == 0:
+            odd //= 2
+        amap = commensurable_map(rows)
+        assert amap.is_orthogonal() and amap.det == 1
+        assert sigma(z3, amap) == odd, q
+        identities += odd == 1
+    # the 24 rotations of the cube are exactly the coincidences of index 1
+    assert identities == 24
+    assert len(rotations) > 2000
 
 
 # ---------------------------------------------------------------------------

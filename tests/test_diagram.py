@@ -2,10 +2,10 @@
 
 The oracle below decides colour coincidence from the partition-bijection
 definition and shares no code with ``cslcolour.coincidence``: colours are
-cosets of the sublattice S in Z^2, keyed by x.adj(S) mod |det S|; the
-CSLs are scanned modulo n.Z^2 (n the denominator of the rotation, so
-n.Z^2 lies in both CSLs) and closed under addition.  Colour indices are
-read off the colouring's representatives.
+cosets of the sublattice S in Z^d, keyed by x.adj(S) mod |det S|; the
+CSLs are scanned modulo n.Z^d (n the denominator of the rotation, so
+n.Z^d lies in both CSLs) and closed under addition.  Colour indices are
+read off the colouring's representatives.  It runs for d = 2 and 3.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from cslcolour import (
     lattice_new,
     standard_lattice,
 )
-from conftest import SUBLATTICE_BASES
+from conftest import SUBLATTICE_BASES, cayley_rotation
 
 Z2 = standard_lattice(2)
 
@@ -72,14 +72,36 @@ def _closure(gens, add, zero, limit=None):
     return elems
 
 
+def det(m):
+    """Laplace expansion along the first row; small matrices only."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def adjugate(m):
+    """adj(M) with M . adj(M) = det(M) . I: entry (i, j) is a cofactor of (j, i)."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j) * det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def oracle(sub_rows, map_rows, reps):
     """(I, J, colour coincidence, permutation) by the definition."""
-    (s00, s01), (s10, s11) = sub_rows
-    order = abs(s00 * s11 - s01 * s10)
-    adj = ((s11, -s01), (-s10, s00))
+    d = len(sub_rows)
+    order = abs(det(sub_rows))
+    adj = adjugate(sub_rows)
 
     def key(x):
-        return tuple((x[0] * adj[0][j] + x[1] * adj[1][j]) % order for j in range(2))
+        return tuple(sum(x[i] * adj[i][j] for i in range(d)) % order for j in range(d))
 
     def add(p, q):
         return tuple((x + y) % order for x, y in zip(p, q))
@@ -88,17 +110,18 @@ def oracle(sub_rows, map_rows, reps):
     assert len(colour) == order == len(reps)
 
     a = [[Fraction(x) for x in row] for row in map_rows]
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    a_inv = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+    a_det = det(a)
+    a_inv = [[x / a_det for x in row] for row in adjugate(a)]
 
     def apply(m, x):  # x -> x.M^T
-        return [m[i][0] * x[0] + m[i][1] * x[1] for i in range(2)]
+        return [sum(m[i][j] * x[j] for j in range(d)) for i in range(d)]
 
     n = lcm(*(x.denominator for row in a for x in row))
-    box = list(product(range(n), repeat=2)) + [(n, 0), (0, n)]
+    box = list(product(range(n), repeat=d))
+    box += [tuple(n * int(i == j) for j in range(d)) for i in range(d)]
     inv_pts = [x for x in box if all(c.denominator == 1 for c in apply(a, x))]
     fwd_pts = [x for x in box if all(c.denominator == 1 for c in apply(a_inv, x))]
-    zero = (0, 0)
+    zero = (0,) * d
     set_i = sorted(colour[k] for k in _closure([key(x) for x in inv_pts], add, zero))
     set_j = sorted(colour[k] for k in _closure([key(x) for x in fwd_pts], add, zero))
     # the pairs (colour of x, colour of A.x) over csl1_inv cover I and J;
@@ -117,7 +140,7 @@ def oracle(sub_rows, map_rows, reps):
 
 
 def assert_agrees(sub_rows, amap, reps=None):
-    colouring = Colouring(Z2, lattice_new(sub_rows), reps=reps)
+    colouring = Colouring(standard_lattice(len(sub_rows)), lattice_new(sub_rows), reps=reps)
     got = analyze(colouring, amap)
     set_i, set_j, cc, perm = oracle(sub_rows, amap.matrix, colouring.reps)
     assert got.set_I == set_i
@@ -175,6 +198,29 @@ def test_oracle_agrees_with_custom_reps():
     example1 = assert_agrees([[6, 0], [2, 1]], rotation(4, 3, 5),
                              reps=[[i, 0] for i in range(6)])
     assert not example1.colour_coincidence
+
+
+# rotations R(q) of Z^3 from quaternions of norm 2, 3, 4, 5, 7, 9 and 11
+CUBIC_QUATERNIONS = [
+    (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 0, 0), (2, 1, 1, 1), (1, 2, 2, 0),
+    (3, 1, 1, 0),
+]
+# 2.Z^3, diag(1, 1, 3), and two sublattices of index 2
+CUBIC_SUBLATTICES = [
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+    [[1, 1, 0], [-1, 1, 0], [0, 0, 1]],
+    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
+]
+
+
+def test_oracle_agrees_on_cubic_sublattices():
+    verdicts = {
+        assert_agrees(sub_rows, commensurable_map(cayley_rotation(*q))).colour_coincidence
+        for q in CUBIC_QUATERNIONS
+        for sub_rows in CUBIC_SUBLATTICES
+    }
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

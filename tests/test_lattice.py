@@ -213,6 +213,199 @@ def test_index_multiplicativity(b1, c2, c3):
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel against a plain-Fraction reference, d = 2, 3, 4
+#
+# The reference solves x . B = v by Gaussian elimination over Fraction
+# and compares lattices by mutual containment of their rows; nothing
+# below it calls the package.
+
+
+def ref_solve(basis, v):
+    """The x with x . basis = v, by Fraction Gauss-Jordan elimination."""
+    n = len(basis)
+    aug = [[Fraction(basis[i][j]) for i in range(n)] + [Fraction(v[j])] for j in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def ref_det(m):
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def ref_mat_mul(a, b):
+    return [[sum(Fraction(x) * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def ref_contains(basis, v):
+    return all(x.denominator == 1 for x in ref_solve(basis, v))
+
+
+def ref_inside(rows, basis):
+    return all(ref_contains(basis, row) for row in rows)
+
+
+def ref_same(rows, basis):
+    return ref_inside(rows, basis) and ref_inside(basis, rows)
+
+
+def primes_of(n):
+    n, p, out = abs(n), 2, []
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
+def rank_mod(rows, p):
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col] * inv
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def ref_is_meet(rows, b1, b2):
+    """The rows span exactly the intersection of the spans of b1 and b2.
+
+    With R the span of the rows inside both, R is the whole meet I unless
+    I/R has an element of prime order p: some r/p, r in R but not in pR,
+    inside both lattices.  Over b1 and b2 the rows are integer matrices
+    M1 and M2, and such an r is a nonzero c mod p with c.M1 = c.M2 = 0
+    mod p.  So [M1 | M2] must have full rank mod each prime p dividing
+    [b1 : R] = |det M1|, which |I/R| divides.
+    """
+    m1 = [ref_solve(b1, r) for r in rows]
+    m2 = [ref_solve(b2, r) for r in rows]
+    if any(x.denominator != 1 for row in m1 + m2 for x in row):
+        return False
+    stacked = [[int(x) for x in r1 + r2] for r1, r2 in zip(m1, m2)]
+    return all(rank_mod(stacked, p) == len(rows) for p in primes_of(int(ref_det(m1))))
+
+
+def assert_minimal_den(lat):
+    """den.L is integral and no proper divisor of den makes it so."""
+    entries = [x for row in lat.basis for x in row]
+    assert all((x * lat.den).denominator == 1 for x in entries)
+    for p in primes_of(lat.den):
+        assert any((x * (lat.den // p)).denominator != 1 for x in entries)
+
+
+def rational_matrices(d):
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 12))
+    row = st.lists(entry, min_size=d, max_size=d)
+    return st.lists(row, min_size=d, max_size=d).filter(lambda m: ref_det(m) != 0)
+
+
+def integer_matrices(d):
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    return st.lists(row, min_size=d, max_size=d).filter(lambda m: ref_det(m) != 0)
+
+
+dims = st.sampled_from([2, 3, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.tuples(rational_matrices(d), rational_matrices(d))))
+def test_kernel_transform_against_reference(pair):
+    basis, amap = pair
+    lat = lattice_new(basis)
+    assert ref_same(lat.basis, basis)
+    assert_minimal_den(lat)
+    image = transform(lat, amap)
+    rows = ref_mat_mul(basis, list(zip(*amap)))  # basis . A^T
+    assert ref_same(image.basis, rows)
+    assert_minimal_den(image)
+    assert image == lattice_new(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.tuples(rational_matrices(d), rational_matrices(d))))
+def test_kernel_intersect_against_reference(pair):
+    b1, b2 = pair
+    meet = intersect(lattice_new(b1), lattice_new(b2))
+    assert ref_is_meet(meet.basis, b1, b2)
+    assert_minimal_den(meet)
+    assert meet == intersect(lattice_new(b2), lattice_new(b1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(
+        lambda d: st.tuples(rational_matrices(d), integer_matrices(d), rational_matrices(d))
+    )
+)
+def test_kernel_index_and_sublattice_against_reference(triple):
+    basis, coeffs, other = triple
+    lat = lattice_new(basis)
+    sub = lattice_new(ref_mat_mul(coeffs, basis))
+    assert is_sublattice(sub, lat)
+    assert index(lat, sub) == abs(ref_det(coeffs)) == abs(ref_det(sub.basis) / ref_det(basis))
+    assert_minimal_den(sub)
+    foreign = lattice_new(other)
+    assert is_sublattice(foreign, lat) == ref_inside(other, basis)
+    if ref_inside(other, basis):
+        assert index(lat, foreign) == abs(ref_det(other) / ref_det(basis))
+    else:
+        with pytest.raises(NotASublattice):
+            index(lat, foreign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(
+        lambda d: st.tuples(
+            rational_matrices(d),
+            st.lists(
+                st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])),
+                         min_size=d, max_size=d),
+                min_size=1, max_size=6,
+            ),
+        )
+    )
+)
+def test_kernel_contains_against_reference(pair):
+    basis, coefficient_rows = pair
+    lat = lattice_new(basis)
+    for x in coefficient_rows:
+        point = ref_mat_mul([x], basis)[0]
+        expected = all(c.denominator == 1 for c in x)
+        assert ref_contains(basis, point) == expected
+        assert contains(lat, point) == expected
+
+
+# ---------------------------------------------------------------------------
 # transform
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,8 @@ from cslcolour.ratmat import (
     format_rational,
     hnf,
     identity,
+    int_inverse,
     int_matrix,
-    is_unimodular,
     mat_mul,
     parse_rational,
     rat_inverse,
@@ -37,6 +38,10 @@ from cslcolour.ratmat import (
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def is_unimodular(m):
+    return abs(det_rat(m)) == 1
 
 
 def oracle_solve(m, b, bound=8):
@@ -147,6 +152,25 @@ def test_rat_inverse_singular():
 )
 def test_rat_inverse_multiplies_back(m):
     assert mat_mul(m, rat_inverse(m)) == rat_matrix(identity(4))
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4
+    ).filter(lambda m: det_rat(m) != 0)
+)
+def test_int_inverse_is_exact_and_lowest_terms(m):
+    inv, den = int_inverse(m)
+    assert den > 0
+    assert mat_mul(m, inv) == tuple(tuple(den * x for x in row) for row in identity(4))
+    assert gcd(den, *(x for row in inv for x in row)) == 1
+    assert abs(det_rat(m)) % den == 0
+
+
+def test_int_inverse_singular():
+    with pytest.raises(Singular):
+        int_inverse([[1, 2], [2, 4]])
 
 
 # ---------------------------------------------------------------------------
