@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from cslcolour.errors import (
     DimensionMismatch,
@@ -39,22 +39,21 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-# colour_of, coset_meets_lattice and transform are not used here; the
-# names stay bound because bench/tracing.py wraps every module's binding
+# _hermite, colour_of, coset_meets_lattice, transform and snf are not
+# used here; the names stay bound because bench/tracing.py wraps every
+# module's binding
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
     _hermite,
     _image,
-    _relative_basis,
-    _residue,
     colour_of,
     coset_meets_lattice,
     index,
     intersect,
     transform,
 )
-from cslcolour.ratmat import (
+from cslcolour.ratmat import (  # noqa: F401
     IntMatrix,
     RatMatrix,
     clear_denominators,
@@ -390,43 +389,6 @@ def enumerate_square_rotations(max_den: int) -> list[CommensurableMap]:
     return maps
 
 
-class _ResidueMemo:
-    """Memoized function of integer parent coordinates.
-
-    Membership in a sublattice of the parent, and colour, are both
-    periodic in every coordinate with period the quotient exponent, so
-    values are cached keyed by the coordinates mod that period.
-    """
-
-    def __init__(self, period: int, fn: Callable[[tuple[int, ...]], object]):
-        self.period = max(1, period)
-        self.fn = fn
-        self.cache: dict = {}
-
-    def __call__(self, coords: Sequence[int]):
-        key = tuple(x % self.period for x in coords)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.cache[key] = self.fn(key)
-        return hit
-
-
-def _membership_memo(parent: Lattice, sub: Lattice) -> _ResidueMemo:
-    rel = _relative_basis(parent, sub)
-    rel_h, _, rank = _hermite(rel)
-    if rank != parent.dim:
-        raise InternalInvariantViolation("relative basis lost rank")
-    rel_h = tuple(tuple(r) for r in rel_h)
-    d, _, _ = snf(rel)
-    period = d[-1][-1]
-    zero = (0,) * parent.dim
-    return _ResidueMemo(period, lambda c: _residue(rel_h, c) == zero)
-
-
-def _colour_memo(colouring: Colouring) -> _ResidueMemo:
-    return _ResidueMemo(colouring.moduli[-1], colouring.colour_of_coords)
-
-
 def window_census(
     colouring: Colouring, amap: CommensurableMap, radius: int
 ) -> dict:
@@ -435,17 +397,20 @@ def window_census(
     Enumerates every point of the parent with integer basis coordinates
     in [-radius, radius]^d, records which lie in csl1 / csl1_inv with
     their colours, and for csl1_inv points the colour of the image.
-    Pure integer arithmetic end to end.
+    Both CSLs are built here from the map, csl1_inv as csl(parent, A^-1)
+    rather than the image of csl1 that `analyze` uses.  A point lies in
+    a CSL exactly when it has colour 0 in the colouring of the parent
+    by that CSL, so membership and colour are both read by
+    `Colouring.colour_of_coords`: one key per nontrivial SNF factor of
+    the quotient, with no cache.  Pure integer arithmetic end to end.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     parent = colouring.parent
     d = parent.dim
-    fwd = csl(parent, amap)
-    inv = csl(parent, amap.inverse_map)
-    in_fwd = _membership_memo(parent, fwd)
-    in_inv = _membership_memo(parent, inv)
-    colour_at = _colour_memo(colouring)
+    fwd_colour = Colouring(parent, csl(parent, amap)).colour_of_coords
+    inv_colour = Colouring(parent, csl(parent, amap.inverse_map)).colour_of_coords
+    colour_at = colouring.colour_of_coords
     # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
     # H the parent's integer Hermite basis (its den cancels)
     a_num, a_den = amap._forward_ints
@@ -459,10 +424,10 @@ def window_census(
     count_inv = 0
     box = range(-radius, radius + 1)
     for coords in product(box, repeat=d):
-        if in_fwd(coords):
+        if fwd_colour(coords) == 0:
             count_fwd += 1
             observed_j.add(colour_at(coords))
-        if in_inv(coords):
+        if inv_colour(coords) == 0:
             count_inv += 1
             ci = colour_at(coords)
             observed_i.add(ci)

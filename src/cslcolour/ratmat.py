@@ -1,8 +1,8 @@
 """Exact integer matrix kernel, with rational edges.
 
 Internally a rational matrix is an integer matrix plus one common
-denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms, the
-integer inverse and integer solving all run on Python ints only.
+denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms and the
+integer inverse all run on Python ints only.
 ``fractions.Fraction`` values appear at the edges: parsing ``p/q``
 text and user matrices (:func:`parse_rational`, :func:`rat_matrix`,
 :func:`clear_denominators`), the public rational results
@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from cslcolour.errors import RankDeficient, Singular
 
@@ -339,28 +339,3 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         tuple(tuple(r) for r in v),
     )
 
-
-def solve_integer(
-    m: Sequence[Sequence[int]], b: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Solve x . M = b over the integers, or return None.
-
-    M must be square nonsingular.  Via SNF: with D = U.M.V the system
-    becomes y . D = b . V with x = y . U, solvable iff each (b.V)_i is
-    divisible by d_i.
-    """
-    d, u, v = snf(m)
-    n = len(d)
-    bi = tuple(int(x) for x in b)
-    if len(bi) != n:
-        raise ValueError("dimension mismatch")
-    c = vec_mat(bi, v)
-    y = []
-    for i in range(n):
-        q, r = divmod(c[i], d[i][i])
-        if r:
-            return None
-        y.append(q)
-    x = vec_mat(tuple(y), u)
-    assert vec_mat(x, m) == bi
-    return tuple(int(t) for t in x)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from cslcolour.coincidence import CommensurableMap, _membership_memo, csl
+from cslcolour.coincidence import CommensurableMap, csl
 from cslcolour.cyclo8 import star_coords
 from cslcolour.errors import UnsupportedDimension
 from cslcolour.lattice import Colouring
@@ -70,7 +70,10 @@ def render_svg(
     """
     if mode not in RENDER_MODES:
         raise ValueError(f"mode must be one of {RENDER_MODES}")
-    d = colouring.parent.dim
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    parent = colouring.parent
+    d = parent.dim
     if star_embedding:
         if d != 4:
             raise UnsupportedDimension("star embedding needs dimension 4")
@@ -86,20 +89,20 @@ def render_svg(
     colours = list(palette) if palette is not None else default_palette(colouring.m)
     if len(colours) < colouring.m:
         raise ValueError(f"palette needs at least {colouring.m} colours")
-    in_fwd = _membership_memo(colouring.parent, csl(colouring.parent, amap))
-    in_inv = _membership_memo(
-        colouring.parent, csl(colouring.parent, amap.inverse_map)
-    )
+    # a point lies in a CSL exactly when it has colour 0 in the
+    # colouring of the parent by that CSL
+    fwd_colour = Colouring(parent, csl(parent, amap)).colour_of_coords
+    inv_colour = Colouring(parent, csl(parent, amap.inverse_map)).colour_of_coords
     box = range(-radius, radius + 1)
     pts = []
     for coords in product(box, repeat=d):
-        if mode == "csl" and not in_fwd(coords):
+        if mode == "csl" and fwd_colour(coords) != 0:
             continue
-        if mode == "csl-inv" and not in_inv(coords):
+        if mode == "csl-inv" and inv_colour(coords) != 0:
             continue
         x, y = embed(colouring, coords)
         colour = colouring.colour_of_coords(coords)
-        ring = highlight_csl and mode == "parent" and in_fwd(coords)
+        ring = highlight_csl and mode == "parent" and fwd_colour(coords) == 0
         pts.append((coords, x, -y, colour, ring))
     xs = [p[1] for p in pts]
     ys = [p[2] for p in pts]

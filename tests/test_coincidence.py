@@ -7,11 +7,13 @@ corpus and a list of sublattices of index up to 12.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import pytest
-from conftest import SUBLATTICE_BASES, cubic_rotations
+from conftest import SUBLATTICE_BASES, cayley_rotation, cubic_rotations
 
+from cslcolour import render
 from cslcolour.coincidence import (
     analyze,
     census_contradictions,
@@ -23,6 +25,12 @@ from cslcolour.coincidence import (
     is_colour_coincidence,
     sigma,
     window_census,
+)
+from cslcolour.cyclo8 import (
+    AMMANN_BEENKER_ROTATION,
+    cyc8,
+    multiplication_map,
+    principal_submodule,
 )
 from cslcolour.errors import NotCoincidence, NotColourCoincidence
 from cslcolour.lattice import (
@@ -357,3 +365,82 @@ def test_census_observes_subsets_across_corpus():
             a = analyze(colouring, amap)
             census = window_census(colouring, amap, 4)
             assert census_contradictions(a, census) == []
+
+
+# ---------------------------------------------------------------------------
+# census and render membership
+
+
+def _box_scan(parent, amap, radius):
+    """Parent coordinates in the window of the points of each CSL, by `contains`."""
+    fwd = csl(parent, amap)
+    inv = csl(parent, amap.inverse_map)
+    in_fwd = set()
+    in_inv = set()
+    for coords in product(range(-radius, radius + 1), repeat=parent.dim):
+        point = vec_mat(coords, parent.basis)
+        if contains(fwd, point):
+            in_fwd.add(coords)
+        if contains(inv, point):
+            in_inv.add(coords)
+    return in_fwd, in_inv
+
+
+def _module8_power(k):
+    z = AMMANN_BEENKER_ROTATION
+    for _ in range(k - 1):
+        z = z * AMMANN_BEENKER_ROTATION
+    return multiplication_map(z)
+
+
+MEMBERSHIP_CASES = [
+    # parent/CSL is Z_3^k x Z_3^k: two nontrivial SNF factors
+    # (radius 4 sees only the origin of the CSLs of z^3)
+    *(
+        pytest.param(
+            Colouring(standard_lattice(4), principal_submodule(cyc8(1, 0, 1, 0))),
+            _module8_power(k),
+            radius,
+            id=f"module8-z{k}",
+        )
+        for k, radius in ((1, 3), (2, 3), (3, 5))
+    ),
+    pytest.param(
+        Colouring(standard_lattice(3), lattice_new([[2, 0, 0], [0, 2, 0], [0, 0, 2]])),
+        commensurable_map(cayley_rotation(1, 2, 1, 1)),
+        4,
+        id="cubic-sigma7",
+    ),
+    # the window, 21 points wide, is narrower than the exponents of
+    # parent/sub (600) and parent/CSL (25)
+    pytest.param(
+        Colouring(Z2, lattice_new([[1, 7], [0, 600]])),
+        commensurable_map([["7/25", "-24/25"], ["24/25", "7/25"]]),
+        10,
+        id="large-index",
+    ),
+]
+
+
+@pytest.mark.parametrize("colouring, amap, radius", MEMBERSHIP_CASES)
+def test_census_and_render_membership_match_a_box_scan(colouring, amap, radius):
+    in_fwd, in_inv = _box_scan(colouring.parent, amap, radius)
+    census = window_census(colouring, amap, radius)
+    assert census["count_csl"] == len(in_fwd)
+    assert census["count_csl_inv"] == len(in_inv)
+    assert census["observed_J"] == sorted({colouring.colour_of_coords(c) for c in in_fwd})
+    assert census["observed_I"] == sorted({colouring.colour_of_coords(c) for c in in_inv})
+    if colouring.parent.dim == 2:
+        for mode, points in (("csl", in_fwd), ("csl-inv", in_inv)):
+            svg = render.render_svg(colouring, amap, mode, radius)
+            drawn = re.findall(r'class="pt" [^>]*data-coords="([^"]*)"', svg)
+            assert {tuple(map(int, c.split(","))) for c in drawn} == points
+
+
+def test_render_svg_rejects_negative_radius_before_building_a_csl(monkeypatch):
+    def no_csl(*args):
+        raise AssertionError("a CSL was built")
+
+    monkeypatch.setattr(render, "csl", no_csl)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        render.render_svg(EX1, ROT, "parent", -1)
