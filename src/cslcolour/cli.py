@@ -38,6 +38,8 @@ from cslcolour.render import RENDER_MODES, render_svg
 
 # the most points a render or oracle window, (2R+1)^dim, may hold
 WINDOW_BUDGET = 2_000_000
+# the most colours m = [parent : sub] a job may have; a report lists a rep for each
+COLOUR_BUDGET = 100_000
 
 
 @dataclass
@@ -192,11 +194,16 @@ def load_job_config(path: str) -> JobConfig:
 
 def build_colouring(cfg: JobConfig) -> Colouring:
     try:
-        return Colouring(cfg.parent, cfg.sub, reps=cfg.reps)
+        colouring = Colouring(cfg.parent, cfg.sub, reps=cfg.reps)
     except CslcolourError as exc:
         raise ConfigError(f"invalid colouring: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid representatives: {exc}") from None
+    _require(
+        colouring.m <= COLOUR_BUDGET,
+        f"sub_basis gives {colouring.m} colours, over the budget of {COLOUR_BUDGET}",
+    )
+    return colouring
 
 
 def _basis_strings(lat: Lattice) -> list[list[str]]:

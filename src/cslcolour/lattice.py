@@ -4,13 +4,14 @@ A lattice is stored in a canonical pair (den, hnf_rows): `den` is the
 smallest positive integer for which den*L is an integer lattice, and
 `hnf_rows` is the Hermite form basis of den*L.  Scaling a lattice
 scales its Hermite form, so dividing out gcd(den, all entries) leaves
-the minimal den (`_from_ints`), and two lattices are equal exactly when
+the minimal den (`_canonical`), and two lattices are equal exactly when
 their stored pairs are equal.  That turns lattice equality, the
 backbone of the colour-coincidence criterion, into tuple comparison.
 
 Every operation works on integer rows over a common denominator: an
-image maps hnf_rows . N over den . q for a map N / q, a meet reads
-integer kernel rows of a stacked Hermite transform, membership and
+image maps hnf_rows . N over den . q for a map N / q; a meet and a sum
+are the two diagonal blocks of one stacked Hermite form (`_stacked`),
+which also decides whether a coset meets a lattice; membership and
 coordinates are one forward substitution against the triangular
 hnf_rows, and an index is a ratio of pivot products.
 ``fractions.Fraction`` appears only at the edges, where rational input
@@ -83,24 +84,28 @@ class Lattice:
         return f"Lattice[{rows}]"
 
 
+def _canonical(h: Sequence[Sequence[int]], den: int) -> Lattice:
+    """The lattice with Hermite basis rows h over `den`, with minimal den.
+
+    h / g is again a Hermite form for g = gcd(den, all entries).
+    """
+    g = gcd(den, *(x for row in h for x in row))
+    return Lattice(
+        dim=len(h), den=den // g, hnf_rows=tuple(tuple(x // g for x in row) for row in h)
+    )
+
+
 def _from_ints(rows: Sequence[Sequence[int]], den: int) -> Lattice:
     """The lattice spanned by the integer rows over `den`, canonicalized.
 
-    The rows may number more than d but must have rank d.  Row
-    operations keep the gcd of all entries, so dividing it and den by
-    their common factor first leaves the minimal den, and the Hermite
-    form is taken of the smaller rows.  Raises RankDeficient when the
-    rows do not span rank d.
+    The rows may number more than d but must have rank d.  Raises
+    RankDeficient when the rows do not span rank d.
     """
-    g = gcd(den, *(x for row in rows for x in row))
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-        den //= g
-    h, _, rank = _hermite(rows)
+    h, rank = _hermite(rows)
     d = len(h[0])
     if rank < d:
         raise RankDeficient("basis rows are linearly dependent")
-    return Lattice(dim=d, den=den, hnf_rows=tuple(tuple(row) for row in h[:d]))
+    return _canonical(h[:d], den)
 
 
 def lattice_new(basis: Sequence[Sequence]) -> Lattice:
@@ -181,51 +186,43 @@ def index(sup: Lattice, sub: Lattice) -> int:
     return ratio
 
 
-def _common_integer_bases(
-    l1: Lattice, l2: Lattice, den: int = 1
-) -> tuple[IntMatrix, IntMatrix, int]:
-    """Integer bases of scale*l1 and scale*l2 for a common scale, a multiple of den."""
-    scale = lcm(l1.den, l2.den, den)
-    f1 = scale // l1.den
-    f2 = scale // l2.den
-    a = tuple(tuple(f1 * x for x in row) for row in l1.hnf_rows)
-    b = tuple(tuple(f2 * x for x in row) for row in l2.hnf_rows)
-    return a, b, scale
+def _stacked(l1: Lattice, l2: Lattice, den: int = 1) -> tuple[list, int]:
+    """Hermite form of [[A, A], [B, 0]] and its scale (Zassenhaus).
 
-
-def intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Set intersection, again a full-rank lattice.
-
-    With integer bases A, B of the commonly-scaled inputs, the rows
-    (alpha, beta) of the left kernel of the stacked matrix [A; B]
-    satisfy alpha.A = -beta.B, and those products run over exactly the
-    intersection.  The kernel rows fall out of the Hermite transform.
+    A and B are the Hermite bases of scale*l1 and scale*l2, for the
+    least common scale that is a multiple of den.  The rows span the
+    pairs (x.A + y.B, x.A), so the upper-left d x d block of the form is
+    the Hermite basis of scale*(l1 + l2), and the rows whose left half
+    is zero, x.A = -y.B, leave the Hermite basis of scale*(l1 meet l2)
+    in the lower-right block.  The matrix has |det| = |det A.det B| > 0,
+    so all 2d rows are pivots.
     """
     if l1.dim != l2.dim:
         raise DimensionMismatch("lattices live in different dimensions")
+    scale = lcm(l1.den, l2.den, den)
+    f1, f2 = scale // l1.den, scale // l2.den
+    zero = [0] * l1.dim
+    h, rank = _hermite(
+        [[f1 * x for x in row] * 2 for row in l1.hnf_rows]
+        + [[f2 * x for x in row] + zero for row in l2.hnf_rows]
+    )
+    if rank != 2 * l1.dim:
+        raise InternalInvariantViolation("stacked bases must have rank 2d")
+    return h, scale
+
+
+def intersect(l1: Lattice, l2: Lattice) -> Lattice:
+    """Set intersection, again a full-rank lattice (see `_stacked`)."""
+    h, scale = _stacked(l1, l2)
     d = l1.dim
-    a, b, scale = _common_integer_bases(l1, l2)
-    stacked = a + b
-    _, u, rank = _hermite(stacked)
-    if rank != d:
-        raise InternalInvariantViolation("stacked bases must have rank d")
-    kernel = u[rank:]
-    gens = [vec_mat(row[:d], a) for row in kernel]
-    if len(gens) != d:
-        raise InternalInvariantViolation("kernel rank must be d")
-    return _from_ints(gens, scale)
+    return _canonical([row[d:] for row in h[d:]], scale)
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    """Smallest lattice containing both inputs (span of the union)."""
-    if l1.dim != l2.dim:
-        raise DimensionMismatch("lattices live in different dimensions")
+    """Smallest lattice containing both inputs (see `_stacked`)."""
+    h, scale = _stacked(l1, l2)
     d = l1.dim
-    a, b, scale = _common_integer_bases(l1, l2)
-    h, _, rank = _hermite(a + b)
-    if rank != d:
-        raise InternalInvariantViolation("sum of full-rank lattices lost rank")
-    return _from_ints(h[:d], scale)
+    return _canonical([row[:d] for row in h[:d]], scale)
 
 
 def _image(lat: Lattice, num: IntMatrix, den: int) -> Lattice:
@@ -280,7 +277,7 @@ def _radix_reps(
     v_inv, v_den = int_inverse(v)
     if v_den != 1:
         raise InternalInvariantViolation("unimodular inverse must be integral")
-    rel_h, _, rank = _hermite(rel)
+    rel_h, rank = _hermite(rel)
     if rank != parent.dim:
         raise InternalInvariantViolation("relative basis lost rank")
     reps = []
@@ -431,28 +428,23 @@ def coset_meets_lattice(
 ) -> Optional[Vector]:
     """A point of (rep + sub) intersected with lat, or None if empty.
 
-    The coset meets lat exactly when rep lies in sub + lat; a witness
-    falls out of expressing rep over the stacked bases.  When present
-    the witness is verified against both memberships.
+    The coset meets lat exactly when rep lies in sub + lat, the
+    upper-left block of the stacked form (see `_stacked`).  Solving
+    gamma . h[:d] = (w, shift) there, the right half is shift = x.A in
+    sub, and w - shift = y.B lies in lat.  When present the witness is
+    verified against both memberships.
     """
     vec = tuple(Fraction(x) for x in rep)
     if sub.dim != lat.dim or len(vec) != sub.dim:
         raise DimensionMismatch("dimension mismatch")
     d = sub.dim
     (w,), rep_den = clear_denominators([vec])
-    a, b, scale = _common_integer_bases(sub, lat, rep_den)
+    h, scale = _stacked(sub, lat, rep_den)
     w = tuple(scale // rep_den * x for x in w)
-    h, u, rank = _hermite(a + b)
-    if rank != d:
-        raise InternalInvariantViolation("stacked bases must have rank d")
     gamma = _solve_upper_triangular(h[:d], w)
     if gamma is None:
         return None
-    # (alpha, beta) = gamma . U[:d] satisfies alpha.A + beta.B = w, so
-    # rep - alpha.A/scale = beta.B/scale lies in lat and differs from
-    # rep by a sub vector.
-    alpha = vec_mat(gamma, u[:d])[:d]
-    shift = vec_mat(alpha, a)
+    shift = vec_mat(gamma, h[:d])[d:]
     witness = tuple(x - s for x, s in zip(w, shift))
     if _coords(lat, witness, scale) is None or _coords(sub, shift, scale) is None:
         raise InternalInvariantViolation("witness failed membership verification")

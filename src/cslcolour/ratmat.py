@@ -201,45 +201,37 @@ def _row_addmul(rows, dst, src, factor):
         r[j] += factor * s[j]
 
 
-def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, list, int]:
-    """Row Hermite form of an arbitrary integer matrix, with transform.
+def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """Row Hermite form of an arbitrary integer matrix, without transform.
 
-    Returns (h, u, rank) where h = u . m, u unimodular, the first `rank`
-    rows of h are the staircase and the rest are zero.  Rows of u below
-    `rank` therefore span the left kernel of m.  Eliminations reduce as
-    they go, which keeps intermediate entries small.
+    Returns (h, rank): h = u . m for a unimodular u that is not built
+    (:func:`hnf` reads it off an identity block), the first `rank` rows
+    of h are the staircase and the rest are zero.  Eliminations reduce
+    as they go, which keeps intermediate entries small.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     h = [list(row) for row in m]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     rank = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if h[r][col]), None)
         if piv is None:
             continue
         h[rank], h[piv] = h[piv], h[rank]
-        u[rank], u[piv] = u[piv], u[rank]
         for r in range(rank + 1, nrows):
             # gcd the pivot against row r by euclidean subtract-and-swap
             while h[r][col]:
                 q = h[rank][col] // h[r][col]
                 _row_addmul(h, rank, r, -q)
-                _row_addmul(u, rank, r, -q)
                 h[rank], h[r] = h[r], h[rank]
-                u[rank], u[r] = u[r], u[rank]
         if h[rank][col] < 0:
             h[rank] = [-x for x in h[rank]]
-            u[rank] = [-x for x in u[rank]]
         for r in range(rank):
             q = h[r][col] // h[rank][col]
             if q:
                 _row_addmul(h, r, rank, -q)
-                _row_addmul(u, r, rank, -q)
         rank += 1
-        if rank == nrows:
-            break
-    return h, u, rank
+    return h, rank
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
@@ -248,14 +240,18 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     H is the unique upper-triangular canonical form of the row span
     (positive pivots, entries above each pivot in [0, pivot)); U is
     unimodular.  Raises RankDeficient when the rows are dependent.
+    The Hermite form of [M | I] is [H | U]: all its pivots lie in M's
+    columns exactly when M has full row rank.
     """
     mi = int_matrix(m)
     if not mi or not mi[0]:
         raise ValueError("empty matrix")
-    h, u, rank = _hermite(mi)
-    if rank < len(mi):
+    k = len(mi[0])
+    h, _ = _hermite([row + e for row, e in zip(mi, identity(len(mi)))])
+    if not any(h[-1][:k]):
+        rank = sum(1 for row in h if any(row[:k]))
         raise RankDeficient(f"row rank {rank} < {len(mi)}")
-    return tuple(tuple(r) for r in h), tuple(tuple(r) for r in u)
+    return tuple(tuple(r[:k]) for r in h), tuple(tuple(r[k:]) for r in h)
 
 
 def _col_addmul(rows, dst, src, factor):

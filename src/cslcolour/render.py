@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from cslcolour.coincidence import CommensurableMap, csl
+from cslcolour.coincidence import CommensurableMap, csl, is_coincidence
 from cslcolour.cyclo8 import star_coords
-from cslcolour.errors import UnsupportedDimension
+from cslcolour.errors import NotCoincidence, UnsupportedDimension
 from cslcolour.lattice import Colouring
 from cslcolour.ratmat import vec_mat
 
@@ -89,21 +89,24 @@ def render_svg(
     colours = list(palette) if palette is not None else default_palette(colouring.m)
     if len(colours) < colouring.m:
         raise ValueError(f"palette needs at least {colouring.m} colours")
+    if not is_coincidence(parent, amap):
+        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
     # a point lies in a CSL exactly when it has colour 0 in the
-    # colouring of the parent by that CSL
-    fwd_colour = Colouring(parent, csl(parent, amap)).colour_of_coords
-    inv_colour = Colouring(parent, csl(parent, amap.inverse_map)).colour_of_coords
+    # colouring of the parent by that CSL; only the one the mode reads
+    # is built
+    csl_colour = None
+    if mode != "parent" or highlight_csl:
+        csl_map = amap.inverse_map if mode == "csl-inv" else amap
+        csl_colour = Colouring(parent, csl(parent, csl_map)).colour_of_coords
     box = range(-radius, radius + 1)
     pts = []
     for coords in product(box, repeat=d):
-        if mode == "csl" and fwd_colour(coords) != 0:
-            continue
-        if mode == "csl-inv" and inv_colour(coords) != 0:
+        in_csl = csl_colour is not None and csl_colour(coords) == 0
+        if mode != "parent" and not in_csl:
             continue
         x, y = embed(colouring, coords)
         colour = colouring.colour_of_coords(coords)
-        ring = highlight_csl and mode == "parent" and fwd_colour(coords) == 0
-        pts.append((coords, x, -y, colour, ring))
+        pts.append((coords, x, -y, colour, mode == "parent" and in_csl))
     xs = [p[1] for p in pts]
     ys = [p[2] for p in pts]
     margin = 4 * dot

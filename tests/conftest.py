@@ -28,6 +28,13 @@ SUBLATTICE_BASES = [
     [[12, 0], [0, 1]],   # 12
 ]
 
+# cubic sublattices: 2.Z^3, diag(1, 1, 3), and two sublattices of index 2
+CUBIC_SUBLATTICES = [
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+    [[1, 1, 0], [-1, 1, 0], [0, 0, 1]],
+    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
+]
 
 
 def cayley_rotation(a: int, b: int, c: int, d: int) -> list[list[Fraction]]:

@@ -17,6 +17,7 @@ import pytest
 
 import cslcolour
 import cslcolour.cli as cli_module
+import cslcolour.lattice as lattice_module
 from cslcolour.cli import main
 
 CONFIG_DIR = Path(cslcolour.__file__).parent / "configs"
@@ -430,6 +431,42 @@ def test_window_budget_boundary(tmp_path):
     # the bound on the radius shrinks with the dimension: 41^4 > budget
     with pytest.raises(cslcolour.ConfigError, match="dimension 4"):
         load("ammann_beenker.json", render={"radius": 20})
+
+
+def test_colour_budget_refuses_before_any_rep_or_analysis(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started on an over-budget colouring")
+
+    monkeypatch.setattr(lattice_module, "_radix_reps", never)
+    for name in ("analyze", "render_svg", "window_census"):
+        monkeypatch.setattr(cli_module, name, never)
+    path = variant(
+        tmp_path, "example1.json", sub_basis=[["10000000", "0"], ["0", "1"]],
+        reps=None, render={"radius": 2}, oracle_radius=2,
+    )
+    for command in (["analyze", path], ["oracle", path],
+                    ["render", path, "--mode", "parent", "--out", str(tmp_path / "x.svg")]):
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "ConfigError"
+        assert "10000000 colours" in error["message"] and "budget" in error["message"]
+
+
+def test_colour_budget_boundary(tmp_path):
+    budget = cli_module.COLOUR_BUDGET
+    assert budget >= 4000  # the largest m of the configs, tests and benchmark
+
+    def load(m):
+        sub = [[str(m), "0"], ["0", "1"]]
+        path = variant(tmp_path, "example1.json", sub_basis=sub, reps=None)
+        return cli_module.load_job_config(path)
+
+    assert cli_module.build_colouring(load(budget)).m == budget
+    with pytest.raises(cslcolour.ConfigError, match="budget"):
+        cli_module.build_colouring(load(budget + 1))
 
 
 def test_other_package_error_exit5(capsys, monkeypatch):

@@ -7,11 +7,13 @@ corpus and a list of sublattices of index up to 12.
 
 from __future__ import annotations
 
+import random
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
-from conftest import SUBLATTICE_BASES, cayley_rotation, cubic_rotations
+from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
 
 from cslcolour import render
 from cslcolour.coincidence import (
@@ -293,6 +295,67 @@ def test_sigma_of_cubic_rotations_is_odd_part_of_quaternion_norm():
 
 
 # ---------------------------------------------------------------------------
+# the inverse map: a metamorphic relation across d = 2 and 3
+
+
+def assert_inverse_relation(colouring, amap):
+    """analyze under A^-1 swaps I and J, s and t, u and v, and inverts
+    the permutation; m, both indices and the verdict stay."""
+    fwd = analyze(colouring, amap)
+    back = analyze(colouring, amap.inverse_map)
+    assert (back.m, back.sigma1, back.sigma2) == (fwd.m, fwd.sigma1, fwd.sigma2)
+    assert (back.s, back.t, back.u, back.v) == (fwd.t, fwd.s, fwd.v, fwd.u)
+    assert (back.set_I, back.set_J) == (fwd.set_J, fwd.set_I)
+    assert (back.csl1, back.csl1_inv) == (fwd.csl1_inv, fwd.csl1)
+    assert back.colour_coincidence == fwd.colour_coincidence
+    if fwd.permutation is not None:
+        assert back.permutation == tuple(sorted((j, i) for i, j in fwd.permutation))
+    return fwd
+
+
+PLANAR_INVERSE_SAMPLE = random.Random(20261018).sample(
+    [(r, b) for r in range(52) for b in range(len(SUBLATTICE_BASES))], 120
+)
+
+
+def test_inverse_map_relation_on_planar_corpus_sample():
+    rotations = enumerate_square_rotations(40)
+    verdicts = Counter(
+        assert_inverse_relation(
+            Colouring(Z2, lattice_new(SUBLATTICE_BASES[b])), rotations[r]
+        ).colour_coincidence
+        for r, b in PLANAR_INVERSE_SAMPLE
+    )
+    assert verdicts[True] and verdicts[False]
+
+
+def test_inverse_map_relation_on_cubic_sublattices():
+    z3 = standard_lattice(3)
+    verdicts = Counter(
+        assert_inverse_relation(
+            Colouring(z3, lattice_new(sub_rows)), commensurable_map(rows)
+        ).colour_coincidence
+        for _, rows in cubic_rotations(9)
+        for sub_rows in CUBIC_SUBLATTICES
+    )
+    assert verdicts[True] and verdicts[False]
+
+
+def test_count_of_square_rotations_by_index():
+    """Pleasants, Baake & Roth (1996): among the rotations of Z^2, the
+    number with coincidence index n is 4.2^w(n) when every prime factor
+    of n is 1 mod 4, w(n) the number of distinct primes, and 0
+    otherwise.  Every rotation of index n <= 400 has denominator n."""
+    def expected(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))]
+        return 4 * 2 ** len(primes) if all(p % 4 == 1 for p in primes) else 0
+
+    counts = Counter(sigma(Z2, amap) for amap in enumerate_square_rotations(400))
+    assert counts == Counter({n: expected(n) for n in range(1, 401) if expected(n)})
+    assert sum(counts.values()) == 508
+
+
+# ---------------------------------------------------------------------------
 # window census
 
 
@@ -444,3 +507,35 @@ def test_render_svg_rejects_negative_radius_before_building_a_csl(monkeypatch):
     monkeypatch.setattr(render, "csl", no_csl)
     with pytest.raises(ValueError, match="radius must be >= 0"):
         render.render_svg(EX1, ROT, "parent", -1)
+
+
+@pytest.mark.parametrize(
+    "mode, highlight, built",
+    [
+        ("parent", False, []),
+        ("parent", True, ["forward"]),
+        ("csl", False, ["forward"]),
+        ("csl", True, ["forward"]),
+        ("csl-inv", False, ["inverse"]),
+        ("csl-inv", True, ["inverse"]),
+    ],
+)
+def test_render_svg_builds_only_the_csl_its_mode_reads(monkeypatch, mode, highlight, built):
+    calls = []
+    original = render.csl
+
+    def counting(lat, amap):
+        calls.append("forward" if amap is ROT else "inverse")
+        assert amap in (ROT, ROT.inverse_map)
+        return original(lat, amap)
+
+    monkeypatch.setattr(render, "csl", counting)
+    render.render_svg(EX1, ROT, mode, 3, highlight_csl=highlight)
+    assert calls == built
+
+
+def test_render_svg_refuses_a_non_coincidence_in_every_mode():
+    stretch = commensurable_map([[2, 0], [0, 1]])
+    for mode in render.RENDER_MODES:
+        with pytest.raises(NotCoincidence):
+            render.render_svg(EX1, stretch, mode, 2)

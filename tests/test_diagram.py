@@ -30,7 +30,7 @@ from cslcolour import (
     lattice_new,
     standard_lattice,
 )
-from conftest import SUBLATTICE_BASES, cayley_rotation
+from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
 
 Z2 = standard_lattice(2)
 
@@ -204,13 +204,6 @@ def test_oracle_agrees_with_custom_reps():
 CUBIC_QUATERNIONS = [
     (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 0, 0), (2, 1, 1, 1), (1, 2, 2, 0),
     (3, 1, 1, 0),
-]
-# 2.Z^3, diag(1, 1, 3), and two sublattices of index 2
-CUBIC_SUBLATTICES = [
-    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
-    [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
-    [[1, 1, 0], [-1, 1, 0], [0, 0, 1]],
-    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
 ]
 
 

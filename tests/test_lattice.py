@@ -7,12 +7,14 @@ to this file and independent of the code under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cslcolour.lattice as lattice_module
 from cslcolour.errors import (
     DimensionMismatch,
     NotASublattice,
@@ -182,6 +184,27 @@ def test_sum_multiplicativity_through_tower():
     csl1 = intersect(Z2, transform(Z2, ROT))
     joined = lattice_sum(EX1_SUB, csl1)
     assert index(Z2, joined) * index(joined, EX1_SUB) == 6
+
+
+def test_meet_sum_and_witness_take_one_hermite_form_each(monkeypatch):
+    calls = []
+    original = lattice_module._hermite
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(lattice_module, "_hermite", counting)
+    rotated = transform(Z2, ROT)
+    for op in (
+        lambda: intersect(EX1_SUB, rotated),
+        lambda: lattice_sum(EX1_SUB, rotated),
+        lambda: coset_meets_lattice((1, 0), EX1_SUB, rotated),
+        lambda: coset_meets_lattice(("1/2", 0), EX1_SUB, rotated),
+    ):
+        calls.clear()
+        op()
+        assert calls == [4]  # one stacked 2d x 2d form
 
 
 @settings(max_examples=50)
@@ -358,6 +381,61 @@ def test_kernel_intersect_against_reference(pair):
     assert ref_is_meet(meet.basis, b1, b2)
     assert_minimal_den(meet)
     assert meet == intersect(lattice_new(b2), lattice_new(b1))
+
+
+def ref_covolume(rows):
+    """Covolume of the span of rational rows of rank d: the gcd of their d x d minors.
+
+    The gcd of a/b and c/e in Q is gcd(a.e, c.b) / (b.e).
+    """
+    d = len(rows[0])
+    g = Fraction(0)
+    for chosen in combinations(rows, d):
+        minor = abs(ref_det(chosen))
+        g = Fraction(gcd(g.numerator * minor.denominator, minor.numerator * g.denominator),
+                     g.denominator * minor.denominator)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda d: st.tuples(rational_matrices(d), rational_matrices(d))))
+def test_kernel_sum_against_reference(pair):
+    b1, b2 = pair
+    join = lattice_sum(lattice_new(b1), lattice_new(b2))
+    # the sum contains both inputs and has the covolume of their union
+    assert ref_inside(b1, join.basis) and ref_inside(b2, join.basis)
+    assert abs(ref_det(join.basis)) == ref_covolume(b1 + b2)
+    assert_minimal_den(join)
+    assert join == lattice_sum(lattice_new(b2), lattice_new(b1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(
+        lambda d: st.tuples(
+            rational_matrices(d),
+            rational_matrices(d),
+            st.lists(
+                st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])),
+                         min_size=2 * d, max_size=2 * d),
+                min_size=1, max_size=4,
+            ),
+        )
+    )
+)
+def test_kernel_coset_meets_lattice_against_reference(triple):
+    b_sub, b_lat, coefficient_rows = triple
+    sub, lat = lattice_new(b_sub), lattice_new(b_lat)
+    covolume = ref_covolume(b_sub + b_lat)
+    for x in coefficient_rows:
+        rep = ref_mat_mul([x], b_sub + b_lat)[0]
+        # rep meets sub + lat exactly when appending it keeps the covolume
+        meets = ref_covolume(b_sub + b_lat + [rep]) == covolume
+        witness = coset_meets_lattice(rep, sub, lat)
+        assert (witness is not None) == meets
+        if meets:
+            assert ref_contains(b_lat, witness)
+            assert ref_contains(b_sub, [w - r for w, r in zip(witness, rep)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -191,6 +191,18 @@ def test_hnf_rejects_rank_deficient():
         hnf(((1, 2), (2, 4)))
     with pytest.raises(RankDeficient):
         hnf(((0, 0), (0, 0)))
+    with pytest.raises(RankDeficient):
+        hnf(((1, 0), (0, 1), (1, 1)))  # more rows than columns
+    with pytest.raises(RankDeficient):
+        hnf(((2, 4, 6), (1, 2, 3)))
+
+
+def test_hnf_of_a_wide_matrix():
+    m = ((2, 4, 6), (1, 3, 5))
+    h, u = hnf(m)
+    assert h == ((1, 1, 1), (0, 2, 4))
+    assert mat_mul(u, m) == h
+    assert abs(det_rat(u)) == 1
 
 
 def _random_unimodular(rng, n, steps=12):

@@ -56,4 +56,4 @@ def test_tracer_wraps_every_kernel_and_restores_them():
     # the calls made through the package's own bindings were seen
     assert tracer.calls("other", "coincidence.analyze") == 1
     assert tracer.calls("other", "lattice.Colouring") == 1
-    assert tracer.calls("other", "ratmat._hermite") == 14
+    assert tracer.calls("other", "ratmat._hermite") == 9
