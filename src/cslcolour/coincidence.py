@@ -6,17 +6,19 @@ lattice is L meet A(L); its index in L is the coincidence index.  For a
 colouring of a parent lattice by the cosets of a sublattice, `analyze`
 assembles the full diagram of intermediate lattices between the
 sublattice, its image, the parent CSL, and the sublattice CSL, and
-decides colour coincidence through a single lattice equality: A is a
-colour coincidence exactly when it maps sub meet csl(A^-1) onto
-sub meet csl(A), i.e. when the zero colour is fixed.
+decides colour coincidence through a single lattice equality,
+A(sub) meet csl(A) = sub meet csl(A).  A is a colour coincidence exactly
+when it fixes the zero colour, i.e. maps sub meet csl(A^-1) onto
+sub meet csl(A); A maps csl(A^-1) onto csl(A), so the image of
+sub meet csl(A^-1) is A(sub) meet csl(A), a lattice the diagram holds.
 
-Cost model: each lattice of the diagram is built once, a fixed number
-of Hermite forms per analysis whatever the number of colours m.  The
-colour sets I and J are the images of csl(A^-1) and csl(A) in the
-finite group parent/sub, of orders s and t; they, and the colour
-permutation, are enumerated as subgroups generated by the images of d
-basis rows, in O(s + t) group steps rather than one Hermite form per
-colour.
+Cost model: each lattice of the diagram is built once, seven Hermite
+forms per analysis (three images and four meets) whatever the number
+of colours m.  The colour sets I and J are the images of csl(A^-1) and
+csl(A) in the finite group parent/sub, of orders s and t; they, and
+the colour permutation, are enumerated as subgroups generated by the
+images of d basis rows, in O(s + t) group steps rather than one
+Hermite form per colour.
 
 Maps and lattices meet as integers: a CommensurableMap carries A^T and
 A^-T as (integer matrix, denominator) pairs, built once per map, and
@@ -135,11 +137,17 @@ def is_coincidence(lat: Lattice, amap: CommensurableMap) -> bool:
     return amap.det in (1, -1)
 
 
-def csl(lat: Lattice, amap: CommensurableMap) -> Lattice:
-    """The coincidence site lattice: `lat` meet A(`lat`)."""
+def _image_and_csl(lat: Lattice, amap: CommensurableMap) -> tuple[Lattice, Lattice]:
+    """A(`lat`) and the coincidence site lattice `lat` meet A(`lat`)."""
     if not is_coincidence(lat, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    return intersect(lat, _image(lat, *amap._forward_ints))
+    image = _image(lat, *amap._forward_ints)
+    return image, intersect(lat, image)
+
+
+def csl(lat: Lattice, amap: CommensurableMap) -> Lattice:
+    """The coincidence site lattice: `lat` meet A(`lat`)."""
+    return _image_and_csl(lat, amap)[1]
 
 
 def _two_sided_index(lat: Lattice, image: Lattice, inter: Lattice) -> int:
@@ -155,10 +163,7 @@ def _two_sided_index(lat: Lattice, image: Lattice, inter: Lattice) -> int:
 
 def sigma(lat: Lattice, amap: CommensurableMap) -> int:
     """Coincidence index [lat : csl]; cross-checked against the image side."""
-    if not is_coincidence(lat, amap):
-        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    image = _image(lat, *amap._forward_ints)
-    return _two_sided_index(lat, image, intersect(lat, image))
+    return _two_sided_index(lat, *_image_and_csl(lat, amap))
 
 
 @dataclass(frozen=True)
@@ -254,30 +259,28 @@ def _subgroup(gens: Sequence[tuple[int, ...]], moduli: tuple[int, ...]) -> list:
     return elems
 
 
-def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
-    """The index diagram of one colouring under one map, each lattice built once.
+def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
+    """Compute the complete index diagram for one colouring and one map.
 
-    The colour sets are the images of csl1 and csl1_inv in parent/sub,
-    the subgroups generated by the keys of their basis rows.  Under a
-    colour coincidence the pairs (colour of x, colour of A.x) over
-    csl1_inv form a subgroup of (parent/sub)^2, generated by the pairs
-    of the basis rows, and that subgroup is the permutation's graph.
-    Basis rows are read as integer rows over each lattice's den.
+    Each lattice of the diagram is built once.  The colour sets are the
+    images of csl1 and csl1_inv in parent/sub, the subgroups generated
+    by the keys of their basis rows.  Under a colour coincidence the
+    pairs (colour of x, colour of A.x) over csl1_inv form a subgroup of
+    (parent/sub)^2, generated by the pairs of the basis rows, and that
+    subgroup is the permutation's graph.  Basis rows are read as integer
+    rows over each lattice's den.  All reported numbers come from pure
+    lattice algebra; every identity that must relate them is verified
+    before returning.
     """
     parent = colouring.parent
     sub = colouring.sub
-    if not is_coincidence(parent, amap):
-        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    fwd = amap._forward_ints
-    image_parent = _image(parent, *fwd)
-    csl1 = intersect(parent, image_parent)
+    image_parent, csl1 = _image_and_csl(parent, amap)
     csl1_inv = _image(csl1, *amap._backward_ints)
-    image_sub = _image(sub, *fwd)
-    csl2 = intersect(sub, image_sub)
+    image_sub, csl2 = _image_and_csl(sub, amap)
     sub_in_csl = intersect(sub, csl1)
     image_sub_in_csl = intersect(image_sub, csl1)
-    sub_in_inv = intersect(sub, csl1_inv)
-    cc = _image(sub_in_inv, *fwd) == sub_in_csl
+    # A(sub meet csl1_inv) = A(sub) meet A(csl1_inv) = A(sub) meet csl1
+    cc = image_sub_in_csl == sub_in_csl
 
     key = colouring._key_of_coords
     coords = colouring._coords_of_ints
@@ -290,7 +293,7 @@ def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     perm = None
     if cc:
         # A.b = b . A^T: the rows hnf_rows . N over den . q
-        num, den = fwd
+        num, den = amap._forward_ints
         image_keys = [
             key(coords(b, csl1_inv.den * den)) for b in mat_mul(csl1_inv.hnf_rows, num)
         ]
@@ -299,15 +302,7 @@ def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
         )
         n = len(moduli)
         perm = tuple(sorted((colour(p[:n]), colour(p[n:])) for p in graph))
-        if tuple(i for i, _ in perm) != set_i:
-            raise InternalInvariantViolation(
-                "a colour of csl1_inv does not map to exactly one colour"
-            )
-        if sorted(j for _, j in perm) != list(set_j):
-            raise InternalInvariantViolation("permutation image is not the J colour set")
-        if perm[0] != (0, 0):
-            raise InternalInvariantViolation("permutation does not fix colour 0")
-    return ColouringAnalysis(
+    analysis = ColouringAnalysis(
         m=colouring.m,
         sigma1=_two_sided_index(parent, image_parent, csl1),
         sigma2=_two_sided_index(sub, image_sub, csl2),
@@ -323,17 +318,22 @@ def _diagram(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
         set_I=set_i,
         set_J=set_j,
     )
+    _check_analysis(analysis)
+    return analysis
 
 
 def is_colour_coincidence(colouring: Colouring, amap: CommensurableMap) -> bool:
     """Decide colour coincidence by the zero-colour-fixing criterion.
 
-    The map is a colour coincidence exactly when it carries
-    sub meet csl(parent, A^-1) onto sub meet csl(parent, A); that single
-    lattice equality is equivalent to the partition-bijection
-    definition, and the window census cross-checks the equivalence.
+    The map is a colour coincidence exactly when it carries the zero
+    colour of csl1_inv, sub meet csl(parent, A^-1), onto the zero colour
+    of csl1, sub meet csl(parent, A).  A maps csl1_inv onto csl1, so the
+    left side is A(sub) meet csl1, and the criterion is the single
+    lattice equality A(sub) meet csl1 = sub meet csl1.  It is equivalent
+    to the partition-bijection definition, and the window census
+    cross-checks the equivalence.
     """
-    return _diagram(colouring, amap).colour_coincidence
+    return analyze(colouring, amap).colour_coincidence
 
 
 def colour_permutation(
@@ -344,21 +344,10 @@ def colour_permutation(
     Pairs (i, j) in order of i: colour i of csl1_inv maps to colour j of
     csl1.  Raises NotColourCoincidence when the map is not one.
     """
-    perm = _diagram(colouring, amap).permutation
+    perm = analyze(colouring, amap).permutation
     if perm is None:
         raise NotColourCoincidence("map does not fix the zero colour")
     return perm
-
-
-def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
-    """Compute the complete index diagram for one colouring and one map.
-
-    All reported numbers come from pure lattice algebra; every identity
-    that must relate them is verified before returning.
-    """
-    analysis = _diagram(colouring, amap)
-    _check_analysis(analysis)
-    return analysis
 
 
 def enumerate_square_rotations(max_den: int) -> list[CommensurableMap]:

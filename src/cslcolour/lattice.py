@@ -308,11 +308,10 @@ def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
     quotient is the product of cyclic groups Z_d1 x ... x Z_dn, whose
     elements r pull back to r . V^{-1} in parent coordinates.  Each is
     then reduced to its canonical residue, mapped to ambient
-    coordinates, first rep always the zero vector.
+    coordinates, first rep always the zero vector.  These are the
+    default reps of `Colouring(parent, sub)`.
     """
-    rel = _relative_basis(parent, sub)
-    d, _, v = snf(rel)
-    return _radix_reps(parent, rel, [d[i][i] for i in range(parent.dim)], v)
+    return Colouring(parent, sub).reps
 
 
 class Colouring:
@@ -360,6 +359,8 @@ class Colouring:
         self._reps: Optional[list[Vector]] = None
         if reps is not None:
             chosen = [tuple(row) for row in rat_matrix(reps)]
+            if any(len(rep) != parent.dim for rep in chosen):
+                raise DimensionMismatch("representative dimension differs from parent")
             if len(chosen) != self.m:
                 raise ValueError(f"expected {self.m} representatives, got {len(chosen)}")
             if any(x != 0 for x in chosen[0]):

@@ -7,13 +7,18 @@ the installed package directory.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cslcolour
 import cslcolour.cli as cli_module
@@ -482,6 +487,117 @@ def test_other_package_error_exit5(capsys, monkeypatch):
         "type": "InternalInvariantViolation",
         "message": "injected invariant failure",
     }
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs: a documented exit code and one JSON error, never a traceback
+
+
+RATIONALS = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "1/2", "4/5", "-3/5", "3/5", "1/0", "x", "", "1e3", " 2"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5) | RATIONALS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def weighted(*strategies):
+    """Draw from one of `strategies`, each as often as it is listed.
+
+    (`st.one_of` would merge repeated strategies into one branch.)
+    """
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+# the identity, the 3-4-5 rotation, small triangular bases and a shear
+PLAUSIBLE_MATRICES = st.sampled_from([
+    [["1", "0"], ["0", "1"]],
+    [["4/5", "-3/5"], ["3/5", "4/5"]],
+    [["2", "1"], ["0", "3"]],
+    [["3", "0"], ["0", "1"]],
+    [["1", "1"], ["0", "1"]],
+])
+# drawn three times as often as square arrays of rational-looking strings
+MATRICES = weighted(
+    PLAUSIBLE_MATRICES,
+    PLAUSIBLE_MATRICES,
+    PLAUSIBLE_MATRICES,
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+)
+PLAUSIBLE_CONFIGS = st.fixed_dictionaries(
+    {
+        "dim": st.sampled_from([2, 2, 2, 2, 2, 1, 4]),
+        "parent_basis": MATRICES,
+        "sub_basis": MATRICES,
+        "map": weighted(
+            MATRICES,
+            MATRICES,
+            st.fixed_dictionaries({"matrix": MATRICES}),
+            st.fixed_dictionaries({"coeffs": st.lists(RATIONALS, min_size=4, max_size=4)}),
+        ),
+        "render": st.fixed_dictionaries(
+            {"radius": st.integers(0, 4)},
+            optional={
+                "highlight_csl": st.booleans(),
+                "palette": st.lists(st.sampled_from(["#000000", "#ff0000", "#00ff00"]), max_size=8),
+            },
+        ),
+        "oracle_radius": st.integers(1, 4),
+    },
+    optional={
+        "reps": weighted(
+            st.just([["0", "0"], ["1", "0"], ["2", "0"]]),
+            st.lists(st.lists(RATIONALS, max_size=3), max_size=7),
+        ),
+    },
+)
+CONFIG_KEYS = ["dim", "parent_basis", "sub_basis", "map", "reps", "render", "oracle_radius"]
+
+
+def one_field_arbitrary(config):
+    return st.tuples(st.sampled_from(CONFIG_KEYS), JSON_VALUES).map(
+        lambda pair: {**config, pair[0]: pair[1]}
+    )
+
+
+CONFIG_TEXTS = weighted(
+    PLAUSIBLE_CONFIGS.map(json.dumps),
+    PLAUSIBLE_CONFIGS.map(json.dumps),
+    PLAUSIBLE_CONFIGS.flatmap(one_field_arbitrary).map(json.dumps),
+    PLAUSIBLE_CONFIGS.flatmap(one_field_arbitrary).map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["oracle"], ["render", "--mode", "parent"]])
+@settings(max_examples=60, deadline=None)
+@given(text=CONFIG_TEXTS)
+def test_fuzzed_configs_exit_with_a_documented_code_and_one_error(command, text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "job.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "render":
+            argv += ["--out", str(Path(workdir) / "fig.svg")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert list(error) == ["error"]
+        assert set(error["error"]) == {"type", "message"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
@@ -44,7 +46,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import vec_mat
+from cslcolour.ratmat import det_rat, mat_mul, rat_inverse, transpose, vec_mat
 
 Z2 = standard_lattice(2)
 ROT = commensurable_map([["4/5", "-3/5"], ["3/5", "4/5"]])
@@ -339,6 +341,76 @@ def test_inverse_map_relation_on_cubic_sublattices():
         for sub_rows in CUBIC_SUBLATTICES
     )
     assert verdicts[True] and verdicts[False]
+
+
+def random_invertible(rng, d):
+    """A seeded random invertible rational d x d matrix."""
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)]
+        if det_rat(m):
+            return m
+
+
+def conjugate(colouring, amap, m):
+    """The colouring and map in new coordinates: rows L -> L.M, A^T -> M^-1.A^T.M."""
+    parent = lattice_new(mat_mul(colouring.parent.basis, m))
+    sub = lattice_new(mat_mul(colouring.sub.basis, m))
+    a_t = mat_mul(mat_mul(rat_inverse(m), transpose(amap.matrix)), m)
+    return Colouring(parent, sub), commensurable_map(transpose(a_t))
+
+
+CONJUGATION_SAMPLE = random.Random(20261019).sample(
+    [(r, b) for r in range(52) for b in range(len(SUBLATTICE_BASES))], 100
+)
+
+
+def test_analysis_is_invariant_under_change_of_coordinates():
+    """Conjugating parent, sub and map by M keeps every index and the
+    verdict; I, J and the permutation agree once each colour is renamed
+    to the colour of its rep . M."""
+    rng = random.Random(7)
+    rotations = enumerate_square_rotations(40)
+    verdicts = Counter()
+    renamed = 0
+    for r, b in CONJUGATION_SAMPLE:
+        colouring = Colouring(Z2, lattice_new(SUBLATTICE_BASES[b]))
+        m = random_invertible(rng, 2)
+        conj, conj_map = conjugate(colouring, rotations[r], m)
+        before = analyze(colouring, rotations[r])
+        after = analyze(conj, conj_map)
+        fields = ("m", "sigma1", "sigma2", "s", "t", "u", "v", "colour_coincidence")
+        assert [getattr(after, f) for f in fields] == [getattr(before, f) for f in fields]
+        assert after.csl1 == lattice_new(mat_mul(before.csl1.basis, m))
+        rename = [colour_of(conj, vec_mat(rep, m)) for rep in colouring.reps]
+        assert sorted(rename) == list(range(colouring.m))
+        renamed += rename != sorted(rename)
+        assert after.set_I == tuple(sorted(rename[i] for i in before.set_I))
+        assert after.set_J == tuple(sorted(rename[j] for j in before.set_J))
+        if before.permutation is not None:
+            assert after.permutation == tuple(
+                sorted((rename[i], rename[j]) for i, j in before.permutation)
+            )
+        verdicts[before.colour_coincidence] += 1
+    assert verdicts[True] and verdicts[False]
+    assert renamed
+
+
+def test_coincidence_index_of_a_product_divides_the_product_of_indices():
+    """Baake (1997): sigma(AB) divides sigma(A).sigma(B), with equality
+    for rotations of Z^2 whose indices are coprime."""
+    rng = random.Random(11)
+    rotations = enumerate_square_rotations(40)
+    coprime = strict = 0
+    for _ in range(300):
+        a, b = rng.choice(rotations), rng.choice(rotations)
+        ab = commensurable_map(mat_mul(a.matrix, b.matrix))
+        sa, sb, sab = sigma(Z2, a), sigma(Z2, b), sigma(Z2, ab)
+        assert (sa * sb) % sab == 0
+        if gcd(sa, sb) == 1:
+            coprime += 1
+            assert sab == sa * sb
+        strict += sab < sa * sb
+    assert coprime and strict
 
 
 def test_count_of_square_rotations_by_index():

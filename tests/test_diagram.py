@@ -11,6 +11,7 @@ read off the colouring's representatives.  It runs for d = 2 and 3.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -21,14 +22,24 @@ import cslcolour.coincidence as coincidence_module
 import cslcolour.lattice as lattice_module
 import cslcolour.ratmat as ratmat_module
 from cslcolour import (
+    AMMANN_BEENKER_ROTATION,
     Colouring,
+    InternalInvariantViolation,
     analyze,
     colour_of,
+    colour_permutation,
     commensurable_map,
     coset_reps,
+    csl,
+    cyc8,
     enumerate_square_rotations,
+    intersect,
+    is_colour_coincidence,
     lattice_new,
+    multiplication_map,
+    principal_submodule,
     standard_lattice,
+    transform,
 )
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
 
@@ -214,6 +225,77 @@ def test_oracle_agrees_on_cubic_sublattices():
         for sub_rows in CUBIC_SUBLATTICES
     }
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the verdict against the zero-colour form of the criterion
+
+
+def reference_verdict(colouring, amap):
+    """A fixes the zero colour: A(sub meet csl(A^-1)) = sub meet csl(A)."""
+    parent, sub = colouring.parent, colouring.sub
+    image = transform(intersect(sub, csl(parent, amap.inverse_map)), amap.matrix)
+    return image == intersect(sub, csl(parent, amap))
+
+
+def assert_verdicts_agree(cases):
+    verdicts = Counter()
+    for colouring, amap in cases:
+        verdict = analyze(colouring, amap).colour_coincidence
+        assert verdict == reference_verdict(colouring, amap)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_verdict_is_the_zero_colour_criterion_on_the_corpus():
+    subs = [lattice_new(rows) for rows in SUBLATTICE_BASES]
+    cases = [(Colouring(Z2, sub), amap) for amap in enumerate_square_rotations(40) for sub in subs]
+    assert len(cases) == 624
+    assert_verdicts_agree(cases)
+
+
+def test_verdict_is_the_zero_colour_criterion_on_cubic_sublattices():
+    z3 = standard_lattice(3)
+    assert_verdicts_agree(
+        (Colouring(z3, lattice_new(sub_rows)), commensurable_map(cayley_rotation(*q)))
+        for q in CUBIC_QUATERNIONS
+        for sub_rows in CUBIC_SUBLATTICES
+    )
+
+
+# principal submodules of the eightfold module (index 1, 2, 4, 9, 16, 81),
+# which every power of the rotation maps to themselves, and two
+# sublattices of Z^4 that are not submodules
+MODULE8_SUBLATTICES = [
+    principal_submodule(cyc8(*gen))
+    for gen in [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 0, 1), (2, 0, 0, 0), (3, 0, 0, 0)]
+] + [
+    lattice_new([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    lattice_new([[3, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]),
+]
+
+
+def test_verdict_is_the_zero_colour_criterion_on_module8():
+    z4 = standard_lattice(4)
+    power = AMMANN_BEENKER_ROTATION
+    powers = []
+    for _ in range(4):
+        powers.append(multiplication_map(power))
+        power = power * AMMANN_BEENKER_ROTATION
+    assert_verdicts_agree(
+        (Colouring(z4, sub), amap) for amap in powers for sub in MODULE8_SUBLATTICES
+    )
+
+
+@pytest.mark.parametrize("verdict", [is_colour_coincidence, colour_permutation])
+def test_every_verdict_passes_the_invariant_web(monkeypatch, verdict):
+    def failing(analysis):
+        raise InternalInvariantViolation("invariant web reached")
+
+    monkeypatch.setattr(coincidence_module, "_check_analysis", failing)
+    colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
+    with pytest.raises(InternalInvariantViolation, match="invariant web reached"):
+        verdict(colouring, rotation(4, 3, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,18 @@ def test_colouring_rep_override_validation():
                                      ["3", "0"], ["4", "0"], ["5", "0"]])
 
 
+@pytest.mark.parametrize("reps", [[[0, 0, 0], [1, 0, 9]], [[0], [1]]])
+def test_colouring_rejects_reps_of_the_wrong_dimension(reps):
+    with pytest.raises(DimensionMismatch):
+        Colouring(Z2, lattice_new([[2, 0], [0, 1]]), reps=reps)
+
+
+@pytest.mark.parametrize("parent_dim, sub_dim", [(2, 3), (3, 2)])
+def test_coset_reps_rejects_mismatched_dimensions(parent_dim, sub_dim):
+    with pytest.raises(DimensionMismatch):
+        coset_reps(standard_lattice(parent_dim), standard_lattice(sub_dim))
+
+
 def test_colour_of_examples():
     colouring = Colouring(
         Z2, EX1_SUB, reps=[[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
