@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -40,6 +41,10 @@ from cslcolour.render import RENDER_MODES, render_svg
 WINDOW_BUDGET = 2_000_000
 # the most colours m = [parent : sub] a job may have; a report lists a rep for each
 COLOUR_BUDGET = 100_000
+# the largest gen-rotations --max; the enumeration is quadratic in it
+ROTATION_BUDGET = 2_000
+# a palette entry is written into SVG attributes, so only #rrggbb passes
+HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")
 
 
 @dataclass
@@ -165,7 +170,7 @@ def load_job_config(path: str) -> JobConfig:
             palette = render["palette"]
             _require(
                 isinstance(palette, list)
-                and all(isinstance(c, str) and c.startswith("#") for c in palette),
+                and all(isinstance(c, str) and HEX_COLOUR.fullmatch(c) for c in palette),
                 "render.palette must be an array of #rrggbb strings",
             )
         highlight = render.get("highlight_csl", False)
@@ -304,6 +309,7 @@ def cmd_render(args) -> int:
 
 def cmd_gen_rotations(args) -> int:
     _require(args.max >= 1, "--max must be >= 1")
+    _require(args.max <= ROTATION_BUDGET, f"--max {args.max} is over the budget {ROTATION_BUDGET}")
     rotations = enumerate_square_rotations(args.max)
     payload = {
         "max_den": args.max,
@@ -321,8 +327,15 @@ def _error(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, not as usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cslcolour",
         description="Exact coincidence site lattice and colour coincidence analysis.",
     )
@@ -349,8 +362,8 @@ def main(argv=None) -> int:
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(fn=cmd_gen_rotations)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         _error("ConfigError", str(exc))

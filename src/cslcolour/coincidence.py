@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from cslcolour.lattice import (  # noqa: F401
     Lattice,
     _hermite,
     _image,
+    _window_points,
     colour_of,
     coset_meets_lattice,
     index,
@@ -383,22 +383,19 @@ def window_census(
 ) -> dict:
     """Brute-force window survey, the independent oracle for `analyze`.
 
-    Enumerates every point of the parent with integer basis coordinates
-    in [-radius, radius]^d, records which lie in csl1 / csl1_inv with
-    their colours, and for csl1_inv points the colour of the image.
-    Both CSLs are built here from the map, csl1_inv as csl(parent, A^-1)
-    rather than the image of csl1 that `analyze` uses.  A point lies in
-    a CSL exactly when it has colour 0 in the colouring of the parent
-    by that CSL, so membership and colour are both read by
-    `Colouring.colour_of_coords`: one key per nontrivial SNF factor of
-    the quotient, with no cache.  Pure integer arithmetic end to end.
+    Over the parent points with integer basis coordinates in
+    [-radius, radius]^d, records the colours of the points of csl1 and
+    of csl1_inv, and for csl1_inv points the colour of the image.  Both
+    CSLs are built here from the map, csl1_inv as csl(parent, A^-1)
+    rather than the image of csl1 that `analyze` uses, and only their
+    points are visited (`lattice._window_points`).  Pure integer
+    arithmetic end to end.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     parent = colouring.parent
-    d = parent.dim
-    fwd_colour = Colouring(parent, csl(parent, amap)).colour_of_coords
-    inv_colour = Colouring(parent, csl(parent, amap.inverse_map)).colour_of_coords
+    fwd = _window_points(parent, csl(parent, amap), radius)
+    inv = _window_points(parent, csl(parent, amap.inverse_map), radius)
     colour_at = colouring.colour_of_coords
     # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
     # H the parent's integer Hermite basis (its den cancels)
@@ -406,37 +403,24 @@ def window_census(
     h_inv, h_den = int_inverse(parent.hnf_rows)
     t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
     t_den = a_den * h_den
-    observed_i: set[int] = set()
-    observed_j: set[int] = set()
     transfer: dict[int, set[int]] = {}
-    count_fwd = 0
-    count_inv = 0
-    box = range(-radius, radius + 1)
-    for coords in product(box, repeat=d):
-        if fwd_colour(coords) == 0:
-            count_fwd += 1
-            observed_j.add(colour_at(coords))
-        if inv_colour(coords) == 0:
-            count_inv += 1
-            ci = colour_at(coords)
-            observed_i.add(ci)
-            image = []
-            for val in vec_mat(coords, t_num):
-                q, r = divmod(val, t_den)
-                if r:
-                    raise InternalInvariantViolation(
-                        "image of a csl-inv point left the parent lattice"
-                    )
-                image.append(q)
-            cj = colour_at(tuple(image))
-            transfer.setdefault(ci, set()).add(cj)
+    for coords in inv:
+        image = []
+        for val in vec_mat(coords, t_num):
+            q, r = divmod(val, t_den)
+            if r:
+                raise InternalInvariantViolation(
+                    "image of a csl-inv point left the parent lattice"
+                )
+            image.append(q)
+        transfer.setdefault(colour_at(coords), set()).add(colour_at(tuple(image)))
     return {
         "radius": radius,
-        "points_scanned": (2 * radius + 1) ** d,
-        "count_csl": count_fwd,
-        "count_csl_inv": count_inv,
-        "observed_I": sorted(observed_i),
-        "observed_J": sorted(observed_j),
+        "points_scanned": (2 * radius + 1) ** parent.dim,
+        "count_csl": len(fwd),
+        "count_csl_inv": len(inv),
+        "observed_I": sorted(transfer),
+        "observed_J": sorted({colour_at(coords) for coords in fwd}),
         "transfer": [[i, sorted(js)] for i, js in sorted(transfer.items())],
     }
 

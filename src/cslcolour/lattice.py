@@ -13,7 +13,8 @@ image maps hnf_rows . N over den . q for a map N / q; a meet and a sum
 are the two diagonal blocks of one stacked Hermite form (`_stacked`),
 which also decides whether a coset meets a lattice; membership and
 coordinates are one forward substitution against the triangular
-hnf_rows, and an index is a ratio of pivot products.
+hnf_rows, and an index is a ratio of pivot products.  A sublattice's
+basis in parent coordinates is triangular too (`_window_points`).
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `contains`, `transform`, custom
 representatives, `colour_of`) and rational output is formed (`basis`,
@@ -44,7 +45,6 @@ from cslcolour.ratmat import (  # noqa: F401
     Vector,
     _hermite,
     clear_denominators,
-    int_inverse,
     mat_mul,
     rat_inverse,
     rat_matrix,
@@ -253,63 +253,66 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     return tuple(out)
 
 
-def _residue(rel_hnf: IntMatrix, coords: Sequence[int]) -> tuple[int, ...]:
-    """Canonical residue of integer parent-coordinates mod the row span.
+def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
+    """Parent coordinates in [-radius, radius]^d of the points of lat.
 
-    Reduces coordinate j into [0, H[j][j]) in ascending order; the
-    result is a complete, canonical system of coset labels.
+    Both Hermite bases are upper triangular with positive pivots, so
+    lat's basis rel in parent coordinates is too: once coordinates
+    0..j-1 of x.rel are fixed, coordinate j runs over an arithmetic
+    progression with step rel[j][j].  The points come out in the order
+    of product(box, repeat=d), at a cost proportional to the number of
+    points and of their prefixes, not to the box.
     """
-    d = len(rel_hnf)
-    x = list(coords)
-    for j in range(d):
-        q = x[j] // rel_hnf[j][j]
-        if q:
-            row = rel_hnf[j]
-            for k in range(j, d):
-                x[k] -= q * row[k]
-    return tuple(x)
+    rel = _relative_basis(parent, lat)
+    d = len(rel)
+    # (fixed coordinates, sum of x_i . rel[i] over the fixed rows i)
+    prefixes = [((), (0,) * d)]
+    for j in range(d - 1):
+        step, row = rel[j][j], rel[j]
+        longer = []
+        for prefix, acc in prefixes:
+            for x in range(-((radius + acc[j]) // step), (radius - acc[j]) // step + 1):
+                acc_x = tuple(a + x * r for a, r in zip(acc, row))
+                longer.append((prefix + (acc_x[j],), acc_x))
+        prefixes = longer
+    # the last coordinate joins each prefix as a slice of one column of
+    # 1-tuples, with no arithmetic per point
+    column = [(c,) for c in range(-radius, radius + 1)]
+    step = rel[-1][-1]
+    points = []
+    for prefix, acc in prefixes:
+        points.extend(map(prefix.__add__, column[(acc[-1] + radius) % step :: step]))
+    return points
 
 
-def _radix_reps(
-    parent: Lattice, rel: IntMatrix, moduli: Sequence[int], v: IntMatrix
-) -> list[Vector]:
-    """Coset reps in mixed-radix order of the SNF coordinates (see coset_reps)."""
-    v_inv, v_den = int_inverse(v)
-    if v_den != 1:
-        raise InternalInvariantViolation("unimodular inverse must be integral")
-    rel_h, rank = _hermite(rel)
-    if rank != parent.dim:
-        raise InternalInvariantViolation("relative basis lost rank")
-    reps = []
-    seen = set()
+def _radix_reps(colouring: Colouring) -> list[Vector]:
+    """Each coset's one point in the box prod range(rel[j][j]), by colour."""
+    parent = colouring.parent
+    reps: list = [None] * colouring.m
     # one Fraction per distinct entry, shared by all the reps that hold it:
     # the reps live as long as the colouring, and every object they hold
     # is one more for each full garbage collection to scan
     entries: dict[int, Fraction] = {}
-    for radix in product(*(range(n) for n in moduli)):
-        coords = _residue(rel_h, vec_mat(radix, v_inv))
-        if coords in seen:
-            raise InternalInvariantViolation("coset enumeration repeated a coset")
-        seen.add(coords)
+    for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):
+        colour = colouring.colour_of_coords(coords)
+        if reps[colour] is not None:
+            raise InternalInvariantViolation("two points of the Hermite box share a coset")
         rep = []
         for x in vec_mat(coords, parent.hnf_rows):
             entry = entries.get(x)
             if entry is None:
                 entry = entries[x] = Fraction(x, parent.den)
             rep.append(entry)
-        reps.append(tuple(rep))
+        reps[colour] = tuple(rep)
     return reps
 
 
 def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
     """Deterministic coset representatives of sub inside parent.
 
-    Uses the Smith-form mixed-radix enumeration: with D = U.rel.V, the
-    quotient is the product of cyclic groups Z_d1 x ... x Z_dn, whose
-    elements r pull back to r . V^{-1} in parent coordinates.  Each is
-    then reduced to its canonical residue, mapped to ambient
-    coordinates, first rep always the zero vector.  These are the
-    default reps of `Colouring(parent, sub)`.
+    These are the default reps of `Colouring(parent, sub)`: each
+    coset's one point in the box of the pivots of sub's basis in parent
+    coordinates, listed by colour, so reps[0] is the zero vector.
     """
     return Colouring(parent, sub).reps
 
@@ -321,11 +324,12 @@ class Colouring:
     D = U.rel.V the SNF of sub's basis in parent coordinates, the point
     with integer parent coordinates c lies in the coset keyed by
     (c.V)_j mod d_j, and its colour is the mixed-radix index of that
-    key, first factor most significant.  That is the order coset_reps
-    enumerates, so colour i is the coset reps[i] + sub and reps[0] is
-    always 0.  The default reps are computed on first access.  Custom
-    representatives may be supplied (validated); they renumber the
-    colours through a table indexed by the same mixed-radix key.
+    key, first factor most significant.  The default reps are computed
+    on first access: rel is triangular, so each coset has one point in
+    the box prod range(rel[j][j]), stored as reps[its colour], and
+    reps[0] is 0.  Custom representatives may be supplied (validated);
+    they renumber the colours through a table indexed by the same
+    mixed-radix key.
     """
 
     def __init__(
@@ -342,7 +346,7 @@ class Colouring:
             self._rel = _relative_basis(parent, sub)
         except NotASublattice:
             raise NotASublattice("colouring needs sub inside parent") from None
-        d, _, self._v = snf(self._rel)
+        d, _, v = snf(self._rel)
         # the SNF elementary divisors d_1 | d_2 | ... of parent/sub
         self.moduli = tuple(d[j][j] for j in range(parent.dim))
         self.m = prod(self.moduli)
@@ -351,7 +355,7 @@ class Colouring:
         weight = 1
         for j in reversed(range(parent.dim)):
             if self.moduli[j] > 1:
-                radix.append((tuple(row[j] for row in self._v), self.moduli[j], weight))
+                radix.append((tuple(row[j] for row in v), self.moduli[j], weight))
             weight *= self.moduli[j]
         self._radix = tuple(reversed(radix))
         self._key_moduli = tuple(n for _, n, _ in self._radix)
@@ -379,7 +383,7 @@ class Colouring:
     def reps(self) -> list[Vector]:
         """Colour i is the coset reps[i] + sub; reps[0] is the zero vector."""
         if self._reps is None:
-            self._reps = _radix_reps(self.parent, self._rel, self.moduli, self._v)
+            self._reps = _radix_reps(self)
         return self._reps
 
     def _coords_of_ints(self, w: Sequence[int], q: int = 1) -> tuple[int, ...]:

@@ -11,13 +11,12 @@ from __future__ import annotations
 import colorsys
 import math
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 from cslcolour.coincidence import CommensurableMap, csl, is_coincidence
 from cslcolour.cyclo8 import star_coords
 from cslcolour.errors import NotCoincidence, UnsupportedDimension
-from cslcolour.lattice import Colouring
+from cslcolour.lattice import Colouring, _window_points
 from cslcolour.ratmat import vec_mat
 
 # the six base colours, extended deterministically past index 5
@@ -91,22 +90,16 @@ def render_svg(
         raise ValueError(f"palette needs at least {colouring.m} colours")
     if not is_coincidence(parent, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    # a point lies in a CSL exactly when it has colour 0 in the
-    # colouring of the parent by that CSL; only the one the mode reads
-    # is built
-    csl_colour = None
-    if mode != "parent" or highlight_csl:
-        csl_map = amap.inverse_map if mode == "csl-inv" else amap
-        csl_colour = Colouring(parent, csl(parent, csl_map)).colour_of_coords
-    box = range(-radius, radius + 1)
+    # walk only the lattice shown; the parent's walk covers the whole box
+    shown, ringed = parent, set()
+    if mode != "parent":
+        shown = csl(parent, amap.inverse_map if mode == "csl-inv" else amap)
+    elif highlight_csl:
+        ringed = set(_window_points(parent, csl(parent, amap), radius))
     pts = []
-    for coords in product(box, repeat=d):
-        in_csl = csl_colour is not None and csl_colour(coords) == 0
-        if mode != "parent" and not in_csl:
-            continue
+    for coords in _window_points(parent, shown, radius):
         x, y = embed(colouring, coords)
-        colour = colouring.colour_of_coords(coords)
-        pts.append((coords, x, -y, colour, mode == "parent" and in_csl))
+        pts.append((coords, x, -y, colouring.colour_of_coords(coords), coords in ringed))
     xs = [p[1] for p in pts]
     ys = [p[2] for p in pts]
     margin = 4 * dot

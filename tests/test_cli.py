@@ -272,6 +272,24 @@ def test_render_palette_too_short(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "entry", ["#zz</svg><script>x</script>", "#12345", "#1234567", "#12345g"]
+)
+def test_render_palette_entries_must_be_rrggbb(capsys, tmp_path, entry):
+    # a palette entry is written into every fill attribute of its colour
+    path = variant(
+        tmp_path, "example2_rect.json", render={"radius": 2, "palette": ["#111111", entry]}
+    )
+    dest = tmp_path / "fig.svg"
+    code, out, err = run(capsys, "render", path, "--mode", "parent", "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError" and "#rrggbb" in error["message"]
+    assert not dest.exists()
+
+
 def test_render_requires_render_section(capsys, tmp_path):
     path = variant(tmp_path, "example1.json", render=None)
     code, _, err = run(capsys, "render", path, "--mode", "parent", "--out", "x.svg")
@@ -308,6 +326,50 @@ def test_gen_rotations_rejects_bad_max(capsys):
     code, _, err = run(capsys, "gen-rotations", "--max", "0")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def test_gen_rotations_budget(capsys, monkeypatch):
+    budget = cli_module.ROTATION_BUDGET
+    built = []
+    monkeypatch.setattr(
+        cli_module, "enumerate_square_rotations", lambda n: built.append(n) or []
+    )
+    code, out, _ = run(capsys, "gen-rotations", "--max", str(budget))
+    assert code == 0 and built == [budget]
+    assert json.loads(out)["count"] == 0
+    code, out, err = run(capsys, "gen-rotations", "--max", str(budget + 1))
+    assert code == 2
+    assert out == "" and built == [budget]
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError" and "budget" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["gen-rotations", "--max", "abc"],
+        ["gen-rotations"],
+        ["render", "x.json", "--mode", "sideways", "--out", "x.svg"],
+        ["frobnicate"],
+        [],
+    ],
+    ids=["analyze-no-config", "max-not-int", "max-missing", "bad-mode", "bad-command", "empty"],
+)
+def test_argument_errors_are_one_json_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ConfigError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cslcolour")
 
 
 # ---------------------------------------------------------------------------

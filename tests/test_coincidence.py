@@ -554,6 +554,14 @@ MEMBERSHIP_CASES = [
         10,
         id="large-index",
     ),
+    # a parent with den 2 and a non-diagonal Hermite basis, [[1, 2], [0, 5]] / 2:
+    # half the Gaussian ideal (1 + 2i), so the CSLs have index 5
+    pytest.param(
+        Colouring(lattice_new([["1/2", 1], [0, "5/2"]]), lattice_new([[1, "9/2"], [0, "15/2"]])),
+        ROT,
+        6,
+        id="rational-parent",
+    ),
 ]
 
 
@@ -569,7 +577,8 @@ def test_census_and_render_membership_match_a_box_scan(colouring, amap, radius):
         for mode, points in (("csl", in_fwd), ("csl-inv", in_inv)):
             svg = render.render_svg(colouring, amap, mode, radius)
             drawn = re.findall(r'class="pt" [^>]*data-coords="([^"]*)"', svg)
-            assert {tuple(map(int, c.split(","))) for c in drawn} == points
+            # the points are drawn in box-scan order
+            assert [tuple(map(int, c.split(","))) for c in drawn] == sorted(points)
 
 
 def test_render_svg_rejects_negative_radius_before_building_a_csl(monkeypatch):

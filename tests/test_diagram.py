@@ -332,17 +332,24 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
 # lazy representatives
 
 
+# (parent basis, None for Z^d; sublattice basis)
+REPS_CASES = [
+    (None, [[6, 0], [2, 1]]),
+    (None, [[25, 0], [0, 25]]),
+    (None, gauss(8, 19)),
+    (None, [[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 3, 0], [0, 1, 1, 3]]),
+    # den 6 and a non-diagonal Hermite basis; the sublattice has index 6
+    ([["1/2", "1/3"], [0, "5/3"]], [[1, "7/3"], [0, 5]]),
+    # den 2, half the Gaussian ideal (1 + 2i); index 6
+    ([["1/2", 1], [0, "5/2"]], [[1, "9/2"], [0, "15/2"]]),
+]
+
+
 @pytest.mark.parametrize(
-    "sub_rows",
-    [
-        [[6, 0], [2, 1]],
-        [[25, 0], [0, 25]],
-        gauss(8, 19),
-        [[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 3, 0], [0, 1, 1, 3]],
-    ],
+    "parent_rows, sub_rows", REPS_CASES, ids=[f"sub_rows{i}" for i in range(len(REPS_CASES))]
 )
-def test_default_reps_are_coset_reps_and_lazy(monkeypatch, sub_rows):
-    parent = standard_lattice(len(sub_rows))
+def test_default_reps_are_coset_reps_and_lazy(monkeypatch, parent_rows, sub_rows):
+    parent = standard_lattice(len(sub_rows)) if parent_rows is None else lattice_new(parent_rows)
     sub = lattice_new(sub_rows)
     built = []
     original = lattice_module._radix_reps
