@@ -41,7 +41,7 @@ from cslcolour.render import RENDER_MODES, render_svg
 WINDOW_BUDGET = 2_000_000
 # the most colours m = [parent : sub] a job may have; a report lists a rep for each
 COLOUR_BUDGET = 100_000
-# the largest gen-rotations --max; the enumeration is quadratic in it
+# the largest gen-rotations --max; the output grows linearly with it
 ROTATION_BUDGET = 2_000
 # a palette entry is written into SVG attributes, so only #rrggbb passes
 HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")

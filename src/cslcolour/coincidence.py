@@ -15,10 +15,15 @@ sub meet csl(A^-1) is A(sub) meet csl(A), a lattice the diagram holds.
 Cost model: each lattice of the diagram is built once, seven Hermite
 forms per analysis (three images and four meets) whatever the number
 of colours m.  The colour sets I and J are the images of csl(A^-1) and
-csl(A) in the finite group parent/sub, of orders s and t; they, and
-the colour permutation, are enumerated as subgroups generated by the
-images of d basis rows, in O(s + t) group steps rather than one
-Hermite form per colour.
+csl(A) in the finite group parent/sub = Z_n1 x ... x Z_nk, of orders s
+and t, each the subgroup generated by the keys of d basis rows.  A
+subgroup is walked over the triangular basis of one small Hermite form,
+(d + k) x k, and comes out as ranges of colour numbers in increasing
+order (`_walk`).  Under a colour coincidence one walk of the
+permutation's graph, a subgroup of (parent/sub)^2 with a (d + 2k) x 2k
+form, gives I, J and the permutation together; otherwise I and J take
+a walk each.  So an analysis takes 7 + 1 or 7 + 2 Hermite forms, and
+none per colour.
 
 Maps and lattices meet as integers: a CommensurableMap carries A^T and
 A^-T as (integer matrix, denominator) pairs, built once per map, and
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional, Sequence
 
 from cslcolour.errors import (
@@ -40,9 +45,9 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-# _hermite, colour_of, coset_meets_lattice, transform and snf are not
-# used here; the names stay bound because bench/tracing.py wraps every
-# module's binding
+# colour_of, coset_meets_lattice, transform and snf are not used here;
+# the names stay bound because bench/tracing.py wraps every module's
+# binding
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
@@ -224,8 +229,7 @@ def _check_analysis(a: ColouringAnalysis) -> None:
             )
         )
     if a.permutation is not None:
-        sources = tuple(i for i, _ in a.permutation)
-        images = tuple(j for _, j in a.permutation)
+        sources, images = zip(*a.permutation)
         checks += [
             (sources == a.set_I, "permutation domain is I"),
             (sorted(images) == list(a.set_J), "permutation image is J"),
@@ -236,41 +240,86 @@ def _check_analysis(a: ColouringAnalysis) -> None:
             raise InternalInvariantViolation(f"analysis invariant failed: {label}")
 
 
-def _subgroup(gens: Sequence[tuple[int, ...]], moduli: tuple[int, ...]) -> list:
-    """Elements of the subgroup of Z_n1 x ... x Z_nk generated by `gens`.
+def _walk(
+    gens: Sequence[Sequence[int]], moduli: tuple[int, ...], graph: bool = False
+) -> tuple[list[int], list[int]]:
+    """Colours of the subgroup of Z_n1 x ... x Z_nk generated by `gens`.
 
-    The subgroup H grows one cyclic extension at a time: the first
-    multiple k.g of a generator that lies in H fixes the order of g
-    modulo H, and H + <g> is the disjoint union of the cosets H + i.g
-    for 0 <= i < k.  The work is linear in the size of the result.
+    The subgroup is the lattice span(gens) + diag(n).Z^k read modulo n:
+    its elements are that lattice's points in the box prod [0, n_j),
+    and an element's colour is its mixed-radix index, first digit most
+    significant, as `Colouring` numbers its keys.  The lattice's Hermite
+    form is upper triangular with pivots p_j that divide n_j, so once
+    digits 0..j-1 are fixed, digit j runs over acc_j mod p_j + p_j.N
+    below n_j, acc being the sum of the chosen rows reduced mod n.  The
+    last digit has weight 1, so each prefix adds the colours from
+    base + acc mod p to base + n in steps of p as one range: the colours
+    come out in increasing order, in Python steps proportional to the
+    number of prefixes, not of elements.
+
+    With `graph`, each generator is a pair (key | image key) and the
+    walk runs over moduli + moduli.  The pairs span the graph of a map
+    exactly when rows k..2k-1 of the form are (0 | diag(n)); then the
+    right half of each point is fixed by its left half, and the colours
+    of the right halves are returned in the order of the left ones.
+    Returns (colours, images); images is empty without `graph`.
     """
-    zero = (0,) * len(moduli)
-    elems = [zero]
-    seen = {zero}
-    for g in gens:
-        base = elems[:]
-        shift = g
-        while shift not in seen:
-            for h in base:
-                x = tuple((a + b) % n for a, b, n in zip(h, shift, moduli))
-                seen.add(x)
-                elems.append(x)
-            shift = tuple((a + b) % n for a, b, n in zip(shift, g, moduli))
-    return elems
+    k = len(moduli)
+    if k == 0:
+        return [0], [0] if graph else []
+    weights = [prod(moduli[j + 1:]) for j in range(k)]
+    mods = moduli * 2 if graph else moduli
+    width = len(mods)
+    h, _ = _hermite(
+        [list(g) for g in gens]
+        + [[n * (i == j) for j in range(width)] for i, n in enumerate(mods)]
+    )
+    if graph and any(
+        h[k + i] != [0] * k + [n * (i == j) for j in range(k)]
+        for i, n in enumerate(moduli)
+    ):
+        raise InternalInvariantViolation("colour graph is not a function")
+    # (colour of the fixed digits, accumulator) for each prefix
+    prefixes = [(0, (0,) * width)]
+    for j in range(k - 1):
+        row, p, n, w = h[j], h[j][j], moduli[j], weights[j]
+        longer = []
+        for base, acc in prefixes:
+            first = -(acc[j] // p)
+            for c in range(first, first + n // p):
+                x = tuple((a + c * r) % q for a, r, q in zip(acc, row, mods))
+                longer.append((base + x[j] * w, x))
+        prefixes = longer
+    row, p, n = h[k - 1], h[k - 1][k - 1], moduli[-1]
+    colours: list[int] = []
+    images: list[int] = []
+    for base, acc in prefixes:
+        colours.extend(range(base + acc[k - 1] % p, base + n, p))
+        if graph:
+            first = -(acc[k - 1] // p)
+            steps = range(first, first + n // p)
+            columns = [
+                [(a + c * r) % q * w for c in steps]
+                for a, r, q, w in zip(acc[k:], row[k:], moduli, weights)
+            ]
+            images.extend(map(sum, zip(*columns)))
+    return colours, images
 
 
 def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     """Compute the complete index diagram for one colouring and one map.
 
-    Each lattice of the diagram is built once.  The colour sets are the
-    images of csl1 and csl1_inv in parent/sub, the subgroups generated
-    by the keys of their basis rows.  Under a colour coincidence the
-    pairs (colour of x, colour of A.x) over csl1_inv form a subgroup of
-    (parent/sub)^2, generated by the pairs of the basis rows, and that
-    subgroup is the permutation's graph.  Basis rows are read as integer
-    rows over each lattice's den.  All reported numbers come from pure
-    lattice algebra; every identity that must relate them is verified
-    before returning.
+    Each lattice of the diagram is built once, in 7 Hermite forms.  The
+    colour sets are the images of csl1 and csl1_inv in parent/sub, the
+    subgroups generated by the keys of their basis rows, each walked
+    through one (d + k) x k Hermite form (`_walk`).  Under a colour
+    coincidence the pairs (colour of x, colour of A.x) over csl1_inv
+    form a subgroup of (parent/sub)^2, generated by the pairs of the
+    basis rows, and that subgroup is the permutation's graph: one walk
+    of its (d + 2k) x 2k form gives I, J and the permutation.  Basis
+    rows are read as integer rows over each lattice's den.  All reported
+    numbers come from pure lattice algebra; every identity that must
+    relate them is verified before returning.
     """
     parent = colouring.parent
     sub = colouring.sub
@@ -284,12 +333,11 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
 
     key = colouring._key_of_coords
     coords = colouring._coords_of_ints
-    colour = colouring._colour_of_key
     moduli = colouring._key_moduli
+    # custom reps renumber the mixed-radix indices through a table
+    table = colouring._table
+    rename = (lambda cs: cs) if table is None else (lambda cs: [table[c] for c in cs])
     inv_keys = [key(coords(b, csl1_inv.den)) for b in csl1_inv.hnf_rows]
-    set_i = tuple(sorted(map(colour, _subgroup(inv_keys, moduli))))
-    fwd_keys = [key(coords(b, csl1.den)) for b in csl1.hnf_rows]
-    set_j = tuple(sorted(map(colour, _subgroup(fwd_keys, moduli))))
     perm = None
     if cc:
         # A.b = b . A^T: the rows hnf_rows . N over den . q
@@ -297,11 +345,20 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
         image_keys = [
             key(coords(b, csl1_inv.den * den)) for b in mat_mul(csl1_inv.hnf_rows, num)
         ]
-        graph = _subgroup(
-            [x + y for x, y in zip(inv_keys, image_keys)], moduli + moduli
+        sources, images = _walk(
+            [x + y for x, y in zip(inv_keys, image_keys)], moduli, graph=True
         )
-        n = len(moduli)
-        perm = tuple(sorted((colour(p[:n]), colour(p[n:])) for p in graph))
+        sources, images = rename(sources), rename(images)
+        if table is not None:
+            # the walk lists the sources by index, not by their table colours
+            sources, images = zip(*sorted(zip(sources, images)))
+        perm = tuple(zip(sources, images))
+        set_i = tuple(sources)
+        set_j = tuple(sorted(images))
+    else:
+        fwd_keys = [key(coords(b, csl1.den)) for b in csl1.hnf_rows]
+        set_i = tuple(sorted(rename(_walk(inv_keys, moduli)[0])))
+        set_j = tuple(sorted(rename(_walk(fwd_keys, moduli)[0])))
     analysis = ColouringAnalysis(
         m=colouring.m,
         sigma1=_two_sided_index(parent, image_parent, csl1),
@@ -353,28 +410,33 @@ def colour_permutation(
 def enumerate_square_rotations(max_den: int) -> list[CommensurableMap]:
     """Deterministic duplicate-free corpus of rational rotations of Z^2.
 
-    Walks denominators n = 1..max_den and coprime pairs (a, b) with
-    a^2 + b^2 = n^2, emitting (1/n).[[a, -b], [b, a]].  Coprimality
-    makes every (a, b, n) triple primitive, so no rotation repeats.
+    Emits (1/n).[[a, -b], [b, a]] for the coprime pairs (a, b) with
+    a^2 + b^2 = n^2, by n = 1..max_den and then by (-a, -b).
+    Coprimality makes every (a, b, n) triple primitive, so no rotation
+    repeats.  For n > 1 the legs {|a|, |b|} are {p^2 - q^2, 2pq} with
+    n = p^2 + q^2 for exactly one pair p > q > 0 that is coprime and of
+    opposite parity (Euclid), so the work is proportional to the output.
     """
-    maps = []
-    for n in range(1, max_den + 1):
-        for a in range(n, -n - 1, -1):
-            b2 = n * n - a * a
-            b = isqrt(b2)
-            if b * b != b2:
-                continue
-            for signed_b in ((b, -b) if b else (0,)):
-                if gcd(abs(a), abs(signed_b)) != 1:
-                    continue
-                maps.append(
-                    commensurable_map(
-                        [
-                            [Fraction(a, n), Fraction(-signed_b, n)],
-                            [Fraction(signed_b, n), Fraction(a, n)],
-                        ]
-                    )
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    if max_den >= 1:
+        pairs[1] = [(1, 0), (0, 1), (0, -1), (-1, 0)]
+    p = 2
+    while p * p + 1 <= max_den:
+        for q in range(1 + p % 2, min(p, isqrt(max_den - p * p) + 1), 2):
+            if gcd(p, q) == 1:
+                legs = ((p * p - q * q, 2 * p * q), (2 * p * q, p * p - q * q))
+                pairs.setdefault(p * p + q * q, []).extend(
+                    (sa * a, sb * b) for a, b in legs for sa in (1, -1) for sb in (1, -1)
                 )
+        p += 1
+    maps = []
+    for n in sorted(pairs):
+        for a, b in sorted(pairs[n], reverse=True):
+            maps.append(
+                commensurable_map(
+                    [[Fraction(a, n), Fraction(-b, n)], [Fraction(b, n), Fraction(a, n)]]
+                )
+            )
     return maps
 
 

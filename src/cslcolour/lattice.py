@@ -403,14 +403,10 @@ class Colouring:
         """The coset of parent coordinates as an element of Z_d1 x ... (d_j > 1)."""
         return tuple(sum(map(mul, coords, col)) % modulus for col, modulus, _ in self._radix)
 
-    def _colour_of_key(self, key: Sequence[int]) -> int:
-        index = sum(k * weight for k, (_, _, weight) in zip(key, self._radix))
-        return index if self._table is None else self._table[index]
-
     def colour_of_coords(self, coords: Sequence[int]) -> int:
         """Colour index of a point given in integer parent coordinates."""
-        # _colour_of_key(_key_of_coords(coords)) inlined: this runs once per
-        # point of a census or a render
+        # the mixed-radix index of _key_of_coords(coords), inlined: this
+        # runs once per point of a census or a render
         index = 0
         for col, modulus, weight in self._radix:
             index += sum(map(mul, coords, col)) % modulus * weight

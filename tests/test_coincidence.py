@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
@@ -270,6 +270,27 @@ def test_enumerate_deterministic():
     first = [m.matrix for m in enumerate_square_rotations(13)]
     second = [m.matrix for m in enumerate_square_rotations(13)]
     assert first == second
+
+
+def scanned_rotations(max_den):
+    """(a, b, n) by the definition: every a from n down to -n, b = +-sqrt(n^2 - a^2)."""
+    out = []
+    for n in range(1, max_den + 1):
+        for a in range(n, -n - 1, -1):
+            b = isqrt(n * n - a * a)
+            if b * b == n * n - a * a:
+                out += [(a, sb, n) for sb in ((b, -b) if b else (0,)) if gcd(a, sb) == 1]
+    return out
+
+
+@pytest.mark.parametrize("max_den", [0, 1, 4, 5, 24, 25, 65, 299, 300])
+def test_enumerate_matches_the_quadratic_scan(max_den):
+    got = [
+        (m.matrix[0][0] * n, m.matrix[1][0] * n, n)
+        for m in enumerate_square_rotations(max_den)
+        for n in [lcm(*(x.denominator for row in m.matrix for x in row))]
+    ]
+    assert got == scanned_rotations(max_den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The index diagram against an independent oracle, its cost, and lazy reps.
+"""The index diagram against an independent oracle, its cost, the colour
+walk, and lazy reps.
 
 The oracle below decides colour coincidence from the partition-bijection
 definition and shares no code with ``cslcolour.coincidence``: colours are
@@ -6,6 +7,8 @@ cosets of the sublattice S in Z^d, keyed by x.adj(S) mod |det S|; the
 CSLs are scanned modulo n.Z^d (n the denominator of the rotation, so
 n.Z^d lies in both CSLs) and closed under addition.  Colour indices are
 read off the colouring's representatives.  It runs for d = 2 and 3.
+The same closure is the reference for `coincidence._walk`, which lists a
+subgroup of Z_n1 x ... x Z_nk from one Hermite form.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cslcolour.coincidence as coincidence_module
 import cslcolour.lattice as lattice_module
@@ -211,6 +216,52 @@ def test_oracle_agrees_with_custom_reps():
     assert not example1.colour_coincidence
 
 
+def scrambled_reps(colouring, seed):
+    """Other reps of the same cosets: renumbered, and moved by sublattice vectors."""
+    rng = random.Random(seed)
+    rows = colouring.sub.basis
+    others = colouring.reps[1:]
+    rng.shuffle(others)
+    return [colouring.reps[0]] + [
+        tuple(x + a * r + b * s for x, r, s in zip(rep, *rows))
+        for rep in others
+        for a, b in [(rng.randint(-2, 2), rng.randint(-2, 2))]
+    ]
+
+
+# sublattices of Z^2 whose quotients are not cyclic, with their SNF
+# moduli and the verdicts of the 3-4-5 and 5-12-13 rotations: 5 divides
+# three of the moduli, and diag(23, 115) is no ideal of Z[i]
+LARGE_QUOTIENTS = [
+    ([[47, 0], [0, 47]], (47, 47), (True, True)),
+    ([[23, 0], [0, 115]], (23, 115), (False, False)),
+    ([[40, 0], [0, 40]], (40, 40), (False, True)),
+    ([[25, 0], [0, 25]], (25, 25), (False, True)),
+]
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["default-reps", "custom-reps"])
+@pytest.mark.parametrize(
+    "sub_rows, moduli, verdicts", LARGE_QUOTIENTS, ids=[f"{a}x{b}" for _, (a, b), _ in LARGE_QUOTIENTS]
+)
+def test_oracle_agrees_on_large_non_cyclic_quotients(sub_rows, moduli, verdicts, custom):
+    colouring = Colouring(Z2, lattice_new(sub_rows))
+    assert colouring.moduli == moduli
+    reps = scrambled_reps(colouring, sum(moduli)) if custom else None
+    got = tuple(
+        assert_agrees(sub_rows, rotation(*rot), reps=reps).colour_coincidence
+        for rot in [(3, 4, 5), (5, 12, 13)]
+    )
+    assert got == verdicts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_single_colour(d):
+    amap = rotation(3, 4, 5) if d == 2 else commensurable_map(cayley_rotation(1, 2, 2, 0))
+    got = assert_agrees([[int(i == j) for j in range(d)] for i in range(d)], amap)
+    assert (got.m, got.set_I, got.set_J, got.permutation) == (1, (0,), (0,), ((0, 0),))
+
+
 # rotations R(q) of Z^3 from quaternions of norm 2, 3, 4, 5, 7, 9 and 11
 CUBIC_QUATERNIONS = [
     (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 0, 0), (2, 1, 1, 1), (1, 2, 2, 0),
@@ -326,6 +377,135 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
         counts[k] = len(calls)
         assert result.m == k * k
     assert counts[5] == counts[200]
+
+
+def test_a_graph_that_is_not_a_function_is_caught(monkeypatch):
+    original = coincidence_module._hermite
+
+    def with_second_image(rows):
+        # the pair (0 | e_0) sends colour 0 to a second colour as well
+        half = len(rows[0]) // 2
+        return original(list(rows) + [[0] * half + [1] + [0] * (half - 1)])
+
+    monkeypatch.setattr(coincidence_module, "_hermite", with_second_image)
+    colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
+    with pytest.raises(InternalInvariantViolation, match="not a function"):
+        analyze(colouring, rotation(4, 3, 5))
+
+
+# ---------------------------------------------------------------------------
+# the walk over the key subgroup's triangular basis, against the closure
+
+
+def radix(key, moduli):
+    """Mixed-radix index of a key, first digit most significant."""
+    index = 0
+    for x, n in zip(key, moduli):
+        index = index * n + x
+    return index
+
+
+walk = coincidence_module._walk
+
+
+def adder(moduli):
+    return lambda p, q: tuple((x + y) % n for x, y, n in zip(p, q, moduli))
+
+
+@st.composite
+def key_groups(draw):
+    """Moduli d1 | d2 | ... | dk, k = 1..4, d1 > 1, at most 1000 elements."""
+    moduli = [draw(st.integers(2, 5))]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.integers(1, 3))
+        if prod(moduli) * moduli[-1] * factor > 1000:
+            factor = 1
+        moduli.append(moduli[-1] * factor)
+    return tuple(moduli)
+
+
+def keys(draw, moduli):
+    return draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in moduli)), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_is_the_subgroup_in_increasing_order(data):
+    moduli = data.draw(key_groups())
+    gens = keys(data.draw, moduli)
+    group = _closure(gens, adder(moduli), (0,) * len(moduli))
+    colours, images = walk(gens, moduli)
+    assert colours == sorted(radix(x, moduli) for x in group)
+    assert images == []
+
+
+@pytest.mark.parametrize("moduli", [(7,), (2, 4), (3, 3, 6), (2, 2, 2, 4)])
+def test_walk_of_no_generators_and_of_generating_sets(moduli):
+    k = len(moduli)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for gens in ([], [(0,) * k], [(0,) * k] * 3):
+        assert walk(gens, moduli) == ([0], [])
+    assert walk(units, moduli) == (list(range(prod(moduli))), [])
+    assert walk(units[::-1] + [(1,) * k], moduli)[0] == list(range(prod(moduli)))
+
+
+def test_walk_of_the_trivial_group():
+    assert walk([()], ()) == ([0], [])
+    assert walk([()], (), graph=True) == ([0], [0])
+
+
+@st.composite
+def automorphisms(draw, moduli):
+    """x -> x.M mod n: a product of unit scalings and transvections."""
+    k = len(moduli)
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i == j:
+            unit = draw(st.sampled_from([u for u in range(1, moduli[i]) if gcd(u, moduli[i]) == 1]))
+            op = [[unit if a == b == i else int(a == b) for b in range(k)] for a in range(k)]
+        else:
+            # e_i -> e_i + c.e_j is a homomorphism when n_i.c = 0 mod n_j
+            c = draw(st.integers(1, 5)) * (moduli[j] // gcd(moduli[i], moduli[j]))
+            op = [[int(a == b) + c * (a == i and b == j) for b in range(k)] for a in range(k)]
+        m = [[sum(row[t] * op[t][b] for t in range(k)) % moduli[b] for b in range(k)] for row in m]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graph_walk_of_an_automorphism(data):
+    moduli = data.draw(key_groups())
+    m = data.draw(automorphisms(moduli))
+
+    def phi(x):
+        return tuple(sum(x[t] * m[t][j] for t in range(len(x))) % n for j, n in enumerate(moduli))
+
+    gens = keys(data.draw, moduli)
+    group = sorted(_closure(gens, adder(moduli), (0,) * len(moduli)), key=lambda x: radix(x, moduli))
+    colours, images = walk([g + phi(g) for g in gens], moduli, graph=True)
+    assert colours == [radix(x, moduli) for x in group]
+    assert images == [radix(phi(x), moduli) for x in group]
+    # an automorphism is one-to-one
+    assert len(set(images)) == len(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graph_walk_raises_exactly_when_the_pairs_are_no_function(data):
+    moduli = data.draw(key_groups())
+    pairs = keys(data.draw, moduli + moduli)
+    k = len(moduli)
+    # a graph has no more elements than the group
+    graph = _closure(pairs, adder(moduli + moduli), (0,) * (2 * k), limit=prod(moduli))
+    if graph is None or len({p[:k] for p in graph}) < len(graph):
+        with pytest.raises(InternalInvariantViolation, match="not a function"):
+            walk(pairs, moduli, graph=True)
+        return
+    colours, images = walk(pairs, moduli, graph=True)
+    image_of = {radix(p[:k], moduli): radix(p[k:], moduli) for p in graph}
+    assert colours == sorted(image_of)
+    assert images == [image_of[c] for c in colours]
 
 
 # ---------------------------------------------------------------------------
