@@ -14,16 +14,11 @@ sub meet csl(A^-1) is A(sub) meet csl(A), a lattice the diagram holds.
 
 Cost model: each lattice of the diagram is built once, seven Hermite
 forms per analysis (three images and four meets) whatever the number
-of colours m.  The colour sets I and J are the images of csl(A^-1) and
-csl(A) in the finite group parent/sub = Z_n1 x ... x Z_nk, of orders s
-and t, each the subgroup generated by the keys of d basis rows.  A
-subgroup is walked over the triangular basis of one small Hermite form,
-(d + k) x k, and comes out as ranges of colour numbers in increasing
-order (`_walk`).  Under a colour coincidence one walk of the
-permutation's graph, a subgroup of (parent/sub)^2 with a (d + 2k) x 2k
-form, gives I, J and the permutation together; otherwise I and J take
-a walk each.  So an analysis takes 7 + 1 or 7 + 2 Hermite forms, and
-none per colour.
+of colours m.  The colouring numbers the colours that csl(A^-1) and
+csl(A) meet, the sets I and J, and under a colour coincidence the
+permutation between them, in one more small Hermite form under a
+colour coincidence and two otherwise, and none per colour (see
+`cslcolour.lattice`).
 
 Maps and lattices meet as integers: a CommensurableMap carries A^T and
 A^-T as (integer matrix, denominator) pairs, built once per map, and
@@ -36,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from cslcolour.errors import (
@@ -45,9 +40,9 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-# colour_of, coset_meets_lattice, transform and snf are not used here;
-# the names stay bound because bench/tracing.py wraps every module's
-# binding
+# _hermite, colour_of, coset_meets_lattice, transform and snf are not
+# used here; the names stay bound because bench/tracing.py wraps every
+# module's binding
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
@@ -240,86 +235,16 @@ def _check_analysis(a: ColouringAnalysis) -> None:
             raise InternalInvariantViolation(f"analysis invariant failed: {label}")
 
 
-def _walk(
-    gens: Sequence[Sequence[int]], moduli: tuple[int, ...], graph: bool = False
-) -> tuple[list[int], list[int]]:
-    """Colours of the subgroup of Z_n1 x ... x Z_nk generated by `gens`.
-
-    The subgroup is the lattice span(gens) + diag(n).Z^k read modulo n:
-    its elements are that lattice's points in the box prod [0, n_j),
-    and an element's colour is its mixed-radix index, first digit most
-    significant, as `Colouring` numbers its keys.  The lattice's Hermite
-    form is upper triangular with pivots p_j that divide n_j, so once
-    digits 0..j-1 are fixed, digit j runs over acc_j mod p_j + p_j.N
-    below n_j, acc being the sum of the chosen rows reduced mod n.  The
-    last digit has weight 1, so each prefix adds the colours from
-    base + acc mod p to base + n in steps of p as one range: the colours
-    come out in increasing order, in Python steps proportional to the
-    number of prefixes, not of elements.
-
-    With `graph`, each generator is a pair (key | image key) and the
-    walk runs over moduli + moduli.  The pairs span the graph of a map
-    exactly when rows k..2k-1 of the form are (0 | diag(n)); then the
-    right half of each point is fixed by its left half, and the colours
-    of the right halves are returned in the order of the left ones.
-    Returns (colours, images); images is empty without `graph`.
-    """
-    k = len(moduli)
-    if k == 0:
-        return [0], [0] if graph else []
-    weights = [prod(moduli[j + 1:]) for j in range(k)]
-    mods = moduli * 2 if graph else moduli
-    width = len(mods)
-    h, _ = _hermite(
-        [list(g) for g in gens]
-        + [[n * (i == j) for j in range(width)] for i, n in enumerate(mods)]
-    )
-    if graph and any(
-        h[k + i] != [0] * k + [n * (i == j) for j in range(k)]
-        for i, n in enumerate(moduli)
-    ):
-        raise InternalInvariantViolation("colour graph is not a function")
-    # (colour of the fixed digits, accumulator) for each prefix
-    prefixes = [(0, (0,) * width)]
-    for j in range(k - 1):
-        row, p, n, w = h[j], h[j][j], moduli[j], weights[j]
-        longer = []
-        for base, acc in prefixes:
-            first = -(acc[j] // p)
-            for c in range(first, first + n // p):
-                x = tuple((a + c * r) % q for a, r, q in zip(acc, row, mods))
-                longer.append((base + x[j] * w, x))
-        prefixes = longer
-    row, p, n = h[k - 1], h[k - 1][k - 1], moduli[-1]
-    colours: list[int] = []
-    images: list[int] = []
-    for base, acc in prefixes:
-        colours.extend(range(base + acc[k - 1] % p, base + n, p))
-        if graph:
-            first = -(acc[k - 1] // p)
-            steps = range(first, first + n // p)
-            columns = [
-                [(a + c * r) % q * w for c in steps]
-                for a, r, q, w in zip(acc[k:], row[k:], moduli, weights)
-            ]
-            images.extend(map(sum, zip(*columns)))
-    return colours, images
-
-
 def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     """Compute the complete index diagram for one colouring and one map.
 
-    Each lattice of the diagram is built once, in 7 Hermite forms.  The
-    colour sets are the images of csl1 and csl1_inv in parent/sub, the
-    subgroups generated by the keys of their basis rows, each walked
-    through one (d + k) x k Hermite form (`_walk`).  Under a colour
-    coincidence the pairs (colour of x, colour of A.x) over csl1_inv
-    form a subgroup of (parent/sub)^2, generated by the pairs of the
-    basis rows, and that subgroup is the permutation's graph: one walk
-    of its (d + 2k) x 2k form gives I, J and the permutation.  Basis
-    rows are read as integer rows over each lattice's den.  All reported
-    numbers come from pure lattice algebra; every identity that must
-    relate them is verified before returning.
+    Each lattice of the diagram is built once, in 7 Hermite forms.  I
+    and J are the colours that csl1_inv and csl1 meet; under a colour
+    coincidence A carries each colour of csl1_inv to one colour of
+    csl1, and the colouring reads I, J and that permutation off the
+    images of csl1_inv's basis rows (`Colouring._colours_met`).  All
+    reported numbers come from pure lattice algebra; every identity
+    that must relate them is verified before returning.
     """
     parent = colouring.parent
     sub = colouring.sub
@@ -331,34 +256,15 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     # A(sub meet csl1_inv) = A(sub) meet A(csl1_inv) = A(sub) meet csl1
     cc = image_sub_in_csl == sub_in_csl
 
-    key = colouring._key_of_coords
-    coords = colouring._coords_of_ints
-    moduli = colouring._key_moduli
-    # custom reps renumber the mixed-radix indices through a table
-    table = colouring._table
-    rename = (lambda cs: cs) if table is None else (lambda cs: [table[c] for c in cs])
-    inv_keys = [key(coords(b, csl1_inv.den)) for b in csl1_inv.hnf_rows]
     perm = None
     if cc:
-        # A.b = b . A^T: the rows hnf_rows . N over den . q
-        num, den = amap._forward_ints
-        image_keys = [
-            key(coords(b, csl1_inv.den * den)) for b in mat_mul(csl1_inv.hnf_rows, num)
-        ]
-        sources, images = _walk(
-            [x + y for x, y in zip(inv_keys, image_keys)], moduli, graph=True
-        )
-        sources, images = rename(sources), rename(images)
-        if table is not None:
-            # the walk lists the sources by index, not by their table colours
-            sources, images = zip(*sorted(zip(sources, images)))
+        sources, images = colouring._colours_met(csl1_inv, amap._forward_ints)
         perm = tuple(zip(sources, images))
         set_i = tuple(sources)
         set_j = tuple(sorted(images))
     else:
-        fwd_keys = [key(coords(b, csl1.den)) for b in csl1.hnf_rows]
-        set_i = tuple(sorted(rename(_walk(inv_keys, moduli)[0])))
-        set_j = tuple(sorted(rename(_walk(fwd_keys, moduli)[0])))
+        set_i = tuple(colouring._colours_met(csl1_inv)[0])
+        set_j = tuple(colouring._colours_met(csl1)[0])
     analysis = ColouringAnalysis(
         m=colouring.m,
         sigma1=_two_sided_index(parent, image_parent, csl1),
@@ -432,11 +338,9 @@ def enumerate_square_rotations(max_den: int) -> list[CommensurableMap]:
     maps = []
     for n in sorted(pairs):
         for a, b in sorted(pairs[n], reverse=True):
-            maps.append(
-                commensurable_map(
-                    [[Fraction(a, n), Fraction(-b, n)], [Fraction(b, n), Fraction(a, n)]]
-                )
-            )
+            # a rotation has det 1 and its transpose as inverse
+            m = ((Fraction(a, n), Fraction(-b, n)), (Fraction(b, n), Fraction(a, n)))
+            maps.append(CommensurableMap(matrix=m, inverse=transpose(m), det=Fraction(1)))
     return maps
 
 
@@ -505,7 +409,8 @@ def census_contradictions(analysis: ColouringAnalysis, census: dict) -> list[str
     if analysis.colour_coincidence:
         perm = dict(analysis.permutation)
         for i, js in census["transfer"]:
-            if js != [perm[i]]:
+            # a colour outside I is already reported above
+            if i in perm and js != [perm[i]]:
                 problems.append(
                     f"colour {i} observed mapping to {js}, permutation says {perm[i]}"
                 )

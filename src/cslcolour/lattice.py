@@ -14,7 +14,10 @@ are the two diagonal blocks of one stacked Hermite form (`_stacked`),
 which also decides whether a coset meets a lattice; membership and
 coordinates are one forward substitution against the triangular
 hnf_rows, and an index is a ratio of pivot products.  A sublattice's
-basis in parent coordinates is triangular too (`_window_points`).
+basis in parent coordinates is triangular too, and so is the Hermite
+form of a colour subgroup: one walk over a triangular basis
+(`_box_prefixes`) lists a lattice's points in a window and the colours
+a lattice meets.
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `contains`, `transform`, custom
 representatives, `colour_of`) and rational output is formed (`basis`,
@@ -253,36 +256,98 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     return tuple(out)
 
 
+def _box_prefixes(
+    h: Sequence[Sequence[int]], lo: Sequence[int], hi: Sequence[int], depth: int
+) -> list[tuple[int, ...]]:
+    """The sums x . h[:depth] whose first `depth` coordinates lie in the box.
+
+    h is upper triangular with positive pivots, so once coordinates
+    0..j-1 of a sum are fixed, coordinate j runs over an arithmetic
+    progression with step h[j][j], cut to [lo[j], hi[j]].  The sums come
+    out in lexicographic order of those coordinates, at a cost
+    proportional to their number, not to the box.
+    """
+    sums = [(0,) * len(h[0])]
+    for j in range(depth):
+        row, p, low, high = h[j], h[j][j], lo[j], hi[j]
+        longer = []
+        for acc in sums:
+            for x in range(-((acc[j] - low) // p), (high - acc[j]) // p + 1):
+                longer.append(tuple(a + x * r for a, r in zip(acc, row)))
+        sums = longer
+    return sums
+
+
 def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
     """Parent coordinates in [-radius, radius]^d of the points of lat.
 
     Both Hermite bases are upper triangular with positive pivots, so
-    lat's basis rel in parent coordinates is too: once coordinates
-    0..j-1 of x.rel are fixed, coordinate j runs over an arithmetic
-    progression with step rel[j][j].  The points come out in the order
-    of product(box, repeat=d), at a cost proportional to the number of
-    points and of their prefixes, not to the box.
+    lat's basis rel in parent coordinates is too (`_box_prefixes`).
+    The points come out in the order of product(box, repeat=d).
     """
     rel = _relative_basis(parent, lat)
     d = len(rel)
-    # (fixed coordinates, sum of x_i . rel[i] over the fixed rows i)
-    prefixes = [((), (0,) * d)]
-    for j in range(d - 1):
-        step, row = rel[j][j], rel[j]
-        longer = []
-        for prefix, acc in prefixes:
-            for x in range(-((radius + acc[j]) // step), (radius - acc[j]) // step + 1):
-                acc_x = tuple(a + x * r for a, r in zip(acc, row))
-                longer.append((prefix + (acc_x[j],), acc_x))
-        prefixes = longer
     # the last coordinate joins each prefix as a slice of one column of
     # 1-tuples, with no arithmetic per point
     column = [(c,) for c in range(-radius, radius + 1)]
     step = rel[-1][-1]
     points = []
-    for prefix, acc in prefixes:
-        points.extend(map(prefix.__add__, column[(acc[-1] + radius) % step :: step]))
+    for acc in _box_prefixes(rel, (-radius,) * d, (radius,) * d, d - 1):
+        points.extend(map(acc[:-1].__add__, column[(acc[-1] + radius) % step :: step]))
     return points
+
+
+def _walk(
+    gens: Sequence[Sequence[int]], moduli: tuple[int, ...], graph: bool = False
+) -> tuple[list[int], list[int]]:
+    """Colours of the subgroup of Z_n1 x ... x Z_nk generated by `gens`.
+
+    The subgroup is the lattice span(gens) + diag(n).Z^k read modulo n:
+    its elements are that lattice's points in the box prod [0, n_j),
+    and an element's colour is its mixed-radix index, first digit most
+    significant, as `Colouring` numbers its keys.  The lattice's Hermite
+    form is upper triangular with pivots p_j that divide n_j, so the
+    last digit, of weight 1, runs over acc mod p + p.N below n for each
+    prefix acc of the box (`_box_prefixes`), and joins it as one range:
+    the colours come out in increasing order.
+
+    With `graph`, each generator is a pair (key | image key) and the
+    walk runs over moduli + moduli.  The pairs span the graph of a map
+    exactly when rows k..2k-1 of the form are (0 | diag(n)); then the
+    right half of each point is fixed by its left half, and the colours
+    of the right halves are returned in the order of the left ones.
+    Returns (colours, images); images is empty without `graph`.
+    """
+    k = len(moduli)
+    if k == 0:
+        return [0], [0] if graph else []
+    weights = [prod(moduli[j + 1:]) for j in range(k)]
+    mods = moduli * 2 if graph else moduli
+    width = len(mods)
+    h, _ = _hermite(
+        [list(g) for g in gens]
+        + [[n * (i == j) for j in range(width)] for i, n in enumerate(mods)]
+    )
+    if graph and any(
+        h[k + i] != [0] * k + [n * (i == j) for j in range(k)]
+        for i, n in enumerate(moduli)
+    ):
+        raise InternalInvariantViolation("colour graph is not a function")
+    row, p, n = h[k - 1], h[k - 1][k - 1], moduli[-1]
+    colours: list[int] = []
+    images: list[int] = []
+    for acc in _box_prefixes(h, (0,) * k, [x - 1 for x in moduli], k - 1):
+        base = sum(map(mul, acc[: k - 1], weights))
+        colours.extend(range(base + acc[k - 1] % p, base + n, p))
+        if graph:
+            first = -(acc[k - 1] // p)
+            steps = range(first, first + n // p)
+            columns = [
+                [(a + c * r) % q * w for c in steps]
+                for a, r, q, w in zip(acc[k:], row[k:], moduli, weights)
+            ]
+            images.extend(map(sum, zip(*columns)))
+    return colours, images
 
 
 def _radix_reps(colouring: Colouring) -> list[Vector]:
@@ -358,7 +423,6 @@ class Colouring:
                 radix.append((tuple(row[j] for row in v), self.moduli[j], weight))
             weight *= self.moduli[j]
         self._radix = tuple(reversed(radix))
-        self._key_moduli = tuple(n for _, n, _ in self._radix)
         self._table: Optional[list] = None
         self._reps: Optional[list[Vector]] = None
         if reps is not None:
@@ -399,14 +463,42 @@ class Colouring:
         (w,), q = clear_denominators([v])
         return self._coords_of_ints(w, q)
 
-    def _key_of_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        """The coset of parent coordinates as an element of Z_d1 x ... (d_j > 1)."""
-        return tuple(sum(map(mul, coords, col)) % modulus for col, modulus, _ in self._radix)
+    def _colours_met(
+        self, lat: Lattice, amap_ints: Optional[tuple[IntMatrix, int]] = None
+    ) -> tuple[list[int], list[int]]:
+        """The colours that lat meets, increasing, and the colours of their images.
+
+        They form the subgroup of parent/sub that the keys of lat's basis
+        rows generate (`_walk`).  With amap_ints = (N, q), a map
+        v -> v . N / q that carries each colour of lat to one colour, each
+        key is paired with the key of its row's image, and images[i] is
+        the image of colours[i]; without it images is empty.
+        """
+
+        def key(w, q):
+            coords = self._coords_of_ints(w, q)
+            return tuple(sum(map(mul, coords, col)) % n for col, n, _ in self._radix)
+
+        keys = [key(b, lat.den) for b in lat.hnf_rows]
+        if amap_ints is not None:
+            num, q = amap_ints
+            rows = mat_mul(lat.hnf_rows, num)
+            keys = [x + key(b, lat.den * q) for x, b in zip(keys, rows)]
+        moduli = tuple(n for _, n, _ in self._radix)
+        colours, images = _walk(keys, moduli, graph=amap_ints is not None)
+        if self._table is None:
+            return colours, images
+        # the table renumbers the walk's mixed-radix indices out of order
+        rename = self._table.__getitem__
+        if amap_ints is None:
+            return sorted(map(rename, colours)), images
+        pairs = sorted(zip(map(rename, colours), map(rename, images)))
+        return [c for c, _ in pairs], [j for _, j in pairs]
 
     def colour_of_coords(self, coords: Sequence[int]) -> int:
         """Colour index of a point given in integer parent coordinates."""
-        # the mixed-radix index of _key_of_coords(coords), inlined: this
-        # runs once per point of a census or a render
+        # the mixed-radix index of the key, inlined: this runs once per
+        # point of a census or a render
         index = 0
         for col, modulus, weight in self._radix:
             index += sum(map(mul, coords, col)) % modulus * weight

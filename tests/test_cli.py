@@ -171,6 +171,26 @@ def test_oracle_contradiction_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "OracleContradiction"
 
 
+def test_oracle_reports_an_unpredicted_colour_with_a_transfer(capsys, monkeypatch):
+    # planar example 2 is a colour coincidence, so its transfer is read
+    # against the permutation, which has no colour 7
+    census = cli_module.window_census
+
+    def with_colour_7(*args):
+        out = census(*args)
+        out["observed_I"].append(7)
+        out["transfer"].append([7, [0]])
+        return out
+
+    monkeypatch.setattr(cli_module, "window_census", with_colour_7)
+    code, out, err = run(capsys, "oracle", config("example2.json"))
+    assert code == 4
+    assert json.loads(out)["contradictions"] == [
+        "colours [7] observed in csl1_inv but not predicted"
+    ]
+    assert json.loads(err)["error"]["type"] == "OracleContradiction"
+
+
 # ---------------------------------------------------------------------------
 # render
 

@@ -285,12 +285,16 @@ def scanned_rotations(max_den):
 
 @pytest.mark.parametrize("max_den", [0, 1, 4, 5, 24, 25, 65, 299, 300])
 def test_enumerate_matches_the_quadratic_scan(max_den):
+    maps = enumerate_square_rotations(max_den)
     got = [
         (m.matrix[0][0] * n, m.matrix[1][0] * n, n)
-        for m in enumerate_square_rotations(max_den)
+        for m in maps
         for n in [lcm(*(x.denominator for row in m.matrix for x in row))]
     ]
     assert got == scanned_rotations(max_den)
+    # inverse and det are written down, not computed: they match the
+    # validated construction
+    assert maps == [commensurable_map(m.matrix) for m in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +389,60 @@ CONJUGATION_SAMPLE = random.Random(20261019).sample(
 )
 
 
+def change_of_coordinates_cases():
+    """100 planar corpus cases, the cubic rotations of norm <= 9 on the
+    cubic sublattices, and z^1..z^3 on three sublattices of the
+    eightfold module (two submodules and one that is not)."""
+    rotations = enumerate_square_rotations(40)
+    cases = [
+        (Colouring(Z2, lattice_new(SUBLATTICE_BASES[b])), rotations[r])
+        for r, b in CONJUGATION_SAMPLE
+    ]
+    z3 = standard_lattice(3)
+    cases += [
+        (Colouring(z3, lattice_new(sub_rows)), commensurable_map(rows))
+        for _, rows in cubic_rotations(9)
+        for sub_rows in CUBIC_SUBLATTICES
+    ]
+    z4 = standard_lattice(4)
+    module_subs = [
+        principal_submodule(cyc8(1, 0, 1, 0)),
+        principal_submodule(cyc8(1, 1, 0, 1)),
+        lattice_new([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ]
+    cases += [(Colouring(z4, sub), _module8_power(k)) for k in (1, 2, 3) for sub in module_subs]
+    return cases
+
+
 def test_analysis_is_invariant_under_change_of_coordinates():
     """Conjugating parent, sub and map by M keeps every index and the
     verdict; I, J and the permutation agree once each colour is renamed
     to the colour of its rep . M."""
     rng = random.Random(7)
-    rotations = enumerate_square_rotations(40)
     verdicts = Counter()
-    renamed = 0
-    for r, b in CONJUGATION_SAMPLE:
-        colouring = Colouring(Z2, lattice_new(SUBLATTICE_BASES[b]))
-        m = random_invertible(rng, 2)
-        conj, conj_map = conjugate(colouring, rotations[r], m)
-        before = analyze(colouring, rotations[r])
+    renamed = Counter()
+    for colouring, amap in change_of_coordinates_cases():
+        d = colouring.parent.dim
+        m = random_invertible(rng, d)
+        conj, conj_map = conjugate(colouring, amap, m)
+        before = analyze(colouring, amap)
         after = analyze(conj, conj_map)
         fields = ("m", "sigma1", "sigma2", "s", "t", "u", "v", "colour_coincidence")
         assert [getattr(after, f) for f in fields] == [getattr(before, f) for f in fields]
         assert after.csl1 == lattice_new(mat_mul(before.csl1.basis, m))
         rename = [colour_of(conj, vec_mat(rep, m)) for rep in colouring.reps]
         assert sorted(rename) == list(range(colouring.m))
-        renamed += rename != sorted(rename)
+        renamed[d] += rename != sorted(rename)
         assert after.set_I == tuple(sorted(rename[i] for i in before.set_I))
         assert after.set_J == tuple(sorted(rename[j] for j in before.set_J))
         if before.permutation is not None:
             assert after.permutation == tuple(
                 sorted((rename[i], rename[j]) for i, j in before.permutation)
             )
-        verdicts[before.colour_coincidence] += 1
-    assert verdicts[True] and verdicts[False]
-    assert renamed
+        verdicts[d, before.colour_coincidence] += 1
+    for d in (2, 3, 4):
+        assert verdicts[d, True] and verdicts[d, False]
+        assert renamed[d]
 
 
 def test_coincidence_index_of_a_product_divides_the_product_of_indices():
@@ -511,6 +540,11 @@ def test_census_contradictions_detects_tampering():
     bad_colours = dict(census)
     bad_colours["observed_I"] = census["observed_I"] + [7]
     assert census_contradictions(a, bad_colours) != []
+    # an unpredicted csl1_inv colour with a transfer is reported once, not looked up
+    bad_colours["transfer"] = census["transfer"] + [[7, [0]]]
+    assert census_contradictions(a, bad_colours) == [
+        "colours [7] observed in csl1_inv but not predicted"
+    ]
 
 
 def test_census_observes_subsets_across_corpus():

@@ -7,7 +7,7 @@ cosets of the sublattice S in Z^d, keyed by x.adj(S) mod |det S|; the
 CSLs are scanned modulo n.Z^d (n the denominator of the rotation, so
 n.Z^d lies in both CSLs) and closed under addition.  Colour indices are
 read off the colouring's representatives.  It runs for d = 2 and 3.
-The same closure is the reference for `coincidence._walk`, which lists a
+The same closure is the reference for `lattice._walk`, which lists a
 subgroup of Z_n1 x ... x Z_nk from one Hermite form.
 """
 
@@ -380,14 +380,18 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
 
 
 def test_a_graph_that_is_not_a_function_is_caught(monkeypatch):
-    original = coincidence_module._hermite
+    original = lattice_module._hermite
 
     def with_second_image(rows):
+        if len(rows) <= len(rows[0]):
+            # a lattice's form; only the walk's, generators plus diag(n),
+            # has more rows than columns
+            return original(rows)
         # the pair (0 | e_0) sends colour 0 to a second colour as well
         half = len(rows[0]) // 2
         return original(list(rows) + [[0] * half + [1] + [0] * (half - 1)])
 
-    monkeypatch.setattr(coincidence_module, "_hermite", with_second_image)
+    monkeypatch.setattr(lattice_module, "_hermite", with_second_image)
     colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
     with pytest.raises(InternalInvariantViolation, match="not a function"):
         analyze(colouring, rotation(4, 3, 5))
@@ -405,7 +409,7 @@ def radix(key, moduli):
     return index
 
 
-walk = coincidence_module._walk
+walk = lattice_module._walk
 
 
 def adder(moduli):

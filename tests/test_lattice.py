@@ -623,3 +623,45 @@ def test_coset_meets_lattice_absent_iff_outside_sum():
     for p in product(range(-4, 5), repeat=2):
         witness = coset_meets_lattice(p, sub, lat)
         assert (witness is not None) == contains(joined, p)
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk over a triangular basis, against a box scan
+
+
+def box_scan_prefixes(h, lo, hi, depth):
+    """Every point of the box on the first `depth` coordinates, in product
+    order, kept when it is x . h[:depth] for an integer x (solved in
+    Fractions), as that full sum."""
+    out = []
+    for y in product(*(range(lo[j], hi[j] + 1) for j in range(depth))):
+        x = []
+        for j in range(depth):
+            xj = Fraction(y[j] - sum(x[i] * h[i][j] for i in range(j)), h[j][j])
+            if xj.denominator != 1:
+                break
+            x.append(int(xj))
+        else:
+            out.append(tuple(sum(x[i] * h[i][c] for i in range(depth)) for c in range(len(h[0]))))
+    return out
+
+
+@st.composite
+def triangular_boxes(draw):
+    """Upper triangular h with positive pivots, d = 1..4, and a box lo <= hi."""
+    d = draw(st.integers(1, 4))
+    h = [
+        [0] * j + [draw(st.integers(1, 4))] + [draw(st.integers(-5, 5)) for _ in range(d - j - 1)]
+        for j in range(d)
+    ]
+    lo = [draw(st.integers(-6, 3)) for _ in range(d)]
+    hi = [low + draw(st.integers(0, 6)) for low in lo]
+    return h, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_boxes())
+def test_box_prefixes_match_a_box_scan(case):
+    h, lo, hi = case
+    for depth in range(len(h) + 1):
+        assert lattice_module._box_prefixes(h, lo, hi, depth) == box_scan_prefixes(h, lo, hi, depth)
