@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 import cslcolour
@@ -103,7 +104,8 @@ def load_job_config(path: str) -> JobConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError (bytes read as UTF-16 or -32) is a ValueError too
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
     dim = raw.get("dim")
@@ -211,8 +213,12 @@ def build_colouring(cfg: JobConfig) -> Colouring:
     return colouring
 
 
-def _basis_strings(lat: Lattice) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in lat.basis]
+def _rational_strings(rows, den: int) -> list[list[str]]:
+    """Each entry x / den of the integer rows as `format_rational` writes it."""
+    return [
+        [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
+        for row in rows
+    ]
 
 
 def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
@@ -234,10 +240,10 @@ def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
             if analysis.permutation is not None
             else None
         ),
-        "reps": [[format_rational(x) for x in rep] for rep in colouring.reps],
-        "csl1_basis": _basis_strings(analysis.csl1),
-        "csl1_inv_basis": _basis_strings(analysis.csl1_inv),
-        "csl2_basis": _basis_strings(analysis.csl2),
+        "reps": _rational_strings(colouring.rep_rows, colouring.parent.den),
+        "csl1_basis": _rational_strings(analysis.csl1.hnf_rows, analysis.csl1.den),
+        "csl1_inv_basis": _rational_strings(analysis.csl1_inv.hnf_rows, analysis.csl1_inv.den),
+        "csl2_basis": _rational_strings(analysis.csl2.hnf_rows, analysis.csl2.den),
     }
     if census is not None:
         contradictions = census_contradictions(analysis, census)

@@ -77,8 +77,8 @@ class CommensurableMap:
 
     Carries its exact inverse and determinant.  Build through
     :func:`commensurable_map`, which validates invertibility.  The
-    integer forms of A^T and A^-T, which the lattice algebra uses, are
-    built on first use and kept.
+    integer form of A^T, which the lattice algebra uses, is built on
+    first use and kept; that of A^-T is `inverse_map`'s.
     """
 
     matrix: RatMatrix
@@ -99,11 +99,6 @@ class CommensurableMap:
     def _forward_ints(self) -> tuple[IntMatrix, int]:
         """A^T as (N, q) with A^T = N / q: v -> v . A^T on integer rows."""
         return clear_denominators(transpose(self.matrix))
-
-    @cached_property
-    def _backward_ints(self) -> tuple[IntMatrix, int]:
-        """A^-T as (N, q), the same form for the inverse map."""
-        return clear_denominators(transpose(self.inverse))
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(x) for x in v)
@@ -249,7 +244,7 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     parent = colouring.parent
     sub = colouring.sub
     image_parent, csl1 = _image_and_csl(parent, amap)
-    csl1_inv = _image(csl1, *amap._backward_ints)
+    csl1_inv = _image(csl1, *amap.inverse_map._forward_ints)
     image_sub, csl2 = _image_and_csl(sub, amap)
     sub_in_csl = intersect(sub, csl1)
     image_sub_in_csl = intersect(image_sub, csl1)

@@ -21,7 +21,7 @@ a lattice meets.
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `contains`, `transform`, custom
 representatives, `colour_of`) and rational output is formed (`basis`,
-`det_abs`, `coset_reps`, witnesses).
+`det_abs`, `Colouring.reps` and `coset_reps`, witnesses).
 """
 
 from __future__ import annotations
@@ -350,26 +350,16 @@ def _walk(
     return colours, images
 
 
-def _radix_reps(colouring: Colouring) -> list[Vector]:
-    """Each coset's one point in the box prod range(rel[j][j]), by colour."""
-    parent = colouring.parent
+def _radix_reps(colouring: Colouring) -> tuple[tuple[int, ...], ...]:
+    """Each coset's one point in the box prod range(rel[j][j]), by colour, as `rep_rows`."""
+    hnf_rows = colouring.parent.hnf_rows
     reps: list = [None] * colouring.m
-    # one Fraction per distinct entry, shared by all the reps that hold it:
-    # the reps live as long as the colouring, and every object they hold
-    # is one more for each full garbage collection to scan
-    entries: dict[int, Fraction] = {}
     for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):
         colour = colouring.colour_of_coords(coords)
         if reps[colour] is not None:
             raise InternalInvariantViolation("two points of the Hermite box share a coset")
-        rep = []
-        for x in vec_mat(coords, parent.hnf_rows):
-            entry = entries.get(x)
-            if entry is None:
-                entry = entries[x] = Fraction(x, parent.den)
-            rep.append(entry)
-        reps[colour] = tuple(rep)
-    return reps
+        reps[colour] = vec_mat(coords, hnf_rows)
+    return tuple(reps)
 
 
 def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
@@ -389,12 +379,13 @@ class Colouring:
     D = U.rel.V the SNF of sub's basis in parent coordinates, the point
     with integer parent coordinates c lies in the coset keyed by
     (c.V)_j mod d_j, and its colour is the mixed-radix index of that
-    key, first factor most significant.  The default reps are computed
-    on first access: rel is triangular, so each coset has one point in
-    the box prod range(rel[j][j]), stored as reps[its colour], and
-    reps[0] is 0.  Custom representatives may be supplied (validated);
-    they renumber the colours through a table indexed by the same
-    mixed-radix key.
+    key, first factor most significant.  The reps are kept as integer
+    rows over parent.den (`rep_rows`), and `reps` is their rational
+    view.  The default rows are built on first access: rel is
+    triangular, so each coset has one point in the box
+    prod range(rel[j][j]), stored at its colour, and row 0 is 0.
+    Custom representatives may be supplied (validated); they renumber
+    the colours through a table indexed by the same mixed-radix key.
     """
 
     def __init__(
@@ -424,7 +415,7 @@ class Colouring:
             weight *= self.moduli[j]
         self._radix = tuple(reversed(radix))
         self._table: Optional[list] = None
-        self._reps: Optional[list[Vector]] = None
+        self._rep_rows: Optional[tuple[tuple[int, ...], ...]] = None
         if reps is not None:
             chosen = [tuple(row) for row in rat_matrix(reps)]
             if any(len(rep) != parent.dim for rep in chosen):
@@ -435,20 +426,29 @@ class Colouring:
                 raise ValueError("first representative must be the zero vector")
             # no table yet, so colour_of_coords gives the mixed-radix index
             table = [None] * self.m
+            rows = []
             for i, rep in enumerate(chosen):
-                key = self.colour_of_coords(self._coords_of_point(rep))
+                coords = self._coords_of_point(rep)
+                key = self.colour_of_coords(coords)
                 if table[key] is not None:
                     raise ValueError("representatives are congruent mod sub")
                 table[key] = i
+                rows.append(vec_mat(coords, parent.hnf_rows))
             self._table = table
-            self._reps = chosen
+            self._rep_rows = tuple(rows)
+
+    @property
+    def rep_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The reps as integer rows: reps[i] is rep_rows[i] / parent.den."""
+        if self._rep_rows is None:
+            self._rep_rows = _radix_reps(self)
+        return self._rep_rows
 
     @property
     def reps(self) -> list[Vector]:
         """Colour i is the coset reps[i] + sub; reps[0] is the zero vector."""
-        if self._reps is None:
-            self._reps = _radix_reps(self)
-        return self._reps
+        den = self.parent.den
+        return [tuple(Fraction(x, den) for x in row) for row in self.rep_rows]
 
     def _coords_of_ints(self, w: Sequence[int], q: int = 1) -> tuple[int, ...]:
         """Integer parent coordinates of the point w / q; raises NotInParent."""

@@ -2,19 +2,17 @@
 
 One circle per lattice point, fill taken from the palette by colour
 index, origin marked with an extra ring.  All classification is exact;
-floats appear only when coordinates are written out, with a fixed
-format, so repeated renders are byte-identical.
+positions are correctly rounded int / int divisions of integer rows,
+written with a fixed format, so repeated renders are byte-identical.
 """
 
 from __future__ import annotations
 
 import colorsys
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from cslcolour.coincidence import CommensurableMap, csl, is_coincidence
-from cslcolour.cyclo8 import star_coords
 from cslcolour.errors import NotCoincidence, UnsupportedDimension
 from cslcolour.lattice import Colouring, _window_points
 from cslcolour.ratmat import vec_mat
@@ -46,10 +44,10 @@ def _embed_planar(colouring: Colouring, coords: Sequence[int]) -> tuple[float, f
 
 
 def _embed_star(colouring: Colouring, coords: Sequence[int]) -> tuple[float, float]:
-    parent = colouring.parent
-    ambient = [Fraction(a, parent.den) for a in vec_mat(coords, parent.hnf_rows)]
-    (xr, xs), (yr, ys) = star_coords(ambient)
-    return float(xr) + float(xs) * SQRT2, float(yr) + float(ys) * SQRT2
+    den = colouring.parent.den
+    a0, a1, a2, a3 = vec_mat(coords, colouring.parent.hnf_rows)
+    # cyclo8.star_coords of the row over den, each rational part rounded once as above
+    return a0 / den + (a1 - a3) / (2 * den) * SQRT2, a2 / den + (a1 + a3) / (2 * den) * SQRT2
 
 
 def render_svg(

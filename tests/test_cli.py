@@ -24,6 +24,9 @@ import cslcolour
 import cslcolour.cli as cli_module
 import cslcolour.lattice as lattice_module
 from cslcolour.cli import main
+from cslcolour.coincidence import analyze, commensurable_map
+from cslcolour.lattice import Colouring, lattice_new
+from cslcolour.ratmat import format_rational
 
 CONFIG_DIR = Path(cslcolour.__file__).parent / "configs"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -97,6 +100,42 @@ def test_analyze_rectangular_defaults_reps(capsys):
     assert report["colour_coincidence"] is False
     assert len(report["reps"]) == 2
     assert report["reps"][0] == ["0", "0"]
+
+
+# a parent with den 2 and a non-diagonal Hermite basis, [[1, 2], [0, 5]] / 2,
+# coloured by a sublattice of index 6 under the 3-4-5 rotation
+RATIONAL_PARENT = [["1/2", "1"], ["0", "5/2"]]
+RATIONAL_PARENT_SUB = [["1", "9/2"], ["0", "15/2"]]
+ROTATION_345 = [["4/5", "-3/5"], ["3/5", "4/5"]]
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["default-reps", "custom-reps"])
+def test_report_strings_on_a_rational_parent(capsys, tmp_path, custom):
+    parent, sub = lattice_new(RATIONAL_PARENT), lattice_new(RATIONAL_PARENT_SUB)
+    reps = None
+    if custom:
+        # the default reps, renumbered and moved by sublattice vectors
+        default, (b0, b1) = Colouring(parent, sub).reps, sub.basis
+        reps = [default[0]] + [
+            tuple(x + (i % 3 - 1) * r + (i % 2) * t for x, r, t in zip(rep, b0, b1))
+            for i, rep in enumerate(default[:0:-1])
+        ]
+    colouring = Colouring(parent, sub, reps=reps)
+    analysis = analyze(colouring, commensurable_map(ROTATION_345))
+    path = variant(
+        tmp_path, "example1.json", parent_basis=RATIONAL_PARENT, sub_basis=RATIONAL_PARENT_SUB,
+        map=ROTATION_345,
+        reps=[[format_rational(x) for x in rep] for rep in reps] if custom else None,
+    )
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["m"] == 6 and parent.den == 2
+    assert report["reps"] == [[format_rational(x) for x in rep] for rep in colouring.reps]
+    assert any("/" in x for rep in report["reps"] for x in rep)
+    for name in ("csl1", "csl1_inv", "csl2"):
+        basis = getattr(analysis, name).basis
+        assert report[f"{name}_basis"] == [[format_rational(x) for x in row] for row in basis]
 
 
 def test_analyze_rank4(capsys):
@@ -680,6 +719,32 @@ def test_fuzzed_configs_exit_with_a_documented_code_and_one_error(command, text)
         error = json.loads(lines[0])
         assert list(error) == ["error"]
         assert set(error["error"]) == {"type", "message"}
+
+
+# bytes that json.load cannot decode: NUL bytes make it guess UTF-16 or
+# UTF-32, a truncated UTF-16 byte-order mark, and nesting past the recursion limit
+MALFORMED_CONFIG_BYTES = {
+    "nul-bytes": "\x00000000".encode(),
+    "fuzzed-nul-bytes": "0\x0000000".encode(),
+    "truncated-utf16-bom": b"\xff\xfe\x00",
+    "deep-nesting": b"[" * 200000,
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CONFIG_BYTES))
+@pytest.mark.parametrize("command", [["analyze"], ["oracle"], ["render", "--mode", "parent"]])
+def test_undecodable_config_bytes_are_one_config_error(capsys, tmp_path, command, name):
+    path = tmp_path / "job.json"
+    path.write_bytes(MALFORMED_CONFIG_BYTES[name])
+    argv = [command[0], str(path), *command[1:]]
+    if command[0] == "render":
+        argv += ["--out", str(tmp_path / "fig.svg")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("config is not valid JSON")
 
 
 # ---------------------------------------------------------------------------

@@ -543,24 +543,22 @@ def test_default_reps_are_coset_reps_and_lazy(monkeypatch, parent_rows, sub_rows
     colouring = Colouring(parent, sub)
     assert built == []
     assert colouring.reps == coset_reps(parent, sub)
-    assert colouring.reps is colouring.reps
+    assert colouring.rep_rows is colouring.rep_rows
     assert len(built) == 2  # once for the colouring, once for coset_reps
+    assert colouring.reps == [
+        tuple(Fraction(x, parent.den) for x in row) for row in colouring.rep_rows
+    ]
     for i, rep in enumerate(colouring.reps):
         assert colour_of(colouring, rep) == i
-
-
-def test_reps_share_one_fraction_per_distinct_entry():
-    # 40.Z^2 has 1600 reps with entries in 0..39: 40 Fractions, not 3200
-    reps = Colouring(Z2, lattice_new([[40, 0], [0, 40]])).reps
-    entries = {id(x): x for rep in reps for x in rep}
-    assert len(reps) == 1600
-    assert len(entries) == len(set(entries.values())) == 40
 
 
 def test_custom_reps_number_the_colours():
     reps = SCRAMBLED_5Z2_REPS
     colouring = Colouring(Z2, lattice_new([[5, 0], [0, 5]]), reps=reps)
     assert colouring.reps == [tuple(Fraction(x) for x in rep) for rep in reps]
+    assert colouring.rep_rows == tuple(tuple(rep) for rep in reps)
+    with pytest.raises(AttributeError):
+        colouring.rep_rows = ()
     for i, rep in enumerate(colouring.reps):
         assert colour_of(colouring, rep) == i
         assert colour_of(colouring, (rep[0] + 5, rep[1] - 10)) == i

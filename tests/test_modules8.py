@@ -7,12 +7,14 @@ analysis values.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cslcolour.render as render_module
 from cslcolour.coincidence import analyze, sigma
 from cslcolour.cyclo8 import (
     AMMANN_BEENKER_ROTATION,
@@ -29,6 +31,7 @@ from cslcolour.cyclo8 import (
 from cslcolour.errors import ZeroElement
 from cslcolour.lattice import (
     Colouring,
+    _window_points,
     contains,
     coset_reps,
     index,
@@ -36,7 +39,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import det_rat, mat_mul
+from cslcolour.ratmat import det_rat, mat_mul, vec_mat
 
 Z4 = standard_lattice(4)
 ONE_PLUS_XI2 = cyc8(1, 0, 1, 0)
@@ -215,6 +218,21 @@ def test_star_coords_numeric_rotation_check():
     y = float(yr) + float(ys) * s2
     assert x == pytest.approx(-1 / 3)
     assert x * x + y * y == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "parent", [Z4, principal_submodule(AMMANN_BEENKER_ROTATION)], ids=["Z4", "den3-submodule"]
+)
+def test_star_render_embedding_is_the_star_coords_formula(parent):
+    colouring = Colouring(parent, parent)
+    sqrt2 = math.sqrt(2.0)
+    points = _window_points(parent, parent, 2)
+    assert len(points) == 5**4
+    for coords in points:
+        ambient = [Fraction(a, parent.den) for a in vec_mat(coords, parent.hnf_rows)]
+        (xr, xs), (yr, ys) = star_coords(ambient)
+        want = (float(xr) + float(xs) * sqrt2, float(yr) + float(ys) * sqrt2)
+        assert render_module._embed_star(colouring, coords) == want
 
 
 @settings(max_examples=40)
