@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Optional
 
@@ -46,6 +47,9 @@ COLOUR_BUDGET = 100_000
 ROTATION_BUDGET = 2_000
 # a palette entry is written into SVG attributes, so only #rrggbb passes
 HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")
+# how json.dumps writes the two scalar types of a report's long lists;
+# bool is left out, as json writes it in lower case
+_FLAT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 @dataclass
@@ -213,12 +217,24 @@ def build_colouring(cfg: JobConfig) -> Colouring:
     return colouring
 
 
+def _over_digit_limit(exc: ValueError) -> ConfigError:
+    """The error for an int too long for str(), over 4300 digits by Python's default."""
+    return ConfigError(f"a report entry is over the integer digit limit: {exc}")
+
+
 def _rational_strings(rows, den: int) -> list[list[str]]:
-    """Each entry x / den of the integer rows as `format_rational` writes it."""
-    return [
-        [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
-        for row in rows
-    ]
+    """Each entry x / den of the integer rows as `format_rational` writes it.
+
+    Raises ConfigError when an entry has more digits than Python's limit
+    on int-to-str conversion.
+    """
+    try:
+        return [
+            [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
+            for row in rows
+        ]
+    except ValueError as exc:
+        raise _over_digit_limit(exc) from None
 
 
 def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
@@ -261,8 +277,42 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _indented(value, pad: str) -> str:
+    """`json.dumps(value, indent=2)` for a value nested at indent `pad`.
+
+    A non-empty list, and a non-empty dict with str keys, are written
+    item by item; a list whose items are all str or int (`_FLAT`) is
+    joined in one go.  The rest goes through json.dumps, whose output has
+    a raw newline only between lines, since ensure_ascii escapes those
+    inside strings.
+    """
+    inner = pad + "  "
+    if type(value) is list and value:
+        try:
+            items = [_FLAT[type(x)](x) for x in value]
+        except KeyError:
+            items = [_indented(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    # a scalar is written alike with or without indent, and without it
+    # json.dumps takes its cached C encoder
+    return json.dumps(value)
+
+
 def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """`json.dumps(report, indent=2)` and a newline, byte for byte.
+
+    Raises ConfigError when an integer of the report, such as sigma in
+    dimension 4, has more digits than Python writes.
+    """
+    try:
+        return _indented(report, "") + "\n"
+    except ValueError as exc:
+        raise _over_digit_limit(exc) from None
 
 
 def cmd_analyze(args) -> int:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -351,14 +350,31 @@ def _walk(
 
 
 def _radix_reps(colouring: Colouring) -> tuple[tuple[int, ...], ...]:
-    """Each coset's one point in the box prod range(rel[j][j]), by colour, as `rep_rows`."""
-    hnf_rows = colouring.parent.hnf_rows
+    """Each coset's one point in the box prod range(rel[j][j]), by colour, as `rep_rows`.
+
+    The box has exactly m points, in the order of product(range(p_j)).
+    Each entry of a point's row c . hnf_rows, and each factor's key
+    c . V_j before reduction, is built over the whole box as one flat
+    list, one coordinate at a time, so the colours are one mixed-radix
+    sum per point, as `colour_of_coords` gives them.  Two points in one
+    coset would leave a colour without a row.
+    """
+    h = colouring.parent.hnf_rows
+    radix = colouring._radix
+    # the step that coordinate j adds to each row entry and to each key
+    steps = [(*h[j], *(col[j] for col, _, _ in radix)) for j in range(len(h))]
+    lines = [[0] for _ in steps[0]]
+    for j, row in enumerate(colouring._rel):
+        box = range(row[j])
+        lines = [[a + t * s for a in line for t in box] for line, s in zip(lines, steps[j])]
+    colours = [0] * len(lines[0])
+    for (_, n, w), keys in zip(radix, lines[len(h):]):
+        colours = [c + k % n * w for c, k in zip(colours, keys)]
     reps: list = [None] * colouring.m
-    for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):
-        colour = colouring.colour_of_coords(coords)
-        if reps[colour] is not None:
-            raise InternalInvariantViolation("two points of the Hermite box share a coset")
-        reps[colour] = vec_mat(coords, hnf_rows)
+    for colour, point in zip(colours, zip(*lines[: len(h)])):
+        reps[colour] = point
+    if None in reps:
+        raise InternalInvariantViolation("two points of the Hermite box share a coset")
     return tuple(reps)
 
 

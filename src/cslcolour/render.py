@@ -23,14 +23,26 @@ BASE_PALETTE = ["#000000", "#ffff00", "#0000ff", "#ff0000", "#808080", "#008000"
 RENDER_MODES = ("parent", "csl", "csl-inv")
 
 
+def _palette_entry(i: int) -> str:
+    """Colour i of the default palette: a base colour, then golden-angle HSL steps."""
+    if i < len(BASE_PALETTE):
+        return BASE_PALETTE[i]
+    hue = (137.508 * (i - 5)) % 360.0
+    r, g, b = colorsys.hls_to_rgb(hue / 360.0, 0.5, 0.65)
+    return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
+
+
 def default_palette(m: int) -> list[str]:
-    """First six fixed colours, then golden-angle HSL steps."""
-    colours = list(BASE_PALETTE[:m])
-    while len(colours) < m:
-        hue = (137.508 * (len(colours) - 5)) % 360.0
-        r, g, b = colorsys.hls_to_rgb(hue / 360.0, 0.5, 0.65)
-        colours.append(f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}")
-    return colours
+    """The first m colours of the default palette (`_palette_entry`)."""
+    return [_palette_entry(i) for i in range(m)]
+
+
+class _DrawnPalette(dict):
+    """The default palette, each entry computed when a point first draws it."""
+
+    def __missing__(self, i: int) -> str:
+        entry = self[i] = _palette_entry(i)
+        return entry
 
 
 SQRT2 = math.sqrt(2.0)
@@ -64,6 +76,9 @@ def render_svg(
     mode "parent" draws every parent point with integer basis
     coordinates in [-radius, radius]^d; "csl" and "csl-inv" draw only
     the points of the forward / inverse coincidence site lattice.
+    A point of colour i is filled with palette[i], so `palette` needs m
+    entries.  Without one, the fills are `default_palette(m)`, but
+    only the entries of the colours drawn are computed.
     """
     if mode not in RENDER_MODES:
         raise ValueError(f"mode must be one of {RENDER_MODES}")
@@ -83,9 +98,12 @@ def render_svg(
         raise UnsupportedDimension(
             f"cannot draw dimension {d} without a star embedding"
         )
-    colours = list(palette) if palette is not None else default_palette(colouring.m)
-    if len(colours) < colouring.m:
+    if palette is None:
+        colours = _DrawnPalette()
+    elif len(palette) < colouring.m:
         raise ValueError(f"palette needs at least {colouring.m} colours")
+    else:
+        colours = palette
     if not is_coincidence(parent, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
     # walk only the lattice shown; the parent's walk covers the whole box

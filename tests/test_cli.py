@@ -11,13 +11,14 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslcolour
@@ -136,6 +137,58 @@ def test_report_strings_on_a_rational_parent(capsys, tmp_path, custom):
     for name in ("csl1", "csl1_inv", "csl2"):
         basis = getattr(analysis, name).basis
         assert report[f"{name}_basis"] == [[format_rational(x) for x in row] for row in basis]
+
+
+def rotation_block(a: int, b: int) -> list[list[str]]:
+    """The rotation (p/c, -q/c; q/c, p/c) with c = a^2 + b^2, p = a^2 - b^2, q = 2ab."""
+    c, p, q = a * a + b * b, a * a - b * b, 2 * a * b
+    return [[f"{p}/{c}", f"{-q}/{c}"], [f"{q}/{c}", f"{p}/{c}"]]
+
+
+def identity_rows(d: int) -> list[list[str]]:
+    return [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+
+
+def block_diagonal(r1, r2) -> list[list[str]]:
+    return [row + ["0", "0"] for row in r1] + [["0", "0"] + row for row in r2]
+
+
+# Each input entry has at most 4300 digits, but the report does not:
+# - d = 2, c of 4300 digits: csl2_basis has an entry of 4305 digits;
+# - d = 4, two rotations with coprime c of 2200 digits: every basis
+#   entry is short, but sigma1 = c1.c2 has 4400 digits.
+DIGIT_LIMIT_CASES = {
+    "basis-entry": dict(
+        sub_basis=[["99991", "0"], ["0", "1"]],
+        map=rotation_block(int("7" * 2150), int("3" * 2149)),
+    ),
+    "sigma": dict(
+        dim=4, parent_basis=identity_rows(4), sub_basis=identity_rows(4),
+        map=block_diagonal(
+            rotation_block(int("7" * 1100), int("3" * 1099)),
+            rotation_block(int("8" * 1100), int("1" * 1099)),
+        ),
+    ),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("case", DIGIT_LIMIT_CASES)
+def test_report_over_the_integer_digit_limit_is_one_config_error(capsys, tmp_path, case):
+    path = variant(tmp_path, "example1.json", reps=None, **DIGIT_LIMIT_CASES[case])
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        code, out, err = run(capsys, "analyze", path)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError"
+    assert "digit limit" in error["message"] and "4300" in error["message"]
 
 
 def test_analyze_rank4(capsys):
@@ -745,6 +798,42 @@ def test_undecodable_config_bytes_are_one_config_error(capsys, tmp_path, command
     error = json.loads(line)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith("config is not valid JSON")
+
+
+# ---------------------------------------------------------------------------
+# the report writer: json.dumps(report, indent=2) byte for byte
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(-(10**4000) + 1, 10**4000 - 1),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(st.text() | st.integers(), min_size=1, max_size=5)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+@example({
+    "\u00e9\n\"\\\u2028": [
+        [], {}, ["a", -3, "\u00e9"], [True, None, 1.5, float("nan"), -float("inf")]
+    ],
+    "": {"long": [10**3999, -(10**3999)], "k": [[[]], {"": {}}]},
+})
+def test_report_writer_is_json_dumps_indent_2(value):
+    assert cli_module._report_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_report_echoes_an_unknown_key_as_json_dumps_writes_it(capsys, tmp_path):
+    note = [1.5, None, True, {"\u00e9": 'x"y'}]
+    path = variant(tmp_path, "example1.json", note=note)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["config"]["note"] == note
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,19 @@ corpus and a list of sublattices of index up to 12.
 
 from __future__ import annotations
 
+import colorsys
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
 
-from cslcolour import render
+from cslcolour import cli, render
 from cslcolour.coincidence import (
     analyze,
     census_contradictions,
@@ -47,6 +49,8 @@ from cslcolour.lattice import (
     transform,
 )
 from cslcolour.ratmat import det_rat, mat_mul, rat_inverse, transpose, vec_mat
+
+CONFIG_DIR = Path(cli.__file__).parent / "configs"
 
 Z2 = standard_lattice(2)
 ROT = commensurable_map([["4/5", "-3/5"], ["3/5", "4/5"]])
@@ -668,6 +672,42 @@ def test_render_svg_builds_only_the_csl_its_mode_reads(monkeypatch, mode, highli
     monkeypatch.setattr(render, "csl", counting)
     render.render_svg(EX1, ROT, mode, 3, highlight_csl=highlight)
     assert calls == built
+
+
+def bundled_render_job(name):
+    """(colouring, map, radius, render options) of a bundled config."""
+    cfg = cli.load_job_config(str(CONFIG_DIR / name))
+    options = {"highlight_csl": cfg.highlight_csl, "star_embedding": cfg.star_embedding}
+    return cli.build_colouring(cfg), cfg.amap, cfg.render_radius, options
+
+
+RENDER_JOBS = {
+    "example1": lambda: bundled_render_job("example1.json"),
+    "ammann_beenker": lambda: bundled_render_job("ammann_beenker.json"),
+    "z2-m4000": lambda: (
+        Colouring(Z2, lattice_new([[4000, 0], [0, 1]])), ROT, 8, {"highlight_csl": True}
+    ),
+}
+
+
+@pytest.mark.parametrize("job", RENDER_JOBS)
+def test_render_svg_without_a_palette_draws_the_default_palette(job):
+    colouring, amap, radius, options = RENDER_JOBS[job]()
+    full = render.default_palette(colouring.m)
+    for mode in render.RENDER_MODES:
+        assert render.render_svg(colouring, amap, mode, radius, **options) == render.render_svg(
+            colouring, amap, mode, radius, palette=full, **options
+        )
+
+
+def test_render_svg_computes_default_entries_only_for_the_colours_drawn(monkeypatch):
+    calls = []
+    original = colorsys.hls_to_rgb
+    monkeypatch.setattr(colorsys, "hls_to_rgb", lambda *args: calls.append(1) or original(*args))
+    colouring = Colouring(Z2, lattice_new([[10**5, 0], [0, 1]]))
+    svg = render.render_svg(colouring, ROT, "parent", 8, highlight_csl=True)
+    drawn = set(re.findall(r'data-colour="(\d+)"', svg))
+    assert 0 < len(calls) <= len(drawn) < 300
 
 
 def test_render_svg_refuses_a_non_coincidence_in_every_mode():

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslcolour.lattice as lattice_module
@@ -36,7 +36,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import det_rat, mat_mul
+from cslcolour.ratmat import det_rat, mat_mul, vec_mat
 
 Z2 = standard_lattice(2)
 EX1_SUB = lattice_new([[6, 0], [2, 1]])
@@ -543,6 +543,55 @@ def test_coset_reps_classify_to_distinct_colours():
         colouring = Colouring(Z2, sub)
         m = colouring.m
         assert sorted(colour_of(colouring, rep) for rep in colouring.reps) == list(range(m))
+
+
+def radix_reps_one_colour_at_a_time(colouring):
+    """The default rows by one colour lookup and one product per box point.
+
+    The reference for `lattice._radix_reps`, which builds the same rows
+    as flat lists over the whole box.
+    """
+    rows = [None] * colouring.m
+    for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):
+        colour = colouring.colour_of_coords(coords)
+        assert rows[colour] is None, "two points of the Hermite box share a coset"
+        rows[colour] = vec_mat(coords, colouring.parent.hnf_rows)
+    return tuple(rows)
+
+
+@st.composite
+def rational_parents_and_subs(draw):
+    """A parent of den up to 6 in d = 1..4 and a sublattice of index <= 5000.
+
+    Every sublattice has an upper triangular basis in parent coordinates
+    with positive pivots, so drawing the pivots, in a drawn order, and
+    the entries above them reaches every sublattice of small index.
+    """
+    d = draw(st.integers(1, 4))
+    den = draw(st.integers(1, 6))
+    parent = lattice_new([[Fraction(x, den) for x in row] for row in draw(integer_matrices(d))])
+    coords = [[0] * d for _ in range(d)]
+    left = 5000
+    for j in draw(st.permutations(range(d))):
+        coords[j][j] = draw(st.integers(1, left))
+        left //= coords[j][j]
+        above = d - j - 1
+        coords[j][j + 1:] = draw(st.lists(st.integers(-9, 9), min_size=above, max_size=above))
+    return parent, lattice_new([vec_mat(row, parent.basis) for row in coords])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_parents_and_subs())
+# three SNF factors above 1, which the drawn pivots rarely give
+@example((standard_lattice(3), lattice_new([[2, 2, 0], [0, 6, 0], [0, 0, 12]])))
+@example((lattice_new([["1/2", 1, 0, 0], [0, "1/3", 0, 0], [0, 0, 1, "1/2"], [0, 0, 0, 1]]),
+          lattice_new([[6, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 2, 4]])))
+def test_default_rows_match_the_one_colour_at_a_time_reference(pair):
+    parent, sub = pair
+    colouring = Colouring(parent, sub)
+    assert colouring.m <= 5000
+    assert colouring.rep_rows == radix_reps_one_colour_at_a_time(colouring)
+    assert all(type(x) is int for row in colouring.rep_rows for x in row)
 
 
 def test_colouring_rep_override_validation():
