@@ -36,7 +36,7 @@ from cslcolour.errors import (
     UnsupportedDimension,
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
-from cslcolour.ratmat import format_rational, parse_rational
+from cslcolour.ratmat import parse_rational
 from cslcolour.render import RENDER_MODES, render_svg
 
 # the most points a render or oracle window, (2R+1)^dim, may hold
@@ -54,7 +54,6 @@ _FLAT = {str: encode_basestring_ascii, int: int.__repr__}
 
 @dataclass
 class JobConfig:
-    dim: int
     parent: Lattice
     sub: Lattice
     amap: CommensurableMap
@@ -189,7 +188,6 @@ def load_job_config(path: str) -> JobConfig:
         )
         _require_window(oracle_radius, dim, "oracle_radius")
     return JobConfig(
-        dim=dim,
         parent=parent,
         sub=sub,
         amap=amap,
@@ -223,7 +221,7 @@ def _over_digit_limit(exc: ValueError) -> ConfigError:
 
 
 def _rational_strings(rows, den: int) -> list[list[str]]:
-    """Each entry x / den of the integer rows as `format_rational` writes it.
+    """Each entry x / den of the integer rows as "p/q", or "p" when q = 1.
 
     Raises ConfigError when an entry has more digits than Python's limit
     on int-to-str conversion.
@@ -266,6 +264,11 @@ def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
         report["census"] = census
         report["consistent"] = not contradictions
         report["contradictions"] = contradictions
+        # observed against predicted |I| and |J|, so a vacuous window shows
+        report["coverage"] = {
+            "I": [len(census["observed_I"]), analysis.s],
+            "J": [len(census["observed_J"]), analysis.t],
+        }
     return report
 
 
@@ -370,12 +373,10 @@ def cmd_gen_rotations(args) -> int:
     payload = {
         "max_den": args.max,
         "count": len(rotations),
-        "rotations": [
-            [[format_rational(x) for x in row] for row in r.matrix]
-            for r in rotations
-        ],
+        # the rows of A are the columns of A^T = forward
+        "rotations": [_rational_strings(zip(*r.forward[0]), r.forward[1]) for r in rotations],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_report_json(payload), args.out)
     return 0
 
 

@@ -20,8 +20,8 @@ permutation between them, in one more small Hermite form under a
 colour coincidence and two otherwise, and none per colour (see
 `cslcolour.lattice`).
 
-Maps and lattices meet as integers: a CommensurableMap carries A^T and
-A^-T as (integer matrix, denominator) pairs, built once per map, and
+Maps and lattices meet as integers: a CommensurableMap is A^T and A^-T
+as (integer matrix, denominator) pairs from its construction, and
 every image, meet, index and colour key of the diagram is computed on
 integer rows over a denominator (see `cslcolour.lattice`).
 """
@@ -40,14 +40,15 @@ from cslcolour.errors import (
     NotCoincidence,
     NotColourCoincidence,
 )
-# _hermite, colour_of, coset_meets_lattice, transform and snf are not
-# used here; the names stay bound because bench/tracing.py wraps every
-# module's binding
+# _hermite, colour_of, coset_meets_lattice, transform, rat_inverse and
+# snf are not used here; the names stay bound because bench/tracing.py
+# wraps every module's binding
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
     _hermite,
     _image,
+    _point_ints,
     _window_points,
     colour_of,
     coset_meets_lattice,
@@ -60,7 +61,6 @@ from cslcolour.ratmat import (  # noqa: F401
     RatMatrix,
     clear_denominators,
     det_rat,
-    identity,
     int_inverse,
     mat_mul,
     rat_inverse,
@@ -75,50 +75,51 @@ from cslcolour.ratmat import (  # noqa: F401
 class CommensurableMap:
     """Invertible rational map acting on row vectors as v -> v . A^T.
 
-    Carries its exact inverse and determinant.  Build through
-    :func:`commensurable_map`, which validates invertibility.  The
-    integer form of A^T, which the lattice algebra uses, is built on
-    first use and kept; that of A^-T is `inverse_map`'s.
+    `forward` is A^T and `backward` is A^-T, each a pair (N, q) for N / q
+    over its least common denominator, so equal maps compare equal;
+    `matrix` is A as Fractions, built per access.  Build through
+    :func:`commensurable_map`, which validates invertibility.
     """
 
-    matrix: RatMatrix
-    inverse: RatMatrix
+    forward: tuple[IntMatrix, int]
+    backward: tuple[IntMatrix, int]
     det: Fraction
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.forward[0])
+
+    @property
+    def matrix(self) -> RatMatrix:
+        """A, the rational view of `forward`."""
+        num, q = self.forward
+        return tuple(tuple(Fraction(x, q) for x in col) for col in zip(*num))
 
     @cached_property
     def inverse_map(self) -> "CommensurableMap":
-        return CommensurableMap(
-            matrix=self.inverse, inverse=self.matrix, det=1 / self.det
-        )
-
-    @cached_property
-    def _forward_ints(self) -> tuple[IntMatrix, int]:
-        """A^T as (N, q) with A^T = N / q: v -> v . A^T on integer rows."""
-        return clear_denominators(transpose(self.matrix))
+        return CommensurableMap(forward=self.backward, backward=self.forward, det=1 / self.det)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        vec = tuple(Fraction(x) for x in v)
-        if len(vec) != self.dim:
-            raise DimensionMismatch("point dimension differs from map")
-        return vec_mat(vec, transpose(self.matrix))
+        w, q = _point_ints(v, self.dim, "map")
+        num, den = self.forward
+        return tuple(Fraction(x, q * den) for x in vec_mat(w, num))
 
     def is_orthogonal(self) -> bool:
         """A^T . A = identity; meaningful for the standard embedding only."""
-        return mat_mul(transpose(self.matrix), self.matrix) == rat_matrix(
-            identity(self.dim)
-        )
+        num, q = self.forward
+        gram = mat_mul(num, transpose(num))
+        return all(x == q * q * (i == j) for i, row in enumerate(gram) for j, x in enumerate(row))
 
 
 def commensurable_map(rows: Sequence[Sequence]) -> CommensurableMap:
-    """Validate and wrap a square invertible rational matrix."""
+    """Validate and wrap a square invertible rational matrix; A^T = N / q, A^-T = q . N^-1."""
     m = rat_matrix(rows)
     det = det_rat(m)
-    inv = rat_inverse(m)
-    return CommensurableMap(matrix=m, inverse=inv, det=det)
+    num, q = clear_denominators(transpose(m))
+    inv, den = int_inverse(num)
+    g = gcd(q, den)
+    backward = tuple(tuple(q // g * x for x in row) for row in inv), den // g
+    return CommensurableMap(forward=(num, q), backward=backward, det=det)
 
 
 def is_coincidence(lat: Lattice, amap: CommensurableMap) -> bool:
@@ -136,7 +137,7 @@ def _image_and_csl(lat: Lattice, amap: CommensurableMap) -> tuple[Lattice, Latti
     """A(`lat`) and the coincidence site lattice `lat` meet A(`lat`)."""
     if not is_coincidence(lat, amap):
         raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
-    image = _image(lat, *amap._forward_ints)
+    image = _image(lat, *amap.forward)
     return image, intersect(lat, image)
 
 
@@ -244,7 +245,7 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     parent = colouring.parent
     sub = colouring.sub
     image_parent, csl1 = _image_and_csl(parent, amap)
-    csl1_inv = _image(csl1, *amap.inverse_map._forward_ints)
+    csl1_inv = _image(csl1, *amap.backward)
     image_sub, csl2 = _image_and_csl(sub, amap)
     sub_in_csl = intersect(sub, csl1)
     image_sub_in_csl = intersect(image_sub, csl1)
@@ -253,7 +254,7 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
 
     perm = None
     if cc:
-        sources, images = colouring._colours_met(csl1_inv, amap._forward_ints)
+        sources, images = colouring._colours_met(csl1_inv, amap.forward)
         perm = tuple(zip(sources, images))
         set_i = tuple(sources)
         set_j = tuple(sorted(images))
@@ -333,9 +334,10 @@ def enumerate_square_rotations(max_den: int) -> list[CommensurableMap]:
     maps = []
     for n in sorted(pairs):
         for a, b in sorted(pairs[n], reverse=True):
-            # a rotation has det 1 and its transpose as inverse
-            m = ((Fraction(a, n), Fraction(-b, n)), (Fraction(b, n), Fraction(a, n)))
-            maps.append(CommensurableMap(matrix=m, inverse=transpose(m), det=Fraction(1)))
+            # A = ((a, -b), (b, a)) / n has det 1 and A^-T = A, both in
+            # lowest terms: gcd(a, n) = gcd(b, n) = 1 for n > 1
+            forward, backward = (((a, b), (-b, a)), n), (((a, -b), (b, a)), n)
+            maps.append(CommensurableMap(forward, backward, det=Fraction(1)))
     return maps
 
 
@@ -346,21 +348,22 @@ def window_census(
 
     Over the parent points with integer basis coordinates in
     [-radius, radius]^d, records the colours of the points of csl1 and
-    of csl1_inv, and for csl1_inv points the colour of the image.  Both
-    CSLs are built here from the map, csl1_inv as csl(parent, A^-1)
-    rather than the image of csl1 that `analyze` uses, and only their
+    of csl1_inv, and for csl1_inv points the colour of the image.  The
+    CSLs are built the other way from `analyze`: csl1_inv as
+    csl(parent, A^-1), csl1 as its image, 3 Hermite forms.  Only their
     points are visited (`lattice._window_points`).  Pure integer
     arithmetic end to end.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     parent = colouring.parent
-    fwd = _window_points(parent, csl(parent, amap), radius)
-    inv = _window_points(parent, csl(parent, amap.inverse_map), radius)
+    csl1_inv = csl(parent, amap.inverse_map)
+    fwd = _window_points(parent, _image(csl1_inv, *amap.forward), radius)
+    inv = _window_points(parent, csl1_inv, radius)
     colour_at = colouring.colour_of_coords
     # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
     # H the parent's integer Hermite basis (its den cancels)
-    a_num, a_den = amap._forward_ints
+    a_num, a_den = amap.forward
     h_inv, h_den = int_inverse(parent.hnf_rows)
     t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
     t_den = a_den * h_den

@@ -19,9 +19,9 @@ form of a colour subgroup: one walk over a triangular basis
 (`_box_prefixes`) lists a lattice's points in a window and the colours
 a lattice meets.
 ``fractions.Fraction`` appears only at the edges, where rational input
-is parsed (`lattice_new`, `contains`, `transform`, custom
-representatives, `colour_of`) and rational output is formed (`basis`,
-`det_abs`, `Colouring.reps` and `coset_reps`, witnesses).
+is parsed (`lattice_new`, `transform`, and every point by `_point_ints`)
+and rational output is formed (`basis`, `det_abs`, `Colouring.reps` and
+`coset_reps`, witnesses).
 """
 
 from __future__ import annotations
@@ -155,13 +155,18 @@ def _coords(lat: Lattice, w: Sequence[int], q: int = 1) -> Optional[tuple[int, .
     return _solve_upper_triangular(lat.hnf_rows, [lat.den * x for x in w], q)
 
 
+def _point_ints(v: Sequence, dim: int, what: str) -> tuple[tuple[int, ...], int]:
+    """The one reader of rational points: (w, q) for v = w / q in lowest terms."""
+    vec = [Fraction(x) for x in v]
+    if len(vec) != dim:
+        raise DimensionMismatch(f"point has dimension {len(vec)}, {what} {dim}")
+    (w,), q = clear_denominators([vec])
+    return w, q
+
+
 def contains(lat: Lattice, v: Sequence) -> bool:
     """Exact membership of a rational point in the lattice."""
-    vec = tuple(Fraction(x) for x in v)
-    if len(vec) != lat.dim:
-        raise DimensionMismatch(f"point has dimension {len(vec)}, lattice {lat.dim}")
-    (w,), q = clear_denominators([vec])
-    return _coords(lat, w, q) is not None
+    return _coords(lat, *_point_ints(v, lat.dim, "lattice")) is not None
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
@@ -188,20 +193,20 @@ def index(sup: Lattice, sub: Lattice) -> int:
     return ratio
 
 
-def _stacked(l1: Lattice, l2: Lattice, den: int = 1) -> tuple[list, int]:
+def _stacked(l1: Lattice, l2: Lattice) -> tuple[list, int]:
     """Hermite form of [[A, A], [B, 0]] and its scale (Zassenhaus).
 
-    A and B are the Hermite bases of scale*l1 and scale*l2, for the
-    least common scale that is a multiple of den.  The rows span the
-    pairs (x.A + y.B, x.A), so the upper-left d x d block of the form is
-    the Hermite basis of scale*(l1 + l2), and the rows whose left half
-    is zero, x.A = -y.B, leave the Hermite basis of scale*(l1 meet l2)
-    in the lower-right block.  The matrix has |det| = |det A.det B| > 0,
-    so all 2d rows are pivots.
+    A and B are the Hermite bases of scale*l1 and scale*l2, scale the
+    lcm of their dens.  The rows span the pairs (x.A + y.B, x.A), so the
+    upper-left d x d block of the form is the Hermite basis of
+    scale*(l1 + l2), and the rows whose left half is zero, x.A = -y.B,
+    leave the Hermite basis of scale*(l1 meet l2) in the lower-right
+    block.  The matrix has |det| = |det A.det B| > 0, so all 2d rows are
+    pivots.
     """
     if l1.dim != l2.dim:
         raise DimensionMismatch("lattices live in different dimensions")
-    scale = lcm(l1.den, l2.den, den)
+    scale = lcm(l1.den, l2.den)
     f1, f2 = scale // l1.den, scale // l2.den
     zero = [0] * l1.dim
     h, rank = _hermite(
@@ -433,18 +438,16 @@ class Colouring:
         self._table: Optional[list] = None
         self._rep_rows: Optional[tuple[tuple[int, ...], ...]] = None
         if reps is not None:
-            chosen = [tuple(row) for row in rat_matrix(reps)]
-            if any(len(rep) != parent.dim for rep in chosen):
-                raise DimensionMismatch("representative dimension differs from parent")
-            if len(chosen) != self.m:
-                raise ValueError(f"expected {self.m} representatives, got {len(chosen)}")
-            if any(x != 0 for x in chosen[0]):
+            points = [_point_ints(rep, parent.dim, "parent") for rep in reps]
+            if len(points) != self.m:
+                raise ValueError(f"expected {self.m} representatives, got {len(points)}")
+            if any(points[0][0]):
                 raise ValueError("first representative must be the zero vector")
             # no table yet, so colour_of_coords gives the mixed-radix index
             table = [None] * self.m
             rows = []
-            for i, rep in enumerate(chosen):
-                coords = self._coords_of_point(rep)
+            for i, point in enumerate(points):
+                coords = self._coords_of_ints(*point)
                 key = self.colour_of_coords(coords)
                 if table[key] is not None:
                     raise ValueError("representatives are congruent mod sub")
@@ -473,11 +476,6 @@ class Colouring:
             point = ", ".join(str(Fraction(x, q)) for x in w)
             raise NotInParent(f"({point}) is not in the parent lattice")
         return coords
-
-    def _coords_of_point(self, v: Sequence[Fraction]) -> tuple[int, ...]:
-        """Integer parent coordinates of a rational point; raises NotInParent."""
-        (w,), q = clear_denominators([v])
-        return self._coords_of_ints(w, q)
 
     def _colours_met(
         self, lat: Lattice, amap_ints: Optional[tuple[IntMatrix, int]] = None
@@ -526,10 +524,8 @@ class Colouring:
 
 def colour_of(colouring: Colouring, v: Sequence) -> int:
     """Colour index of an ambient point; raises NotInParent when outside."""
-    vec = tuple(Fraction(x) for x in v)
-    if len(vec) != colouring.parent.dim:
-        raise DimensionMismatch("point dimension differs from colouring")
-    return colouring.colour_of_coords(colouring._coords_of_point(vec))
+    w, q = _point_ints(v, colouring.parent.dim, "colouring")
+    return colouring.colour_of_coords(colouring._coords_of_ints(w, q))
 
 
 def coset_meets_lattice(
@@ -538,18 +534,17 @@ def coset_meets_lattice(
     """A point of (rep + sub) intersected with lat, or None if empty.
 
     The coset meets lat exactly when rep lies in sub + lat, the
-    upper-left block of the stacked form (see `_stacked`).  Solving
-    gamma . h[:d] = (w, shift) there, the right half is shift = x.A in
-    sub, and w - shift = y.B lies in lat.  When present the witness is
-    verified against both memberships.
+    upper-left block of the stacked form (see `_stacked`), which lies in
+    Z^d / scale.  Solving gamma . h[:d] = (w, shift) there, the right
+    half is shift = x.A in sub, and w - shift = y.B lies in lat.  When
+    present the witness is verified against both memberships.
     """
-    vec = tuple(Fraction(x) for x in rep)
-    if sub.dim != lat.dim or len(vec) != sub.dim:
-        raise DimensionMismatch("dimension mismatch")
+    w, q = _point_ints(rep, sub.dim, "lattice")
     d = sub.dim
-    (w,), rep_den = clear_denominators([vec])
-    h, scale = _stacked(sub, lat, rep_den)
-    w = tuple(scale // rep_den * x for x in w)
+    h, scale = _stacked(sub, lat)
+    if scale % q:
+        return None
+    w = tuple(scale // q * x for x in w)
     gamma = _solve_upper_triangular(h[:d], w)
     if gamma is None:
         return None

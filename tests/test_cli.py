@@ -26,6 +26,7 @@ import cslcolour.cli as cli_module
 import cslcolour.lattice as lattice_module
 from cslcolour.cli import main
 from cslcolour.coincidence import analyze, commensurable_map
+from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION
 from cslcolour.lattice import Colouring, lattice_new
 from cslcolour.ratmat import format_rational
 
@@ -242,6 +243,25 @@ def test_oracle_all_bundled_configs_consistent(capsys):
         report = json.loads(out)
         assert report["consistent"] is True, name
         assert report["contradictions"] == [], name
+
+
+def test_oracle_covers_i_and_j_on_the_bundled_configs(capsys):
+    for name in ALL_CONFIGS:
+        report = json.loads(run(capsys, "oracle", config(name))[1])
+        assert report["coverage"] == {"I": [report["s"]] * 2, "J": [report["t"]] * 2}, name
+
+
+def test_oracle_shows_a_vacuous_window(capsys, tmp_path):
+    # z^3 on the eightfold module has sigma 729: at radius 4 the window
+    # meets csl1_inv only at the origin, which disproves nothing
+    z = AMMANN_BEENKER_ROTATION
+    cubed = {"coeffs": [format_rational(x) for x in (z * z * z).coeffs]}
+    code, out, _ = run(capsys, "oracle", variant(tmp_path, "ammann_beenker.json", map=cubed))
+    assert code == 0
+    report = json.loads(out)
+    assert report["sigma1"] == 729 and report["consistent"] is True
+    assert report["coverage"] == {"I": [1, 4], "J": [1, 4]}
+    assert list(report)[-1] == "coverage"
 
 
 def test_oracle_requires_radius(capsys, tmp_path):

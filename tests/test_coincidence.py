@@ -17,6 +17,8 @@ from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
 
 from cslcolour import cli, render
@@ -38,17 +40,26 @@ from cslcolour.cyclo8 import (
     multiplication_map,
     principal_submodule,
 )
-from cslcolour.errors import NotCoincidence, NotColourCoincidence
+from cslcolour.errors import NotCoincidence, NotColourCoincidence, Singular
 from cslcolour.lattice import (
     Colouring,
     colour_of,
     contains,
+    index,
     intersect,
     lattice_new,
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import det_rat, mat_mul, rat_inverse, transpose, vec_mat
+from cslcolour.ratmat import (
+    clear_denominators,
+    det_rat,
+    mat_mul,
+    rat_inverse,
+    rat_matrix,
+    transpose,
+    vec_mat,
+)
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
 
@@ -82,6 +93,42 @@ def test_commensurable_map_carries_exact_inverse():
     assert ROT.inverse_map.apply(ROT.apply((2, 7))) == (2, 7)
     assert ROT.det == 1
     assert ROT.is_orthogonal()
+
+
+@st.composite
+def invertible_matrices(draw):
+    """Square rational matrices of size 1 to 4 with nonzero determinant."""
+    d = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(det_rat(rows) != 0)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_matrices())
+def test_a_map_is_its_integer_forms_in_lowest_terms(rows):
+    a = rat_matrix(rows)
+    amap = commensurable_map(rows)
+    assert amap.forward == clear_denominators(transpose(a))
+    assert amap.backward == clear_denominators(transpose(rat_inverse(a)))
+    assert amap.matrix == a
+    assert amap.det == det_rat(a)
+    assert amap.inverse_map.matrix == rat_inverse(a)
+    assert amap.inverse_map.inverse_map == amap
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[1, 0], [0]], ValueError),  # ragged
+        ([[1, 0, 0], [0, 1, 0]], ValueError),  # not square
+        ([[1, 2], ["1/2", 1]], Singular),
+    ],
+)
+def test_commensurable_map_refuses_what_is_not_invertible(rows, error):
+    with pytest.raises(error):
+        commensurable_map(rows)
 
 
 def test_is_coincidence_cases():
@@ -323,6 +370,35 @@ def test_sigma_of_cubic_rotations_is_odd_part_of_quaternion_norm():
     # the 24 rotations of the cube are exactly the coincidences of index 1
     assert identities == 24
     assert len(rotations) > 2000
+
+
+def test_count_of_cubic_csls_by_index():
+    """Baake (1997): for odd n, the number of distinct CSLs of Z^3 of
+    index n is Dedekind's psi(n) = n . prod_{p | n} (1 + 1/p), and no
+    CSL of Z^3 has even index.
+
+    Every coincidence rotation of Z^3 is R(q) for a primitive integer
+    quaternion q, of index the odd part of |q|^2.  A primitive q has
+    |q|^2 not divisible by 8 (a sum of four squares is 0 mod 8 only when
+    all four are even), so its index is |q|^2, |q|^2 / 2 or |q|^2 / 4.
+    A norm bound of 4N therefore covers every index up to N: 44 for 11.
+    """
+    def psi(n):
+        out = n
+        for p in range(2, n + 1):
+            if n % p == 0 and all(p % k for k in range(2, p)):
+                out = out // p * (p + 1)
+        return out
+
+    z3 = standard_lattice(3)
+    by_index: dict[int, set] = {}
+    for _, rows in cubic_rotations(44):
+        lat = csl(z3, commensurable_map(rows))
+        n = index(z3, lat)
+        if n <= 11:
+            by_index.setdefault(n, set()).add(lat)
+    counts = {n: len(lats) for n, lats in by_index.items()}
+    assert counts == {n: psi(n) for n in range(1, 12, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from cslcolour import (
     principal_submodule,
     standard_lattice,
     transform,
+    window_census,
 )
 from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
 
@@ -377,6 +378,28 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
         counts[k] = len(calls)
         assert result.m == k * k
     assert counts[5] == counts[200]
+
+
+def test_a_census_takes_three_hermite_forms(monkeypatch):
+    calls = []
+    original = ratmat_module._hermite
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    for module in (ratmat_module, lattice_module, coincidence_module):
+        monkeypatch.setattr(module, "_hermite", counting)
+    cubic = Colouring(standard_lattice(3), lattice_new(CUBIC_SUBLATTICES[1]))
+    for colouring, amap in (
+        (Colouring(Z2, lattice_new([[3, 0], [0, 1]])), rotation(3, 4, 5)),
+        (cubic, commensurable_map(cayley_rotation(1, 2, 2, 0))),
+    ):
+        calls.clear()
+        window_census(colouring, amap, 3)
+        # csl(parent, A^-1) is an image and a stacked meet, csl1 its image
+        d = colouring.parent.dim
+        assert calls == [d, 2 * d, d]
 
 
 def test_a_graph_that_is_not_a_function_is_caught(monkeypatch):

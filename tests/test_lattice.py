@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslcolour.lattice as lattice_module
+from cslcolour.coincidence import commensurable_map
 from cslcolour.errors import (
+    CslcolourError,
     DimensionMismatch,
     NotASublattice,
     NotInParent,
@@ -666,12 +668,64 @@ def test_coset_meets_lattice_absent():
 
 
 def test_coset_meets_lattice_absent_iff_outside_sum():
-    sub = lattice_new([[2, 0], [0, 4]])
-    lat = lattice_new([[4, 0], [0, 2]])
-    joined = lattice_sum(sub, lat)
-    for p in product(range(-4, 5), repeat=2):
-        witness = coset_meets_lattice(p, sub, lat)
-        assert (witness is not None) == contains(joined, p)
+    # integer points, then sixths: on a pair with dens 2 and 3 every
+    # sixth can meet the sum, on an integer pair only the integers
+    thirds_and_halves = [Fraction(k, 6) for k in range(-12, 13)]
+    for sub_rows, lat_rows, coords in (
+        ([[2, 0], [0, 4]], [[4, 0], [0, 2]], range(-4, 5)),
+        ([["1/2", 0], [1, 2]], [[1, "1/3"], [0, "2/3"]], thirds_and_halves),
+        ([[2, 0], [0, 4]], [[4, 0], [0, 2]], thirds_and_halves),
+    ):
+        sub = lattice_new(sub_rows)
+        lat = lattice_new(lat_rows)
+        joined = lattice_sum(sub, lat)
+        for p in product(coords, repeat=2):
+            witness = coset_meets_lattice(p, sub, lat)
+            assert (witness is not None) == contains(joined, p)
+
+
+# ---------------------------------------------------------------------------
+# the one reader of rational points
+
+
+ROT_MAP = commensurable_map(ROT)
+# each reader of a point, on the plane
+POINT_READERS = {
+    "contains": lambda p: contains(EX1_SUB, p),
+    "colour_of": lambda p: colour_of(Colouring(Z2, EX1_SUB), p),
+    "coset_meets_lattice": lambda p: coset_meets_lattice(p, EX1_SUB, transform(Z2, ROT)),
+    "reps": lambda p: Colouring(Z2, lattice_new([[2, 0], [0, 1]]), reps=[[0, 0], p]).rep_rows,
+    "apply": ROT_MAP.apply,
+}
+
+
+def outcome(read, point):
+    """What a reader returns for the point, or the type of what it raises."""
+    try:
+        return read(point)
+    except (CslcolourError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", POINT_READERS)
+def test_every_point_reader_reads_int_fraction_and_string_alike(name):
+    read = POINT_READERS[name]
+    # one point written three ways: ints, Fractions, "p/q" strings
+    for forms in (
+        [(3, -2), (Fraction(6, 2), Fraction(-2)), ("6/2", "-4/2")],
+        [(0, 5), (Fraction(0), Fraction(10, 2)), ("0/7", "5")],
+        [(1, 1), (Fraction(1), Fraction(3, 3)), ("2/2", "1/1")],
+        [(Fraction(1, 2), 1), ("1/2", "2/2"), ("2/4", Fraction(1))],
+    ):
+        outcomes = [outcome(read, p) for p in forms]
+        assert outcomes[1:] == outcomes[:1] * 2, forms
+
+
+@pytest.mark.parametrize("name", POINT_READERS)
+@pytest.mark.parametrize("point", [(1,), (1, 0, 0), ()])
+def test_every_point_reader_refuses_the_wrong_dimension(name, point):
+    with pytest.raises(DimensionMismatch):
+        POINT_READERS[name](point)
 
 
 # ---------------------------------------------------------------------------
