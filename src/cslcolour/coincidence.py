@@ -46,10 +46,11 @@ from cslcolour.errors import (
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
+    _forms,
     _hermite,
     _image,
     _point_ints,
-    _window_points,
+    _window_columns,
     colour_of,
     coset_meets_lattice,
     index,
@@ -351,41 +352,49 @@ def window_census(
     of csl1_inv, and for csl1_inv points the colour of the image.  The
     CSLs are built the other way from `analyze`: csl1_inv as
     csl(parent, A^-1), csl1 as its image, 3 Hermite forms.  Only their
-    points are visited (`lattice._window_points`).  Pure integer
+    points are visited, as columns of coordinates
+    (`lattice._window_columns`), and each colour and image coordinate
+    is one linear form over those columns, a list operation per
+    coordinate; each list is dropped once read.  Pure integer
     arithmetic end to end.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     parent = colouring.parent
     csl1_inv = csl(parent, amap.inverse_map)
-    fwd = _window_points(parent, _image(csl1_inv, *amap.forward), radius)
-    inv = _window_points(parent, csl1_inv, radius)
-    colour_at = colouring.colour_of_coords
     # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
     # H the parent's integer Hermite basis (its den cancels)
     a_num, a_den = amap.forward
     h_inv, h_den = int_inverse(parent.hnf_rows)
     t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
     t_den = a_den * h_den
-    transfer: dict[int, set[int]] = {}
-    for coords in inv:
-        image = []
-        for val in vec_mat(coords, t_num):
-            q, r = divmod(val, t_den)
-            if r:
-                raise InternalInvariantViolation(
-                    "image of a csl-inv point left the parent lattice"
-                )
-            image.append(q)
-        transfer.setdefault(colour_at(coords), set()).add(colour_at(tuple(image)))
+    inv = _window_columns(parent, csl1_inv, radius)
+    count_inv = len(inv[-1])
+    colours = colouring._colours_of_columns(inv)
+    images = []
+    for line in _forms(inv, t_num):
+        if any([x % t_den for x in line]):
+            raise InternalInvariantViolation(
+                "image of a csl-inv point left the parent lattice"
+            )
+        images.append([x // t_den for x in line])
+        # drop the unreduced line before the next one is built
+        del line
+    del inv
+    pairs = set(zip(colours, colouring._colours_of_columns(images)))
+    del colours, images
+    transfer: dict[int, list[int]] = {}
+    for i, j in sorted(pairs):
+        transfer.setdefault(i, []).append(j)
+    fwd = _window_columns(parent, _image(csl1_inv, *amap.forward), radius)
     return {
         "radius": radius,
         "points_scanned": (2 * radius + 1) ** parent.dim,
-        "count_csl": len(fwd),
-        "count_csl_inv": len(inv),
-        "observed_I": sorted(transfer),
-        "observed_J": sorted({colour_at(coords) for coords in fwd}),
-        "transfer": [[i, sorted(js)] for i, js in sorted(transfer.items())],
+        "count_csl": len(fwd[-1]),
+        "count_csl_inv": count_inv,
+        "observed_I": list(transfer),
+        "observed_J": sorted(set(colouring._colours_of_columns(fwd))),
+        "transfer": [[i, js] for i, js in transfer.items()],
     }
 
 

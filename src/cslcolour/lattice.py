@@ -17,7 +17,13 @@ hnf_rows, and an index is a ratio of pivot products.  A sublattice's
 basis in parent coordinates is triangular too, and so is the Hermite
 form of a colour subgroup: one walk over a triangular basis
 (`_box_prefixes`) lists a lattice's points in a window and the colours
-a lattice meets.
+a lattice meets.  A window comes out as columns, one list per
+coordinate (`_window_columns`), and what is read from its points is a
+linear form over the columns (`_forms`), evaluated one coordinate at a
+time as a list operation: the keys and so the colours
+(`Colouring._colours_of_columns`, `_radix_colours`), image coordinates,
+ambient rows.  The default reps are built the same way over the
+Hermite box (`_radix_reps`).
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `transform`, and every point by `_point_ints`)
 and rational output is formed (`basis`, `det_abs`, `Colouring.reps` and
@@ -28,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from cslcolour.errors import (
     DimensionMismatch,
@@ -282,23 +289,71 @@ def _box_prefixes(
     return sums
 
 
-def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
-    """Parent coordinates in [-radius, radius]^d of the points of lat.
+def _window_columns(parent: Lattice, lat: Lattice, radius: int) -> list[list[int]]:
+    """Parent coordinates in [-radius, radius]^d of the points of lat, as d columns.
 
     Both Hermite bases are upper triangular with positive pivots, so
     lat's basis rel in parent coordinates is too (`_box_prefixes`).
-    The points come out in the order of product(box, repeat=d).
+    The points come out in the order of product(box, repeat=d): each
+    prefix's coordinates repeat for its run, and the run of the last
+    coordinate is a slice of one list of the box's values, so no point
+    costs arithmetic or a new integer.
     """
     rel = _relative_basis(parent, lat)
     d = len(rel)
-    # the last coordinate joins each prefix as a slice of one column of
-    # 1-tuples, with no arithmetic per point
-    column = [(c,) for c in range(-radius, radius + 1)]
+    box = list(range(-radius, radius + 1))
     step = rel[-1][-1]
-    points = []
-    for acc in _box_prefixes(rel, (-radius,) * d, (radius,) * d, d - 1):
-        points.extend(map(acc[:-1].__add__, column[(acc[-1] + radius) % step :: step]))
-    return points
+    prefixes = _box_prefixes(rel, (-radius,) * d, (radius,) * d, d - 1)
+    runs = [box[(acc[-1] + radius) % step :: step] for acc in prefixes]
+    lengths = list(map(len, runs))
+    columns = [
+        list(chain.from_iterable(map(repeat, heads, lengths)))
+        for heads in list(zip(*prefixes))[:-1]
+    ]
+    columns.append(list(chain.from_iterable(runs)))
+    return columns
+
+
+def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
+    """The points of `_window_columns` as coordinate tuples, in the same order."""
+    return list(zip(*_window_columns(parent, lat, radius)))
+
+
+def _forms(
+    columns: Sequence[Sequence[int]], matrix: Sequence[Sequence[int]]
+) -> Iterator[list[int]]:
+    """x . matrix for every point x given as columns, one list per column of matrix.
+
+    Each list is built one coordinate at a time and yielded as soon as it
+    is complete, so a reader that drops it keeps one at a time.  A form
+    that is one coordinate is that column itself, not a copy.
+    """
+    for k in range(len(matrix[0])):
+        line = None
+        for column, row in zip(columns, matrix):
+            s = row[k]
+            if not s:
+                continue
+            if line is None:
+                line = column if s == 1 else [s * x for x in column]
+            else:
+                line = [a + s * x for a, x in zip(line, column)]
+        yield [0] * len(columns[0]) if line is None else line
+
+
+def _radix_colours(keys: Iterable[Sequence[int]], radix: Sequence, size: int) -> list[int]:
+    """The mixed-radix colour of each of `size` points from one key list per factor.
+
+    `radix` holds (column of V, d_j, weight) per Smith factor, as in
+    `Colouring`; the colour is sum (k_j mod d_j) . weight_j.
+    """
+    colours = None
+    for (_, n, w), line in zip(radix, keys):
+        if colours is None:
+            colours = [k % n * w for k in line]
+        else:
+            colours = [c + k % n * w for c, k in zip(colours, line)]
+    return [0] * size if colours is None else colours
 
 
 def _walk(
@@ -372,9 +427,7 @@ def _radix_reps(colouring: Colouring) -> tuple[tuple[int, ...], ...]:
     for j, row in enumerate(colouring._rel):
         box = range(row[j])
         lines = [[a + t * s for a in line for t in box] for line, s in zip(lines, steps[j])]
-    colours = [0] * len(lines[0])
-    for (_, n, w), keys in zip(radix, lines[len(h):]):
-        colours = [c + k % n * w for c, k in zip(colours, keys)]
+    colours = _radix_colours(lines[len(h):], radix, len(lines[0]))
     reps: list = [None] * colouring.m
     for colour, point in zip(colours, zip(*lines[: len(h)])):
         reps[colour] = point
@@ -509,10 +562,19 @@ class Colouring:
         pairs = sorted(zip(map(rename, colours), map(rename, images)))
         return [c for c, _ in pairs], [j for _, j in pairs]
 
+    def _colours_of_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
+        """The colour of every point given as columns of integer parent coordinates.
+
+        One key list per Smith factor (`_forms`), then one mixed-radix
+        sum per point; custom reps renumber through the table.
+        """
+        v = [[col[j] for col, _, _ in self._radix] for j in range(len(columns))]
+        colours = _radix_colours(_forms(columns, v), self._radix, len(columns[0]))
+        return colours if self._table is None else list(map(self._table.__getitem__, colours))
+
     def colour_of_coords(self, coords: Sequence[int]) -> int:
         """Colour index of a point given in integer parent coordinates."""
-        # the mixed-radix index of the key, inlined: this runs once per
-        # point of a census or a render
+        # the mixed-radix index of the key, as `_radix_colours` gives it
         index = 0
         for col, modulus, weight in self._radix:
             index += sum(map(mul, coords, col)) % modulus * weight

@@ -4,6 +4,10 @@ One circle per lattice point, fill taken from the palette by colour
 index, origin marked with an extra ring.  All classification is exact;
 positions are correctly rounded int / int divisions of integer rows,
 written with a fixed format, so repeated renders are byte-identical.
+The window comes as columns of coordinates (`lattice._window_columns`),
+and the rows and colours of its points are computed as columns too,
+one list operation per coordinate; only the formatting visits points
+one at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from typing import Optional, Sequence
 
 from cslcolour.coincidence import CommensurableMap, csl, is_coincidence
 from cslcolour.errors import NotCoincidence, UnsupportedDimension
-from cslcolour.lattice import Colouring, _window_points
-from cslcolour.ratmat import vec_mat
+from cslcolour.lattice import Colouring, Lattice, _forms, _window_columns, _window_points
 
 # the six base colours, extended deterministically past index 5
 BASE_PALETTE = ["#000000", "#ffff00", "#0000ff", "#ff0000", "#808080", "#008000"]
@@ -48,18 +51,27 @@ class _DrawnPalette(dict):
 SQRT2 = math.sqrt(2.0)
 
 
-def _embed_planar(colouring: Colouring, coords: Sequence[int]) -> tuple[float, float]:
-    parent = colouring.parent
-    x, y = vec_mat(coords, parent.hnf_rows)
-    # int / int is correctly rounded, the same float as the exact Fraction
-    return x / parent.den, y / parent.den
+def _embed(
+    parent: Lattice, columns: list[list[int]], star: bool
+) -> tuple[list[float], list[float]]:
+    """Planar positions (xs, ys) of the points given as columns of parent coordinates.
 
-
-def _embed_star(colouring: Colouring, coords: Sequence[int]) -> tuple[float, float]:
-    den = colouring.parent.den
-    a0, a1, a2, a3 = vec_mat(coords, colouring.parent.hnf_rows)
-    # cyclo8.star_coords of the row over den, each rational part rounded once as above
-    return a0 / den + (a1 - a3) / (2 * den) * SQRT2, a2 / den + (a1 + a3) / (2 * den) * SQRT2
+    The ambient integer rows over den are one linear form per entry
+    (`_forms`); int / int is correctly rounded, the same float as the
+    exact Fraction.  The star embedding is cyclo8.star_coords of the
+    row over den, each rational part rounded once the same way.
+    """
+    den = parent.den
+    rows = list(_forms(columns, parent.hnf_rows))
+    if not star:
+        xs, ys = rows
+        return [x / den for x in xs], [y / den for y in ys]
+    a0, a1, a2, a3 = rows
+    half = 2 * den
+    return (
+        [x / den + (b - c) / half * SQRT2 for x, b, c in zip(a0, a1, a3)],
+        [y / den + (b + c) / half * SQRT2 for y, b, c in zip(a2, a1, a3)],
+    )
 
 
 def render_svg(
@@ -89,10 +101,8 @@ def render_svg(
     if star_embedding:
         if d != 4:
             raise UnsupportedDimension("star embedding needs dimension 4")
-        embed = _embed_star
         dot = 0.12
     elif d == 2:
-        embed = _embed_planar
         dot = 0.22
     else:
         raise UnsupportedDimension(
@@ -112,12 +122,12 @@ def render_svg(
         shown = csl(parent, amap.inverse_map if mode == "csl-inv" else amap)
     elif highlight_csl:
         ringed = set(_window_points(parent, csl(parent, amap), radius))
-    pts = []
-    for coords in _window_points(parent, shown, radius):
-        x, y = embed(colouring, coords)
-        pts.append((coords, x, -y, colouring.colour_of_coords(coords), coords in ringed))
-    xs = [p[1] for p in pts]
-    ys = [p[2] for p in pts]
+    columns = _window_columns(parent, shown, radius)
+    xs, ys = _embed(parent, columns, star_embedding)
+    ys = [-y for y in ys]
+    points = list(zip(*columns))
+    colour_column = colouring._colours_of_columns(columns)
+    pts = zip(points, xs, ys, colour_column, map(ringed.__contains__, points))
     margin = 4 * dot
     x0 = min(xs) - margin
     y0 = min(ys) - margin

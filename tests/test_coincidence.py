@@ -229,6 +229,40 @@ def test_colour_coincidence_symmetric_in_inversion():
                 assert back == {j: i for i, j in perm.items()}
 
 
+def test_colour_coincidences_compose_on_a_corpus_sample():
+    """The product of two colour coincidences of a colouring is again one.
+
+    The paper extends colour symmetry to coincidence isometries; only its
+    abstract is at hand here, so this checks closure on these inputs, not
+    a stated theorem: 300 seeded ordered pairs among the colour
+    coincidences in `enumerate_square_rotations(65)`, on each of the 12
+    corpus sublattices.  With closure under inverses (above), the colour
+    coincidences form a group on this sample.
+    """
+    rotations = enumerate_square_rotations(65)
+    found = {}
+    verdicts = Counter()
+    for rows in SUBLATTICE_BASES:
+        colouring = Colouring(Z2, lattice_new(rows))
+        found[colouring] = []
+        for amap in rotations:
+            verdict = is_colour_coincidence(colouring, amap)
+            verdicts[verdict] += 1
+            if verdict:
+                found[colouring].append(amap)
+    assert verdicts[True] and verdicts[False]
+    rng = random.Random(20261019)
+    colourings = list(found)
+    nontrivial = 0
+    for _ in range(300):
+        colouring = rng.choice(colourings)
+        a, b = rng.choice(found[colouring]), rng.choice(found[colouring])
+        product_map = commensurable_map(mat_mul(a.matrix, b.matrix))
+        assert is_colour_coincidence(colouring, product_map)
+        nontrivial += sigma(Z2, product_map) > 1
+    assert nontrivial > 100
+
+
 # ---------------------------------------------------------------------------
 # structural identities across the corpus
 

@@ -31,7 +31,7 @@ from cslcolour.cyclo8 import (
 from cslcolour.errors import ZeroElement
 from cslcolour.lattice import (
     Colouring,
-    _window_points,
+    _window_columns,
     contains,
     coset_reps,
     index,
@@ -224,15 +224,15 @@ def test_star_coords_numeric_rotation_check():
     "parent", [Z4, principal_submodule(AMMANN_BEENKER_ROTATION)], ids=["Z4", "den3-submodule"]
 )
 def test_star_render_embedding_is_the_star_coords_formula(parent):
-    colouring = Colouring(parent, parent)
     sqrt2 = math.sqrt(2.0)
-    points = _window_points(parent, parent, 2)
-    assert len(points) == 5**4
-    for coords in points:
+    columns = _window_columns(parent, parent, 2)
+    xs, ys = render_module._embed(parent, columns, star=True)
+    points = list(zip(*columns))
+    assert len(points) == len(xs) == len(ys) == 5**4
+    for coords, x, y in zip(points, xs, ys):
         ambient = [Fraction(a, parent.den) for a in vec_mat(coords, parent.hnf_rows)]
-        (xr, xs), (yr, ys) = star_coords(ambient)
-        want = (float(xr) + float(xs) * sqrt2, float(yr) + float(ys) * sqrt2)
-        assert render_module._embed_star(colouring, coords) == want
+        (xr, xq), (yr, yq) = star_coords(ambient)
+        assert (x, y) == (float(xr) + float(xq) * sqrt2, float(yr) + float(yq) * sqrt2)
 
 
 @settings(max_examples=40)
