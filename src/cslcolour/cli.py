@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, log10
 from typing import Optional
 
 import cslcolour
@@ -76,11 +76,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _count(n: int) -> str:
+    """n in decimal, or its order of magnitude when str(n) is over Python's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{int(log10(n))}"
+
+
 def _require_window(radius: int, dim: int, what: str) -> None:
     points = (2 * radius + 1) ** dim
     _require(
         points <= WINDOW_BUDGET,
-        f"{what} {radius} gives a window of {points} points in dimension {dim}, "
+        f"{what} {radius} gives a window of {_count(points)} points in dimension {dim}, "
         f"over the budget of {WINDOW_BUDGET}",
     )
 
@@ -210,7 +218,7 @@ def build_colouring(cfg: JobConfig) -> Colouring:
         raise ConfigError(f"invalid representatives: {exc}") from None
     _require(
         colouring.m <= COLOUR_BUDGET,
-        f"sub_basis gives {colouring.m} colours, over the budget of {COLOUR_BUDGET}",
+        f"sub_basis gives {_count(colouring.m)} colours, over the budget of {COLOUR_BUDGET}",
     )
     return colouring
 

@@ -15,15 +15,14 @@ which also decides whether a coset meets a lattice; membership and
 coordinates are one forward substitution against the triangular
 hnf_rows, and an index is a ratio of pivot products.  A sublattice's
 basis in parent coordinates is triangular too, and so is the Hermite
-form of a colour subgroup: one walk over a triangular basis
-(`_box_prefixes`) lists a lattice's points in a window and the colours
-a lattice meets.  A window comes out as columns, one list per
-coordinate (`_window_columns`), and what is read from its points is a
-linear form over the columns (`_forms`), evaluated one coordinate at a
-time as a list operation: the keys and so the colours
-(`Colouring._colours_of_columns`, `_radix_colours`), image coordinates,
-ambient rows.  The default reps are built the same way over the
-Hermite box (`_radix_reps`).
+form of a colour subgroup: one walk over a triangular basis cut to a
+box (`_box_columns`) lists, as one list per column, a lattice's points
+in a window (`_window_columns`), the prefixes of the colours a lattice
+meets (`_walk`) and the Hermite box of the default reps (`_radix_reps`).
+What is read from those points is a linear form over the columns
+(`_forms`), evaluated one coordinate at a time as a list operation:
+image coordinates, ambient rows, and the keys and so the colours, which
+come from one method (`Colouring._keys`, through `_colours_of_columns`).
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `transform`, and every point by `_point_ints`)
 and rational output is formed (`basis`, `det_abs`, `Colouring.reps` and
@@ -34,9 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from cslcolour.errors import (
@@ -267,51 +265,59 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     return tuple(out)
 
 
-def _box_prefixes(
+def _runs(
+    column: Sequence[int], step: int, firsts: Sequence[int], counts: Sequence[int]
+) -> list[int]:
+    """column[i] + x . step for x from firsts[i], counts[i] values, for every i in turn."""
+    if not step:
+        return list(chain.from_iterable(map(repeat, column, counts)))
+    starts = [v + x * step for v, x in zip(column, firsts)]
+    stops = [a + c * step for a, c in zip(starts, counts)]
+    return list(chain.from_iterable(map(range, starts, stops, repeat(step))))
+
+
+def _box_columns(
     h: Sequence[Sequence[int]], lo: Sequence[int], hi: Sequence[int], depth: int
-) -> list[tuple[int, ...]]:
-    """The sums x . h[:depth] whose first `depth` coordinates lie in the box.
+) -> list[list[int]]:
+    """The sums x . h[:depth] whose first `depth` coordinates lie in the box, as columns.
 
     h is upper triangular with positive pivots, so once coordinates
     0..j-1 of a sum are fixed, coordinate j runs over an arithmetic
     progression with step h[j][j], cut to [lo[j], hi[j]].  The sums come
-    out in lexicographic order of those coordinates, at a cost
-    proportional to their number, not to the box.
+    out in lexicographic order of those coordinates, one list per column
+    of h, at a cost proportional to their number, not to the box: a level
+    is one range per run of a column, or one repeat where h[j] is 0
+    (`_runs`).  A box narrower than the pivot holds at most one value per
+    run, so the columns shift in place and the empty runs are dropped.
     """
-    sums = [(0,) * len(h[0])]
+    columns = [[0] for _ in h[0]]
     for j in range(depth):
         row, p, low, high = h[j], h[j][j], lo[j], hi[j]
-        longer = []
-        for acc in sums:
-            for x in range(-((acc[j] - low) // p), (high - acc[j]) // p + 1):
-                longer.append(tuple(a + x * r for a, r in zip(acc, row)))
-        sums = longer
-    return sums
+        # the first x of each run: x . p + column j is the least value >= low
+        firsts = [-((a - low) // p) for a in columns[j]]
+        if high - low >= p:
+            counts = [(high - a) // p + 1 - x for a, x in zip(columns[j], firsts)]
+            columns = [_runs(col, r, firsts, counts) for col, r in zip(columns, row)]
+            continue
+        columns = [
+            [v + x * r for v, x in zip(col, firsts)] if r else col
+            for col, r in zip(columns, row)
+        ]
+        if high - low + 1 < p:
+            kept = [a <= high for a in columns[j]]
+            columns = [list(compress(col, kept)) for col in columns]
+    return columns
 
 
 def _window_columns(parent: Lattice, lat: Lattice, radius: int) -> list[list[int]]:
     """Parent coordinates in [-radius, radius]^d of the points of lat, as d columns.
 
     Both Hermite bases are upper triangular with positive pivots, so
-    lat's basis rel in parent coordinates is too (`_box_prefixes`).
-    The points come out in the order of product(box, repeat=d): each
-    prefix's coordinates repeat for its run, and the run of the last
-    coordinate is a slice of one list of the box's values, so no point
-    costs arithmetic or a new integer.
+    lat's basis in parent coordinates is too, and the points are its
+    `_box_columns`, in the order of product(box, repeat=d).
     """
-    rel = _relative_basis(parent, lat)
-    d = len(rel)
-    box = list(range(-radius, radius + 1))
-    step = rel[-1][-1]
-    prefixes = _box_prefixes(rel, (-radius,) * d, (radius,) * d, d - 1)
-    runs = [box[(acc[-1] + radius) % step :: step] for acc in prefixes]
-    lengths = list(map(len, runs))
-    columns = [
-        list(chain.from_iterable(map(repeat, heads, lengths)))
-        for heads in list(zip(*prefixes))[:-1]
-    ]
-    columns.append(list(chain.from_iterable(runs)))
-    return columns
+    d = parent.dim
+    return _box_columns(_relative_basis(parent, lat), (-radius,) * d, (radius,) * d, d)
 
 
 def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
@@ -341,19 +347,16 @@ def _forms(
         yield [0] * len(columns[0]) if line is None else line
 
 
-def _radix_colours(keys: Iterable[Sequence[int]], radix: Sequence, size: int) -> list[int]:
-    """The mixed-radix colour of each of `size` points from one key list per factor.
+def _mixed_radix(digits: Iterable[Sequence[int]], moduli: Sequence[int], size: int) -> list[int]:
+    """The mixed-radix index of each of `size` points, first digit most significant.
 
-    `radix` holds (column of V, d_j, weight) per Smith factor, as in
-    `Colouring`; the colour is sum (k_j mod d_j) . weight_j.
+    `digits` holds one list per modulus, each digit in [0, n); the index
+    is built by Horner's rule, one list operation per digit.
     """
-    colours = None
-    for (_, n, w), line in zip(radix, keys):
-        if colours is None:
-            colours = [k % n * w for k in line]
-        else:
-            colours = [c + k % n * w for c, k in zip(colours, line)]
-    return [0] * size if colours is None else colours
+    index = None
+    for line, n in zip(digits, moduli):
+        index = line if index is None else [i * n + x for i, x in zip(index, line)]
+    return [0] * size if index is None else index
 
 
 def _walk(
@@ -367,20 +370,20 @@ def _walk(
     significant, as `Colouring` numbers its keys.  The lattice's Hermite
     form is upper triangular with pivots p_j that divide n_j, so the
     last digit, of weight 1, runs over acc mod p + p.N below n for each
-    prefix acc of the box (`_box_prefixes`), and joins it as one range:
-    the colours come out in increasing order.
+    prefix acc of the box (`_box_columns` to depth k - 1), and joins it
+    as one range: the colours come out in increasing order.
 
     With `graph`, each generator is a pair (key | image key) and the
     walk runs over moduli + moduli.  The pairs span the graph of a map
     exactly when rows k..2k-1 of the form are (0 | diag(n)); then the
     right half of each point is fixed by its left half, and the colours
-    of the right halves are returned in the order of the left ones.
-    Returns (colours, images); images is empty without `graph`.
+    of the right halves, reduced mod n, are returned in the order of the
+    left ones.  Returns (colours, images); images is empty without
+    `graph`.
     """
     k = len(moduli)
     if k == 0:
         return [0], [0] if graph else []
-    weights = [prod(moduli[j + 1:]) for j in range(k)]
     mods = moduli * 2 if graph else moduli
     width = len(mods)
     h, _ = _hermite(
@@ -392,48 +395,38 @@ def _walk(
         for i, n in enumerate(moduli)
     ):
         raise InternalInvariantViolation("colour graph is not a function")
-    row, p, n = h[k - 1], h[k - 1][k - 1], moduli[-1]
+    prefixes = _box_columns(h, (0,) * k, [n - 1 for n in moduli], k - 1)
+    last, p, n = prefixes[k - 1], h[k - 1][k - 1], moduli[-1]
+    # each prefix's last digit runs from its residue mod p, by p, n / p times
+    starts = _mixed_radix([*prefixes[: k - 1], [a % p for a in last]], moduli, len(last))
     colours: list[int] = []
-    images: list[int] = []
-    for acc in _box_prefixes(h, (0,) * k, [x - 1 for x in moduli], k - 1):
-        base = sum(map(mul, acc[: k - 1], weights))
-        colours.extend(range(base + acc[k - 1] % p, base + n, p))
-        if graph:
-            first = -(acc[k - 1] // p)
-            steps = range(first, first + n // p)
-            columns = [
-                [(a + c * r) % q * w for c in steps]
-                for a, r, q, w in zip(acc[k:], row[k:], moduli, weights)
-            ]
-            images.extend(map(sum, zip(*columns)))
-    return colours, images
+    for s in starts:
+        colours += range(s, s + n, p)
+    if not graph:
+        return colours, []
+    # along each run the right half steps by row k - 1's
+    firsts, counts = [-(a // p) for a in last], [n // p] * len(last)
+    right = zip(prefixes[k:], h[k - 1][k:], moduli)
+    digits = [[x % q for x in _runs(column, r, firsts, counts)] for column, r, q in right]
+    return colours, _mixed_radix(digits, moduli, len(colours))
 
 
 def _radix_reps(colouring: Colouring) -> tuple[tuple[int, ...], ...]:
     """Each coset's one point in the box prod range(rel[j][j]), by colour, as `rep_rows`.
 
-    The box has exactly m points, in the order of product(range(p_j)).
-    Each entry of a point's row c . hnf_rows, and each factor's key
-    c . V_j before reduction, is built over the whole box as one flat
-    list, one coordinate at a time, so the colours are one mixed-radix
-    sum per point, as `colour_of_coords` gives them.  Two points in one
-    coset would leave a colour without a row.
+    The box has exactly m points, the `_box_columns` of the identity
+    basis; their rows (`_forms` of hnf_rows) and colours
+    (`Colouring._colours_of_columns`) are list operations over its
+    columns.  Two points in one coset would leave a colour without a row.
     """
-    h = colouring.parent.hnf_rows
-    radix = colouring._radix
-    # the step that coordinate j adds to each row entry and to each key
-    steps = [(*h[j], *(col[j] for col, _, _ in radix)) for j in range(len(h))]
-    lines = [[0] for _ in steps[0]]
-    for j, row in enumerate(colouring._rel):
-        box = range(row[j])
-        lines = [[a + t * s for a in line for t in box] for line, s in zip(lines, steps[j])]
-    colours = _radix_colours(lines[len(h):], radix, len(lines[0]))
-    reps: list = [None] * colouring.m
-    for colour, point in zip(colours, zip(*lines[: len(h)])):
-        reps[colour] = point
-    if None in reps:
+    d = colouring.parent.dim
+    highs = [row[j] - 1 for j, row in enumerate(colouring._rel)]
+    box = _box_columns(standard_lattice(d).hnf_rows, (0,) * d, highs, d)
+    rows = zip(*_forms(box, colouring.parent.hnf_rows))
+    reps = dict(zip(colouring._colours_of_columns(box), rows))
+    if len(reps) < colouring.m:
         raise InternalInvariantViolation("two points of the Hermite box share a coset")
-    return tuple(reps)
+    return tuple(map(reps.__getitem__, range(colouring.m)))
 
 
 def coset_reps(parent: Lattice, sub: Lattice) -> list[Vector]:
@@ -480,14 +473,10 @@ class Colouring:
         # the SNF elementary divisors d_1 | d_2 | ... of parent/sub
         self.moduli = tuple(d[j][j] for j in range(parent.dim))
         self.m = prod(self.moduli)
-        # (column j of V, d_j, mixed-radix weight) for each factor d_j > 1
-        radix = []
-        weight = 1
-        for j in reversed(range(parent.dim)):
-            if self.moduli[j] > 1:
-                radix.append((tuple(row[j] for row in v), self.moduli[j], weight))
-            weight *= self.moduli[j]
-        self._radix = tuple(reversed(radix))
+        # the factors d_j > 1, and the columns of V that key them
+        factors = [j for j, n in enumerate(self.moduli) if n > 1]
+        self._factors = tuple(self.moduli[j] for j in factors)
+        self._v = tuple(tuple(row[j] for j in factors) for row in v)
         self._table: Optional[list] = None
         self._rep_rows: Optional[tuple[tuple[int, ...], ...]] = None
         if reps is not None:
@@ -496,18 +485,18 @@ class Colouring:
                 raise ValueError(f"expected {self.m} representatives, got {len(points)}")
             if any(points[0][0]):
                 raise ValueError("first representative must be the zero vector")
-            # no table yet, so colour_of_coords gives the mixed-radix index
-            table = [None] * self.m
-            rows = []
-            for i, point in enumerate(points):
-                coords = self._coords_of_ints(*point)
-                key = self.colour_of_coords(coords)
-                if table[key] is not None:
-                    raise ValueError("representatives are congruent mod sub")
-                table[key] = i
-                rows.append(vec_mat(coords, parent.hnf_rows))
-            self._table = table
-            self._rep_rows = tuple(rows)
+            # the reps before the first one outside the parent are checked
+            # first; with no table yet, their colours are the keys' indices
+            coords = [_coords(parent, *point) for point in points]
+            inside = coords.index(None) if None in coords else self.m
+            columns = list(zip(*coords[:inside]))
+            keys = self._colours_of_columns(columns)
+            if len(set(keys)) < inside:
+                raise ValueError("representatives are congruent mod sub")
+            if inside < self.m:
+                self._coords_of_ints(*points[inside])
+            self._table = sorted(range(self.m), key=keys.__getitem__)
+            self._rep_rows = tuple(zip(*_forms(columns, parent.hnf_rows)))
 
     @property
     def rep_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -541,18 +530,15 @@ class Colouring:
         key is paired with the key of its row's image, and images[i] is
         the image of colours[i]; without it images is empty.
         """
-
-        def key(w, q):
-            coords = self._coords_of_ints(w, q)
-            return tuple(sum(map(mul, coords, col)) % n for col, n, _ in self._radix)
-
-        keys = [key(b, lat.den) for b in lat.hnf_rows]
+        coords = [self._coords_of_ints(b, lat.den) for b in lat.hnf_rows]
         if amap_ints is not None:
             num, q = amap_ints
             rows = mat_mul(lat.hnf_rows, num)
-            keys = [x + key(b, lat.den * q) for x, b in zip(keys, rows)]
-        moduli = tuple(n for _, n, _ in self._radix)
-        colours, images = _walk(keys, moduli, graph=amap_ints is not None)
+            coords += [self._coords_of_ints(b, lat.den * q) for b in rows]
+        keys = list(zip(*self._keys(list(zip(*coords)))))
+        if amap_ints is not None:
+            keys = [x + y for x, y in zip(keys, keys[lat.dim:])]
+        colours, images = _walk(keys, self._factors, graph=amap_ints is not None)
         if self._table is None:
             return colours, images
         # the table renumbers the walk's mixed-radix indices out of order
@@ -562,23 +548,26 @@ class Colouring:
         pairs = sorted(zip(map(rename, colours), map(rename, images)))
         return [c for c, _ in pairs], [j for _, j in pairs]
 
+    def _keys(self, columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+        """The key of every point c given as columns of integer parent coordinates.
+
+        (c . V_j) mod d_j, one list per factor d_j > 1: every key and colour is made here.
+        """
+        for line, n in zip(_forms(columns, self._v), self._factors):
+            yield [x % n for x in line]
+
     def _colours_of_columns(self, columns: Sequence[Sequence[int]]) -> list[int]:
         """The colour of every point given as columns of integer parent coordinates.
 
-        One key list per Smith factor (`_forms`), then one mixed-radix
-        sum per point; custom reps renumber through the table.
+        The mixed-radix index of the point's key (`_keys`, `_mixed_radix`);
+        custom reps renumber it through the table.
         """
-        v = [[col[j] for col, _, _ in self._radix] for j in range(len(columns))]
-        colours = _radix_colours(_forms(columns, v), self._radix, len(columns[0]))
+        colours = _mixed_radix(self._keys(columns), self._factors, len(columns[0]))
         return colours if self._table is None else list(map(self._table.__getitem__, colours))
 
     def colour_of_coords(self, coords: Sequence[int]) -> int:
-        """Colour index of a point given in integer parent coordinates."""
-        # the mixed-radix index of the key, as `_radix_colours` gives it
-        index = 0
-        for col, modulus, weight in self._radix:
-            index += sum(map(mul, coords, col)) % modulus * weight
-        return index if self._table is None else self._table[index]
+        """Colour index of a point given in integer parent coordinates (`_colours_of_columns`)."""
+        return self._colours_of_columns([[x] for x in coords])[0]
 
     def __repr__(self) -> str:
         return f"Colouring(m={self.m}, parent={self.parent!r}, sub={self.sub!r})"

@@ -192,6 +192,41 @@ def test_report_over_the_integer_digit_limit_is_one_config_error(capsys, tmp_pat
     assert "digit limit" in error["message"] and "4300" in error["message"]
 
 
+# Counts a budget refuses that are over the digit limit when written out:
+# a radius of 4000 digits gives a window of 8000 digits in d = 2, and
+# diag(9...9, 9...9) with 4000 digits each gives m of 8000 digits.
+OVER_LIMIT_BUDGET_CASES = {
+    "render-radius": dict(render={"radius": int("9" * 4000)}),
+    "oracle-radius": dict(oracle_radius=int("9" * 4000)),
+    "colours": dict(sub_basis=[["9" * 4000, "0"], ["0", "9" * 4000]]),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+@pytest.mark.parametrize("case", OVER_LIMIT_BUDGET_CASES)
+def test_budget_refusal_over_the_integer_digit_limit_is_one_config_error(
+    capsys, tmp_path, case, command
+):
+    path = variant(tmp_path, "example1.json", reps=None, **OVER_LIMIT_BUDGET_CASES[case])
+    argv = [command, path]
+    if command == "render":
+        argv += ["--mode", "parent", "--out", str(tmp_path / "x.svg")]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError"
+    assert "budget" in error["message"] and "about 10^8000" in error["message"]
+
+
 def test_analyze_rank4(capsys):
     code, out, _ = run(capsys, "analyze", config("ammann_beenker.json"))
     assert code == 0

@@ -229,6 +229,46 @@ def test_colour_coincidence_symmetric_in_inversion():
                 assert back == {j: i for i, j in perm.items()}
 
 
+def colour_coincidence_pairs(colourings, rotations, count, seed):
+    """`count` seeded triples (colouring, A, B), A and B colour coincidences of it.
+
+    Also returns the verdicts over every (colouring, rotation), so that a
+    caller can check that both occur.
+    """
+    found = {}
+    verdicts = Counter()
+    for colouring in colourings:
+        found[colouring] = []
+        for amap in rotations:
+            verdict = is_colour_coincidence(colouring, amap)
+            verdicts[verdict] += 1
+            if verdict:
+                found[colouring].append(amap)
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        colouring = rng.choice(colourings)
+        pairs.append((colouring, rng.choice(found[colouring]), rng.choice(found[colouring])))
+    return pairs, verdicts
+
+
+def corpus_colourings():
+    return [Colouring(Z2, lattice_new(rows)) for rows in SUBLATTICE_BASES]
+
+
+def cubic_colourings():
+    return [Colouring(standard_lattice(3), lattice_new(rows)) for rows in CUBIC_SUBLATTICES]
+
+
+def cubic_maps(max_norm):
+    return [commensurable_map(rows) for _, rows in cubic_rotations(max_norm)]
+
+
+def product_map(a, b):
+    """The map AB: x -> A(B(x))."""
+    return commensurable_map(mat_mul(a.matrix, b.matrix))
+
+
 def test_colour_coincidences_compose_on_a_corpus_sample():
     """The product of two colour coincidences of a colouring is again one.
 
@@ -239,28 +279,66 @@ def test_colour_coincidences_compose_on_a_corpus_sample():
     corpus sublattices.  With closure under inverses (above), the colour
     coincidences form a group on this sample.
     """
-    rotations = enumerate_square_rotations(65)
-    found = {}
-    verdicts = Counter()
-    for rows in SUBLATTICE_BASES:
-        colouring = Colouring(Z2, lattice_new(rows))
-        found[colouring] = []
-        for amap in rotations:
-            verdict = is_colour_coincidence(colouring, amap)
-            verdicts[verdict] += 1
-            if verdict:
-                found[colouring].append(amap)
+    pairs, verdicts = colour_coincidence_pairs(
+        corpus_colourings(), enumerate_square_rotations(65), 300, 20261019
+    )
     assert verdicts[True] and verdicts[False]
-    rng = random.Random(20261019)
-    colourings = list(found)
     nontrivial = 0
-    for _ in range(300):
-        colouring = rng.choice(colourings)
-        a, b = rng.choice(found[colouring]), rng.choice(found[colouring])
-        product_map = commensurable_map(mat_mul(a.matrix, b.matrix))
-        assert is_colour_coincidence(colouring, product_map)
-        nontrivial += sigma(Z2, product_map) > 1
+    for colouring, a, b in pairs:
+        ab = product_map(a, b)
+        assert is_colour_coincidence(colouring, ab)
+        nontrivial += sigma(Z2, ab) > 1
     assert nontrivial > 100
+
+
+def test_colour_coincidences_compose_on_a_cubic_sample():
+    """The same closure on Z^3, on these inputs only: 150 seeded ordered
+    pairs among the colour coincidences of the 192 rotations R(q) with
+    |q|^2 <= 9 (`cubic_rotations`), on each of the four `CUBIC_SUBLATTICES`.
+    Both verdicts occur among the 768 (sublattice, rotation) cases.
+    """
+    rotations = cubic_maps(9)
+    assert len(rotations) == 192
+    pairs, verdicts = colour_coincidence_pairs(cubic_colourings(), rotations, 150, 20261020)
+    assert verdicts[True] and verdicts[False]
+    nontrivial = 0
+    for colouring, a, b in pairs:
+        ab = product_map(a, b)
+        assert is_colour_coincidence(colouring, ab)
+        nontrivial += sigma(colouring.parent, ab) > 1
+    assert nontrivial > 50
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_colour_permutations_compose_at_points(dim):
+    """perm_AB(colour(x)) = perm_A(perm_B(colour(x))), point by point.
+
+    For x in csl(B^-1) with B(x) in csl(A^-1), x lies in csl((AB)^-1),
+    and both sides are the colour of A(B(x)).  The permutations come from
+    `analyze`; the window points are read one at a time by `contains`,
+    `apply` and `colour_of`, with no walk.  Seeded pairs of colour
+    coincidences on the corpus (d = 2) and cubic (d = 3) sublattices.
+    """
+    if dim == 2:
+        colourings, rotations, radius = corpus_colourings(), enumerate_square_rotations(25), 8
+    else:
+        colourings, rotations, radius = cubic_colourings(), cubic_maps(9), 2
+    pairs, _ = colour_coincidence_pairs(colourings, rotations, 25, 20261021 + dim)
+    checked = moved = 0
+    for colouring, a, b in pairs:
+        ab = product_map(a, b)
+        perm_a, perm_b, perm_ab = (dict(colour_permutation(colouring, m)) for m in (a, b, ab))
+        inv_a, inv_b, inv_ab = (csl(colouring.parent, m.inverse_map) for m in (a, b, ab))
+        for x in product(range(-radius, radius + 1), repeat=dim):
+            if not (contains(inv_b, x) and contains(inv_a, b.apply(x))):
+                continue
+            assert contains(inv_ab, x)
+            colour = colour_of(colouring, x)
+            image = colour_of(colouring, ab.apply(x))
+            assert perm_ab[colour] == perm_a[perm_b[colour]] == image
+            checked += 1
+            moved += image != colour
+    assert checked > 150 and moved > 30
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import det_rat, mat_mul, vec_mat
+from cslcolour.ratmat import det_rat, mat_mul, snf, vec_mat
 
 Z2 = standard_lattice(2)
 EX1_SUB = lattice_new([[6, 0], [2, 1]])
@@ -548,14 +548,21 @@ def test_coset_reps_classify_to_distinct_colours():
 
 
 def radix_reps_one_colour_at_a_time(colouring):
-    """The default rows by one colour lookup and one product per box point.
+    """The default rows by one colour and one product per box point.
 
     The reference for `lattice._radix_reps`, which builds the same rows
-    as flat lists over the whole box.
+    as lists over the whole box.  Each colour is the mixed-radix index
+    of the key (c . V_j) mod d_j, read off a Smith form of the relative
+    basis here, and `colour_of_coords` must agree with it.
     """
+    d, _, v = snf(colouring._rel)
+    factors = [(d[j][j], [row[j] for row in v]) for j in range(len(d))]
     rows = [None] * colouring.m
     for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):
-        colour = colouring.colour_of_coords(coords)
+        colour = 0
+        for n, column in factors:
+            colour = colour * n + sum(c * x for c, x in zip(coords, column)) % n
+        assert colour == colouring.colour_of_coords(coords)
         assert rows[colour] is None, "two points of the Hermite box share a coset"
         rows[colour] = vec_mat(coords, colouring.parent.hnf_rows)
     return tuple(rows)
@@ -609,6 +616,11 @@ def test_colouring_rep_override_validation():
     with pytest.raises(NotInParent):
         Colouring(Z2, EX1_SUB, reps=[["0", "0"], ["1/2", "0"], ["2", "0"],
                                      ["3", "0"], ["4", "0"], ["5", "0"]])
+    # with both faults, the one at the earlier rep is reported
+    with pytest.raises(ValueError, match="congruent"):
+        Colouring(Z2, EX1_SUB, reps=[[0, 0], [6, 0], ["1/2", 0], [3, 0], [4, 0], [5, 0]])
+    with pytest.raises(NotInParent):
+        Colouring(Z2, EX1_SUB, reps=[[0, 0], ["1/2", 0], [6, 0], [3, 0], [4, 0], [5, 0]])
 
 
 @pytest.mark.parametrize("reps", [[[0, 0, 0], [1, 0, 9]], [[0], [1]]])
@@ -729,7 +741,7 @@ def test_every_point_reader_refuses_the_wrong_dimension(name, point):
 
 
 # ---------------------------------------------------------------------------
-# the prefix walk over a triangular basis, against a box scan
+# the box walk over a triangular basis, against a box scan
 
 
 def box_scan_prefixes(h, lo, hi, depth):
@@ -750,21 +762,30 @@ def box_scan_prefixes(h, lo, hi, depth):
 
 
 @st.composite
-def triangular_boxes(draw):
-    """Upper triangular h with positive pivots, d = 1..4, and a box lo <= hi."""
+def triangular_boxes(draw, narrow=False):
+    """Upper triangular h with positive pivots, d = 1..4 rows, and a box lo <= hi.
+
+    h has up to two columns beyond its d rows, which the walk carries
+    along.  With `narrow`, each side of the box is shorter than its
+    pivot, so every run holds zero values or one.
+    """
     d = draw(st.integers(1, 4))
+    width = d + draw(st.integers(0, 2))
+    pivots = [draw(st.integers(1, 4)) for _ in range(d)]
     h = [
-        [0] * j + [draw(st.integers(1, 4))] + [draw(st.integers(-5, 5)) for _ in range(d - j - 1)]
+        [0] * j + [pivots[j]] + [draw(st.integers(-5, 5)) for _ in range(width - j - 1)]
         for j in range(d)
     ]
     lo = [draw(st.integers(-6, 3)) for _ in range(d)]
-    hi = [low + draw(st.integers(0, 6)) for low in lo]
+    hi = [low + draw(st.integers(0, p - 1 if narrow else 6)) for low, p in zip(lo, pivots)]
     return h, lo, hi
 
 
 @settings(max_examples=150, deadline=None)
-@given(triangular_boxes())
-def test_box_prefixes_match_a_box_scan(case):
+@given(st.one_of(triangular_boxes(), triangular_boxes(narrow=True)))
+def test_box_columns_match_a_box_scan(case):
     h, lo, hi = case
     for depth in range(len(h) + 1):
-        assert lattice_module._box_prefixes(h, lo, hi, depth) == box_scan_prefixes(h, lo, hi, depth)
+        sums = box_scan_prefixes(h, lo, hi, depth)
+        columns = [[s[c] for s in sums] for c in range(len(h[0]))]
+        assert lattice_module._box_columns(h, lo, hi, depth) == columns
