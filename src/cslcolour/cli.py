@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from math import gcd, log10
+from math import gcd
 from typing import Optional
 
 import cslcolour
@@ -36,7 +36,7 @@ from cslcolour.errors import (
     UnsupportedDimension,
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
-from cslcolour.ratmat import parse_rational
+from cslcolour.ratmat import _bounded, parse_rational
 from cslcolour.render import RENDER_MODES, render_svg
 
 # the most points a render or oracle window, (2R+1)^dim, may hold
@@ -76,20 +76,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _count(n: int) -> str:
-    """n in decimal, or its order of magnitude when str(n) is over Python's digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"about 10^{int(log10(n))}"
-
-
 def _require_window(radius: int, dim: int, what: str) -> None:
     points = (2 * radius + 1) ** dim
     _require(
         points <= WINDOW_BUDGET,
-        f"{what} {radius} gives a window of {_count(points)} points in dimension {dim}, "
-        f"over the budget of {WINDOW_BUDGET}",
+        f"{what} {_bounded(radius)} gives a window of {_bounded(points)} points "
+        f"in dimension {dim}, over the budget of {WINDOW_BUDGET}",
     )
 
 
@@ -209,18 +201,23 @@ def load_job_config(path: str) -> JobConfig:
     )
 
 
-def build_colouring(cfg: JobConfig) -> Colouring:
+def _colouring(cfg: JobConfig, reps: Optional[list]) -> Colouring:
     try:
-        colouring = Colouring(cfg.parent, cfg.sub, reps=cfg.reps)
+        return Colouring(cfg.parent, cfg.sub, reps=reps)
     except CslcolourError as exc:
         raise ConfigError(f"invalid colouring: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid representatives: {exc}") from None
+
+
+def build_colouring(cfg: JobConfig) -> Colouring:
+    """The job's colouring, with m checked against the budget before any custom reps."""
+    colouring = _colouring(cfg, None)
     _require(
         colouring.m <= COLOUR_BUDGET,
-        f"sub_basis gives {_count(colouring.m)} colours, over the budget of {COLOUR_BUDGET}",
+        f"sub_basis gives {_bounded(colouring.m)} colours, over the budget of {COLOUR_BUDGET}",
     )
-    return colouring
+    return colouring if cfg.reps is None else _colouring(cfg, cfg.reps)
 
 
 def _over_digit_limit(exc: ValueError) -> ConfigError:

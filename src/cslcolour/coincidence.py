@@ -46,10 +46,11 @@ from cslcolour.errors import (
 from cslcolour.lattice import (  # noqa: F401
     Colouring,
     Lattice,
-    _forms,
+    _box_columns,
     _hermite,
     _image,
     _point_ints,
+    _rows_beside_images,
     _window_columns,
     colour_of,
     coset_meets_lattice,
@@ -60,6 +61,7 @@ from cslcolour.lattice import (  # noqa: F401
 from cslcolour.ratmat import (  # noqa: F401
     IntMatrix,
     RatMatrix,
+    _bounded,
     clear_denominators,
     det_rat,
     int_inverse,
@@ -134,10 +136,15 @@ def is_coincidence(lat: Lattice, amap: CommensurableMap) -> bool:
     return amap.det in (1, -1)
 
 
+def _require_coincidence(lat: Lattice, amap: CommensurableMap) -> None:
+    """Raise NotCoincidence unless `is_coincidence`, writing |det| through `_bounded`."""
+    if not is_coincidence(lat, amap):
+        raise NotCoincidence(f"|det| = {_bounded(abs(amap.det))} != 1")
+
+
 def _image_and_csl(lat: Lattice, amap: CommensurableMap) -> tuple[Lattice, Lattice]:
     """A(`lat`) and the coincidence site lattice `lat` meet A(`lat`)."""
-    if not is_coincidence(lat, amap):
-        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
+    _require_coincidence(lat, amap)
     image = _image(lat, *amap.forward)
     return image, intersect(lat, image)
 
@@ -352,37 +359,24 @@ def window_census(
     of csl1_inv, and for csl1_inv points the colour of the image.  The
     CSLs are built the other way from `analyze`: csl1_inv as
     csl(parent, A^-1), csl1 as its image, 3 Hermite forms.  Only their
-    points are visited, as columns of coordinates
-    (`lattice._window_columns`), and each colour and image coordinate
-    is one linear form over those columns, a list operation per
-    coordinate; each list is dropped once read.  Pure integer
-    arithmetic end to end.
+    points are visited, as columns of coordinates; csl1_inv's rows are
+    walked beside their images (`lattice._rows_beside_images`), and each
+    colour is one linear form over the columns, a list operation per
+    coordinate.  Pure integer arithmetic end to end.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     parent = colouring.parent
+    d = parent.dim
     csl1_inv = csl(parent, amap.inverse_map)
-    # the map in parent coordinates: x -> x . T with T = H . A^T . H^-1,
-    # H the parent's integer Hermite basis (its den cancels)
-    a_num, a_den = amap.forward
-    h_inv, h_den = int_inverse(parent.hnf_rows)
-    t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
-    t_den = a_den * h_den
-    inv = _window_columns(parent, csl1_inv, radius)
-    count_inv = len(inv[-1])
-    colours = colouring._colours_of_columns(inv)
-    images = []
-    for line in _forms(inv, t_num):
-        if any([x % t_den for x in line]):
-            raise InternalInvariantViolation(
-                "image of a csl-inv point left the parent lattice"
-            )
-        images.append([x // t_den for x in line])
-        # drop the unreduced line before the next one is built
-        del line
-    del inv
-    pairs = set(zip(colours, colouring._colours_of_columns(images)))
-    del colours, images
+    rows = _rows_beside_images(parent, csl1_inv, *amap.forward)
+    # the window's points of csl1_inv, then their images, as 2d columns
+    walk = _box_columns(rows, (-radius,) * d, (radius,) * d, d)
+    colours = colouring._colours_of_columns(walk[:d])
+    count_inv = len(colours)
+    del walk[:d]
+    pairs = set(zip(colours, colouring._colours_of_columns(walk)))
+    del walk, colours
     transfer: dict[int, list[int]] = {}
     for i, j in sorted(pairs):
         transfer.setdefault(i, []).append(j)

@@ -18,10 +18,11 @@ basis in parent coordinates is triangular too, and so is the Hermite
 form of a colour subgroup: one walk over a triangular basis cut to a
 box (`_box_columns`) lists, as one list per column, a lattice's points
 in a window (`_window_columns`), the prefixes of the colours a lattice
-meets (`_walk`) and the Hermite box of the default reps (`_radix_reps`).
-What is read from those points is a linear form over the columns
-(`_forms`), evaluated one coordinate at a time as a list operation:
-image coordinates, ambient rows, and the keys and so the colours, which
+meets (`_walk`) and the Hermite box of the default reps (`_radix_reps`);
+with each basis row beside its image (`_rows_beside_images`), a point
+walks beside its image.  What is read from those points is a linear form
+over the columns (`_forms`), evaluated one coordinate at a time as a list
+operation: ambient rows, and the keys and so the colours, which
 come from one method (`Colouring._keys`, through `_colours_of_columns`).
 ``fractions.Fraction`` appears only at the edges, where rational input
 is parsed (`lattice_new`, `transform`, and every point by `_point_ints`)
@@ -50,6 +51,7 @@ from cslcolour.ratmat import (  # noqa: F401
     IntMatrix,
     RatMatrix,
     Vector,
+    _bounded,
     _hermite,
     clear_denominators,
     mat_mul,
@@ -263,6 +265,17 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
             raise NotASublattice("sub basis does not lie in parent")
         out.append(coords)
     return tuple(out)
+
+
+def _rows_beside_images(parent: Lattice, lat: Lattice, num: IntMatrix, q: int) -> list:
+    """lat's basis rows beside their images under v -> v . num / q, in parent coordinates.
+
+    A sum of them is a point of lat beside its image (callers pass csl(A^-1)).
+    """
+    images = [_coords(parent, b, lat.den * q) for b in mat_mul(lat.hnf_rows, num)]
+    if None in images:
+        raise InternalInvariantViolation("image of a csl-inv point left the parent lattice")
+    return [x + y for x, y in zip(_relative_basis(parent, lat), images)]
 
 
 def _runs(
@@ -482,7 +495,9 @@ class Colouring:
         if reps is not None:
             points = [_point_ints(rep, parent.dim, "parent") for rep in reps]
             if len(points) != self.m:
-                raise ValueError(f"expected {self.m} representatives, got {len(points)}")
+                raise ValueError(
+                    f"expected {_bounded(self.m)} representatives, got {len(points)}"
+                )
             if any(points[0][0]):
                 raise ValueError("first representative must be the zero vector")
             # the reps before the first one outside the parent are checked
@@ -530,14 +545,11 @@ class Colouring:
         key is paired with the key of its row's image, and images[i] is
         the image of colours[i]; without it images is empty.
         """
-        coords = [self._coords_of_ints(b, lat.den) for b in lat.hnf_rows]
-        if amap_ints is not None:
-            num, q = amap_ints
-            rows = mat_mul(lat.hnf_rows, num)
-            coords += [self._coords_of_ints(b, lat.den * q) for b in rows]
-        keys = list(zip(*self._keys(list(zip(*coords)))))
-        if amap_ints is not None:
-            keys = [x + y for x, y in zip(keys, keys[lat.dim:])]
+        if amap_ints is None:
+            keys = list(zip(*self._keys(list(zip(*_relative_basis(self.parent, lat))))))
+        else:
+            columns = list(zip(*_rows_beside_images(self.parent, lat, *amap_ints)))
+            keys = list(zip(*self._keys(columns[: lat.dim]), *self._keys(columns[lat.dim :])))
         colours, images = _walk(keys, self._factors, graph=amap_ints is not None)
         if self._table is None:
             return colours, images

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm, log10
 from typing import Sequence
 
 from cslcolour.errors import RankDeficient, Singular
@@ -34,6 +34,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# messages write a number in full only below this, so they stay one short line
+_ECHO_BOUND = 10**30
 
 
 def parse_rational(text: str) -> Fraction:
@@ -57,6 +59,33 @@ def format_rational(x: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, without converting n to a string."""
+    k = floor(log10(n))
+    if 10**k > n:
+        return k
+    return k + 2 if 10 ** (k + 1) <= n else k + 1
+
+
+def _bounded(x: Fraction | int) -> str:
+    """A non-negative number for a message: `format_rational`, or its size when long.
+
+    Above 30 digits in the numerator or denominator only the order of
+    magnitude is written, `about 10^k`, so no message grows with its
+    input and no number over Python's int-to-str digit limit is
+    converted.  A long fraction of order 10^0 is written by the digit
+    counts of its numerator and denominator instead, since `about 10^0`
+    would not tell it from 1.
+    """
+    f = Fraction(x)
+    if f.numerator < _ECHO_BOUND and f.denominator < _ECHO_BOUND:
+        return format_rational(f)
+    k = floor(log10(f.numerator) - log10(f.denominator))
+    if k:
+        return f"about 10^{k}"
+    return f"a {_digits(f.numerator)}-digit/{_digits(f.denominator)}-digit fraction"
 
 
 def rat_matrix(rows: Sequence[Sequence]) -> RatMatrix:

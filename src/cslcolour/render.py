@@ -16,8 +16,8 @@ import colorsys
 import math
 from typing import Optional, Sequence
 
-from cslcolour.coincidence import CommensurableMap, csl, is_coincidence
-from cslcolour.errors import NotCoincidence, UnsupportedDimension
+from cslcolour.coincidence import CommensurableMap, _require_coincidence, csl
+from cslcolour.errors import UnsupportedDimension
 from cslcolour.lattice import Colouring, Lattice, _forms, _window_columns, _window_points
 
 # the six base colours, extended deterministically past index 5
@@ -114,8 +114,7 @@ def render_svg(
         raise ValueError(f"palette needs at least {colouring.m} colours")
     else:
         colours = palette
-    if not is_coincidence(parent, amap):
-        raise NotCoincidence(f"|det| = {abs(amap.det)} != 1")
+    _require_coincidence(parent, amap)
     # walk only the lattice shown; the parent's walk covers the whole box
     shown, ringed = parent, set()
     if mode != "parent":

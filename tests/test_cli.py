@@ -192,6 +192,28 @@ def test_report_over_the_integer_digit_limit_is_one_config_error(capsys, tmp_pat
     assert "digit limit" in error["message"] and "4300" in error["message"]
 
 
+def _at_the_digit_limit(capsys, *argv):
+    """`run` with Python's default int-to-str limit of 4300 digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _one_error(err: str) -> dict:
+    (line,) = err.splitlines()
+    return json.loads(line)["error"]
+
+
+def _argv(command: str, path: str, tmp_path) -> list[str]:
+    """A command line for one of analyze, oracle and render of one config."""
+    if command == "render":
+        return [command, path, "--mode", "parent", "--out", str(tmp_path / "x.svg")]
+    return [command, path]
+
+
 # Counts a budget refuses that are over the digit limit when written out:
 # a radius of 4000 digits gives a window of 8000 digits in d = 2, and
 # diag(9...9, 9...9) with 4000 digits each gives m of 8000 digits.
@@ -211,20 +233,41 @@ def test_budget_refusal_over_the_integer_digit_limit_is_one_config_error(
     capsys, tmp_path, case, command
 ):
     path = variant(tmp_path, "example1.json", reps=None, **OVER_LIMIT_BUDGET_CASES[case])
-    argv = [command, path]
-    if command == "render":
-        argv += ["--mode", "parent", "--out", str(tmp_path / "x.svg")]
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # Python's default
-    try:
-        code, out, err = run(capsys, *argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
     assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)["error"]
+    error = _one_error(err)
     assert error["type"] == "ConfigError"
     assert "budget" in error["message"] and "about 10^8000" in error["message"]
+    # the radius is echoed bounded too, so the message stays one short line
+    assert len(error["message"]) < 200
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_colour_budget_is_checked_before_custom_reps(capsys, tmp_path, command):
+    """example 1 keeps its 6 reps while sub_basis gives m of 8000 digits:
+    the refusal names the colour budget, not the reps."""
+    path = variant(tmp_path, "example1.json", **OVER_LIMIT_BUDGET_CASES["colours"])
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
+    assert code == 2 and out == ""
+    error = _one_error(err)
+    assert error["type"] == "ConfigError"
+    assert error["message"] == "sub_basis gives about 10^8000 colours, over the budget of 100000"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_huge_determinant_is_one_not_coincidence_error(capsys, tmp_path, command):
+    """A = diag(10^2200, 10^2200): |det| has 4401 digits, over the digit limit."""
+    big = "1" + "0" * 2200
+    path = variant(tmp_path, "example1.json", map=[[big, "0"], ["0", big]])
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
+    assert code == 3 and out == ""
+    assert _one_error(err) == {"type": "NotCoincidence", "message": "|det| = about 10^4400 != 1"}
 
 
 def test_analyze_rank4(capsys):

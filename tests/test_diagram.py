@@ -41,13 +41,16 @@ from cslcolour import (
     intersect,
     is_colour_coincidence,
     lattice_new,
+    lattice_sum,
     multiplication_map,
     principal_submodule,
+    rat_inverse,
     standard_lattice,
     transform,
     window_census,
 )
-from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
+from cslcolour.ratmat import transpose
+from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
 
 Z2 = standard_lattice(2)
 
@@ -585,3 +588,92 @@ def test_custom_reps_number_the_colours():
     for i, rep in enumerate(colouring.reps):
         assert colour_of(colouring, rep) == i
         assert colour_of(colouring, (rep[0] + 5, rep[1] - 10)) == i
+
+
+# ---------------------------------------------------------------------------
+# the dual diagram
+
+
+def dual(lat):
+    """L* = {y : y . x in Z for every x in L}, spanned by the rows of B^-T."""
+    return lattice_new(transpose(rat_inverse(lat.basis)))
+
+
+def dual_map(amap):
+    """The adjoint A^-T, which carries L* onto (A.L)*."""
+    return commensurable_map(transpose(rat_inverse(amap.matrix)))
+
+
+# det-1 maps of Z^2 that are not rotations
+SHEARS = [
+    commensurable_map(rows)
+    for rows in (
+        [[2, 1], [1, 1]],
+        [[1, "1/3"], [0, 1]],
+        [[2, 0], [0, "1/2"]],
+        [["3/2", "1/2"], ["1/2", "5/6"]],
+        [["5/3", 1], ["2/3", 1]],
+    )
+]
+
+
+def dual_cases():
+    """A seeded sample of rotations and shears of Z^2 and of cubic rotations,
+    and 5 eightfold maps on 8 sublattices of Z^4."""
+    z2, z3, z4 = standard_lattice(2), standard_lattice(3), standard_lattice(4)
+    power, eightfold = AMMANN_BEENKER_ROTATION, [multiplication_map(cyc8(1, 1, 0, -1))]
+    for _ in range(4):
+        eightfold.append(multiplication_map(power))
+        power = power * AMMANN_BEENKER_ROTATION
+    squares = [lattice_new(rows) for rows in SUBLATTICE_BASES]
+    cubes = [lattice_new(rows) for rows in CUBIC_SUBLATTICES]
+    rng = random.Random(20260101)
+    planar = [(z2, sub, amap) for amap in enumerate_square_rotations(65) + SHEARS for sub in squares]
+    cubic = [(z3, sub, commensurable_map(rows)) for _, rows in cubic_rotations(9) for sub in cubes]
+    module = [(z4, sub, amap) for amap in eightfold for sub in MODULE8_SUBLATTICES]
+    return rng.sample(planar, 400) + rng.sample(cubic, 250) + module
+
+
+def test_the_dual_diagram_is_fixed_by_the_diagram():
+    """The dual colouring, of sub* by parent* under A^-T, has the diagram
+    m' = m, sigma1' = sigma2, sigma2' = sigma1, u' = m/s and v' = m/t.
+
+    Duality reverses inclusion, keeps indices ([N : M] = [M* : N*] for
+    M in N), turns sums into meets ((L + M)* = L* meet M*) and images
+    into adjoint images ((A.L)* = A^-T.L*).  So L* meet A^-T.L* =
+    (L + A.L)*, whence (L meet A.L)* = L* + A^-T.L*, and
+    [L* : L* meet A^-T.L*] = [L + A.L : L] = [A.L : L meet A.L], which is
+    [L : L meet A.L] when |det A| = 1: duality keeps the coincidence
+    index.  Hence m' = [sub* : parent*] = m, sigma1' = sigma(sub) =
+    sigma2 and sigma2' = sigma(parent) = sigma1.
+
+    With csl1' = (sub + A.sub)* and sub' = parent* inside sub*,
+    sub' meet csl1' = (parent + A.sub)* and csl2' = (parent + A.parent)*,
+    so u' = [parent + A.parent : parent + A.sub].  For lattices M in N
+    and P, N -> (P + N)/(P + M) is onto with kernel
+    N meet (P + M) = M + (N meet P), so
+    [N : M] = [P + N : P + M] . [P meet N : P meet M].  With P = parent,
+    N = A.parent and M = A.sub this is m = u'.s, since
+    s = [csl1 : A.sub meet csl1] = [parent meet A.parent : parent meet A.sub];
+    with P = A.parent, N = parent and M = sub it is m = v'.t.  The index
+    formula then gives s' = t.sigma1/sigma2 and t' = s.sigma1/sigma2.
+    Colour-coincidence verdicts are not preserved, and nothing is
+    asserted about them.
+    """
+    for parent, sub, amap in dual_cases():
+        adjoint = dual_map(amap)
+        # the adjoint of A is A^-1 transposed, the inverse of forward's transpose
+        assert adjoint.forward == (transpose(amap.backward[0]), amap.backward[1])
+        a = analyze(Colouring(parent, sub), amap)
+        b = analyze(Colouring(dual(sub), dual(parent)), adjoint)
+        assert b.m == a.m
+        assert (b.sigma1, b.sigma2) == (a.sigma2, a.sigma1)
+        assert (b.u * a.s, b.v * a.t) == (a.m, a.m)
+        assert (b.s * a.sigma2, b.t * a.sigma2) == (a.t * a.sigma1, a.s * a.sigma1)
+        # (L meet A.L)* = L* + A^-T.L* for L = parent (csl1) and sub (csl2),
+        # and for their duals, since L** = L
+        for lat, meet in ((parent, a.csl1), (sub, a.csl2)):
+            star = dual(lat)
+            assert dual(meet) == lattice_sum(star, transform(star, adjoint.matrix))
+        for lat, meet in ((sub, b.csl1), (parent, b.csl2)):
+            assert dual(meet) == lattice_sum(lat, transform(lat, amap.matrix))

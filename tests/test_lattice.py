@@ -765,12 +765,13 @@ def box_scan_prefixes(h, lo, hi, depth):
 def triangular_boxes(draw, narrow=False):
     """Upper triangular h with positive pivots, d = 1..4 rows, and a box lo <= hi.
 
-    h has up to two columns beyond its d rows, which the walk carries
-    along.  With `narrow`, each side of the box is shorter than its
-    pivot, so every run holds zero values or one.
+    h has up to max(2, d) columns beyond its d rows, which the walk
+    carries along, as the census carries each point's image.  With `narrow`,
+    each side of the box is shorter than its pivot, so every run holds
+    zero values or one.
     """
     d = draw(st.integers(1, 4))
-    width = d + draw(st.integers(0, 2))
+    width = d + draw(st.integers(0, max(2, d)))
     pivots = [draw(st.integers(1, 4)) for _ in range(d)]
     h = [
         [0] * j + [pivots[j]] + [draw(st.integers(-5, 5)) for _ in range(width - j - 1)]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cslcolour.errors import RankDeficient, Singular
 from cslcolour.ratmat import (
+    _bounded,
     clear_denominators,
     det_rat,
     format_rational,
@@ -86,6 +87,23 @@ def test_parse_and_format_round_trip():
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(-8, 2)) == "-4"
     assert parse_rational("4/6") == Fraction(2, 3)
+
+
+def test_bounded_writes_short_numbers_in_full_and_long_ones_as_a_power_of_ten():
+    assert _bounded(0) == "0"
+    assert _bounded(Fraction(6, 4)) == "3/2"
+    assert _bounded(10**30 - 1) == "9" * 30
+    assert _bounded(Fraction(1, 10**30 - 1)) == "1/" + "9" * 30
+    assert _bounded(10**30) == "about 10^30"
+    assert _bounded(7 * 10**50) == "about 10^50"
+    assert _bounded(Fraction(1, 10**40)) == "about 10^-40"
+    # of order 10^0 but not 1: the digit counts, not `about 10^0`
+    near_one = Fraction((10**15 + 1) ** 2, 10**30)
+    assert _bounded(near_one) == "a 31-digit/31-digit fraction"
+    assert _bounded(1 / near_one) == "a 31-digit/31-digit fraction"
+    assert _bounded(Fraction(10**40 + 1, 10**40)) == "a 41-digit/41-digit fraction"
+    # over Python's int-to-str digit limit, and never converted
+    assert _bounded(10**5000 + 1) == "about 10^5000"
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "a", "1.5", "2 /3", "--1", "1/+2"])

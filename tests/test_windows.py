@@ -1,11 +1,14 @@
 """Window census and render against their per-point references.
 
 `window_census` and `render_svg` read a window as columns of
-coordinates and compute colours, images and positions as one list
-operation per coordinate.  The references below visit one point at a
-time, with one `vec_mat` and one `colour_of_coords` per point, as the
-two functions did before; both paths must give the same census and
-the same SVG bytes.
+coordinates and compute colours and positions as one list operation
+per coordinate; the census reads each image off its own walk, with
+csl1_inv's basis rows walked beside their images.  The references
+below visit one point at a time, with one `vec_mat` and one
+`colour_of_coords` per point.  The census reference maps each point
+through its own conjugated map T = H.A^T.H^-1 (H the parent's Hermite
+basis), which nothing in the package computes; both paths must give
+the same census and the same SVG bytes.
 """
 
 from __future__ import annotations
@@ -262,3 +265,12 @@ def test_census_raises_when_a_csl_inv_image_leaves_the_parent(monkeypatch, tmp_p
     error = json.loads(lines[0])["error"]
     assert error["type"] == "InternalInvariantViolation"
     assert "left the parent lattice" in error["message"]
+
+
+def test_colour_walk_raises_when_an_image_leaves_the_parent():
+    """The colour walk pairs the keys of a lattice's rows with those of
+    their images; the images of Z^2's rows under the 3-4-5 rotation are
+    not parent points, which is a broken invariant, not a bad input."""
+    colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
+    with pytest.raises(InternalInvariantViolation, match="left the parent lattice"):
+        colouring._colours_met(Z2, ROT.forward)
