@@ -62,9 +62,8 @@ from cslcolour.ratmat import (  # noqa: F401
     IntMatrix,
     RatMatrix,
     _bounded,
+    _inverse_det,
     clear_denominators,
-    det_rat,
-    int_inverse,
     mat_mul,
     rat_inverse,
     rat_matrix,
@@ -115,14 +114,18 @@ class CommensurableMap:
 
 
 def commensurable_map(rows: Sequence[Sequence]) -> CommensurableMap:
-    """Validate and wrap a square invertible rational matrix; A^T = N / q, A^-T = q . N^-1."""
-    m = rat_matrix(rows)
-    det = det_rat(m)
-    num, q = clear_denominators(transpose(m))
-    inv, den = int_inverse(num)
+    """Validate and wrap a square invertible rational matrix.
+
+    With A^T = N / q, one elimination of N gives A^-T = q . N^-1 and
+    det A = det N / q^d.
+    """
+    num, q = clear_denominators(transpose(rat_matrix(rows)))
+    inv, den, det = _inverse_det(num)
     g = gcd(q, den)
     backward = tuple(tuple(q // g * x for x in row) for row in inv), den // g
-    return CommensurableMap(forward=(num, q), backward=backward, det=det)
+    return CommensurableMap(
+        forward=(num, q), backward=backward, det=Fraction(det, q ** len(num))
+    )
 
 
 def is_coincidence(lat: Lattice, amap: CommensurableMap) -> bool:

@@ -13,8 +13,8 @@ image maps hnf_rows . N over den . q for a map N / q; a meet and a sum
 are the two diagonal blocks of one stacked Hermite form (`_stacked`),
 which also decides whether a coset meets a lattice; membership and
 coordinates are one forward substitution against the triangular
-hnf_rows, and an index is a ratio of pivot products.  A sublattice's
-basis in parent coordinates is triangular too, and so is the Hermite
+hnf_rows.  A sublattice's basis in parent coordinates is triangular
+too (an index is the product of its diagonal), and so is the Hermite
 form of a colour subgroup: one walk over a triangular basis cut to a
 box (`_box_columns`) lists, as one list per column, a lattice's points
 in a window (`_window_columns`), the prefixes of the colours a lattice
@@ -186,18 +186,14 @@ def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
 def index(sup: Lattice, sub: Lattice) -> int:
     """Group index [sup : sub]; requires sub to be a sublattice of sup.
 
-    The ratio of the covolumes, prod(pivots) / den^d on each side.
+    sub's basis in sup's coordinates is triangular with a positive
+    diagonal, since both bases are Hermite forms; the index is its
+    determinant, the product of that diagonal.
     """
-    if not is_sublattice(sub, sup):
-        raise NotASublattice(f"{sub!r} is not inside {sup!r}")
-    d = sup.dim
-    ratio, rest = divmod(
-        prod(sub.hnf_rows[i][i] for i in range(d)) * sup.den**d,
-        prod(sup.hnf_rows[i][i] for i in range(d)) * sub.den**d,
-    )
-    if rest:
-        raise InternalInvariantViolation("index of a sublattice must be integral")
-    return ratio
+    if sub.dim != sup.dim:
+        raise DimensionMismatch("lattices live in different dimensions")
+    rel = _relative_basis(sup, sub)
+    return prod(rel[i][i] for i in range(sup.dim))
 
 
 def _stacked(l1: Lattice, l2: Lattice) -> tuple[list, int]:
@@ -262,7 +258,7 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     for row in sub.hnf_rows:
         coords = _coords(parent, row, sub.den)
         if coords is None:
-            raise NotASublattice("sub basis does not lie in parent")
+            raise NotASublattice(f"{sub!r} is not inside {parent!r}")
         out.append(coords)
     return tuple(out)
 

@@ -1,12 +1,13 @@
 """Exact integer matrix kernel, with rational edges.
 
 Internally a rational matrix is an integer matrix plus one common
-denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms and the
-integer inverse all run on Python ints only.
+denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms, and the
+one elimination that gives an inverse and a determinant
+(:func:`_inverse_det`), all run on Python ints only.
 ``fractions.Fraction`` values appear at the edges: parsing ``p/q``
 text and user matrices (:func:`parse_rational`, :func:`rat_matrix`,
-:func:`clear_denominators`), the public rational results
-(:func:`rat_inverse`, :func:`det_rat`) and formatting.  Matrices are
+:func:`clear_denominators`), the public rational inverse
+(:func:`rat_inverse`) and formatting.  Matrices are
 immutable tuples of row tuples.  Everything is exact: no floats, no
 rounding, ever.
 
@@ -33,7 +34,7 @@ RatMatrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # messages write a number in full only below this, so they stay one short line
 _ECHO_BOUND = 10**30
 
@@ -43,7 +44,7 @@ def parse_rational(text: str) -> Fraction:
 
     The sign may appear on p only and q must be a positive integer.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -140,63 +141,49 @@ def vec_mat(v, m):
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
-def det_rat(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+def _inverse_det(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, int, int]:
+    """(N, q, det m) for a square integer matrix m, with m^-1 = N / q in lowest terms.
+
+    One fraction-free Gauss-Jordan pass on [m | I] (Bareiss, Math. Comp.
+    22 (1968) 565): each step cross-multiplies every other row by the
+    pivot and divides it exactly by the previous pivot, so every entry
+    stays a minor of [m | I].  The pass ends at [p.I | R] with R . m = p.I,
+    so m^-1 = R / p and det m = p up to the sign of the row swaps.
+    q > 0 is the least common denominator of the inverse's entries.
+    Raises ValueError when m is empty or not square, Singular when det m = 0.
+    """
     n = len(m)
-    if any(len(row) != n for row in m):
+    if not n or any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            raise Singular("matrix is singular")
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                for j in range(col, n):
-                    work[r][j] -= f * work[col][j]
-    return det
+            sign = -sign
+        prow = work[col]
+        p = prow[col]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], prow)]
+        prev = p
+    g = gcd(p, *(x for row in work for x in row[n:]))
+    if p < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row[n:]) for row in work), p // g, sign * p
 
 
 def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
     """Inverse of a square integer matrix as (N, q) with m^-1 = N / q.
 
-    q > 0 is the least common denominator of the inverse's entries.
-    Fraction-free Gauss-Jordan on [m | I]: each row keeps R . m = L for
-    its left part L and right part R, a row operation cross-multiplies
-    by the pivot, and every changed row is divided by the gcd of its
-    entries, which keeps them small.  At the end L is diagonal, so row r
-    of the inverse is R_r / L_rr, already in lowest terms.  Raises
-    Singular.
+    q > 0 is the least common denominator of the inverse's entries (see
+    :func:`_inverse_det`).  Raises Singular.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse needs a square matrix")
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        prow = work[col]
-        p = prow[col]
-        for r in range(n):
-            f = work[r][col]
-            if r != col and f:
-                row = [p * x - f * y for x, y in zip(work[r], prow)]
-                g = gcd(*row)
-                work[r] = [x // g for x in row]
-    den = lcm(*(abs(work[r][r]) for r in range(n)))
-    return (
-        tuple(tuple(den // work[r][r] * x for x in work[r][n:]) for r in range(n)),
-        den,
-    )
+    return _inverse_det(m)[:2]
 
 
 def rat_inverse(m: Sequence[Sequence]) -> RatMatrix:

@@ -70,6 +70,51 @@ def cubic_rotations(max_norm: int) -> list[tuple[tuple[int, ...], list]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# exact determinant oracles that share no code with the package
+
+
+def ref_det(m):
+    """det m by Gaussian elimination over Fraction."""
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def det(m):
+    """Laplace expansion along the first row; small matrices only (a 0 x 0 one has det 1)."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def adjugate(m):
+    """adj(M) with M . adj(M) = det(M) . I: entry (i, j) is a cofactor of (j, i)."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j) * det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

@@ -616,6 +616,17 @@ def test_zero_denominator_rejected(capsys, tmp_path):
     assert run(capsys, "analyze", path)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "key, entry", [("map", "4/5\n"), ("sub_basis", "6\n"), ("parent_basis", "1\n")]
+)
+def test_an_entry_with_a_trailing_newline_is_one_config_error(capsys, tmp_path, key, entry):
+    rows = json.loads((CONFIG_DIR / "example1.json").read_text())[key]
+    rows[0][0] = entry
+    code, out, err = run(capsys, "analyze", variant(tmp_path, "example1.json", **{key: rows}))
+    assert code == 2 and out == ""
+    assert "not a rational literal" in _one_error(err)["message"]
+
+
 def test_non_square_map_rejected(capsys, tmp_path):
     path = variant(tmp_path, "example1.json", map=[["1", "0", "0"], ["0", "1", "0"]])
     assert run(capsys, "analyze", path)[0] == 2

@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
+from conftest import (
+    CUBIC_SUBLATTICES,
+    SUBLATTICE_BASES,
+    cayley_rotation,
+    cubic_rotations,
+    ref_det,
+)
 
 from cslcolour import cli, render
 from cslcolour.coincidence import (
@@ -53,7 +59,6 @@ from cslcolour.lattice import (
 )
 from cslcolour.ratmat import (
     clear_denominators,
-    det_rat,
     mat_mul,
     rat_inverse,
     rat_matrix,
@@ -101,7 +106,7 @@ def invertible_matrices(draw):
     d = draw(st.integers(1, 4))
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
-    assume(det_rat(rows) != 0)
+    assume(ref_det(rows) != 0)
     return rows
 
 
@@ -113,7 +118,7 @@ def test_a_map_is_its_integer_forms_in_lowest_terms(rows):
     assert amap.forward == clear_denominators(transpose(a))
     assert amap.backward == clear_denominators(transpose(rat_inverse(a)))
     assert amap.matrix == a
-    assert amap.det == det_rat(a)
+    assert amap.det == ref_det(a)
     assert amap.inverse_map.matrix == rat_inverse(a)
     assert amap.inverse_map.inverse_map == amap
 
@@ -124,6 +129,7 @@ def test_a_map_is_its_integer_forms_in_lowest_terms(rows):
         ([[1, 0], [0]], ValueError),  # ragged
         ([[1, 0, 0], [0, 1, 0]], ValueError),  # not square
         ([[1, 2], ["1/2", 1]], Singular),
+        ([], ValueError),  # empty
     ],
 )
 def test_commensurable_map_refuses_what_is_not_invertible(rows, error):
@@ -564,7 +570,7 @@ def random_invertible(rng, d):
     """A seeded random invertible rational d x d matrix."""
     while True:
         m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)]
-        if det_rat(m):
+        if ref_det(m):
             return m
 
 

@@ -50,7 +50,14 @@ from cslcolour import (
     window_census,
 )
 from cslcolour.ratmat import transpose
-from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, cubic_rotations
+from conftest import (
+    CUBIC_SUBLATTICES,
+    SUBLATTICE_BASES,
+    adjugate,
+    cayley_rotation,
+    cubic_rotations,
+    det,
+)
 
 Z2 = standard_lattice(2)
 
@@ -90,28 +97,6 @@ def _closure(gens, add, zero, limit=None):
             if limit is not None and len(elems) > limit:
                 return None
     return elems
-
-
-def det(m):
-    """Laplace expansion along the first row; small matrices only."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum(
-        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(len(m))
-    )
-
-
-def adjugate(m):
-    """adj(M) with M . adj(M) = det(M) . I: entry (i, j) is a cofactor of (j, i)."""
-    n = len(m)
-    return [
-        [
-            (-1) ** (i + j) * det([row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 def oracle(sub_rows, map_rows, reps):

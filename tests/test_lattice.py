@@ -38,7 +38,8 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import det_rat, mat_mul, snf, vec_mat
+from cslcolour.ratmat import mat_mul, snf, vec_mat
+from conftest import ref_det
 
 Z2 = standard_lattice(2)
 EX1_SUB = lattice_new([[6, 0], [2, 1]])
@@ -60,7 +61,7 @@ small_bases = (
     st.lists(
         st.lists(st.integers(-4, 4), min_size=2, max_size=2),
         min_size=2, max_size=2,
-    ).filter(lambda m: det_rat(m) != 0)
+    ).filter(lambda m: ref_det(m) != 0)
 )
 
 
@@ -257,24 +258,6 @@ def ref_solve(basis, v):
                 f = aug[r][col] / aug[col][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
-def ref_det(m):
-    work = [[Fraction(x) for x in row] for row in m]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        for r in range(col + 1, n):
-            f = work[r][col] / work[col][col]
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
 
 
 def ref_mat_mul(a, b):
