@@ -329,11 +329,6 @@ def _window_columns(parent: Lattice, lat: Lattice, radius: int) -> list[list[int
     return _box_columns(_relative_basis(parent, lat), (-radius,) * d, (radius,) * d, d)
 
 
-def _window_points(parent: Lattice, lat: Lattice, radius: int) -> list[tuple[int, ...]]:
-    """The points of `_window_columns` as coordinate tuples, in the same order."""
-    return list(zip(*_window_columns(parent, lat, radius)))
-
-
 def _forms(
     columns: Sequence[Sequence[int]], matrix: Sequence[Sequence[int]]
 ) -> Iterator[list[int]]:

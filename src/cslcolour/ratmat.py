@@ -287,6 +287,8 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular.  Raises RankDeficient when det M = 0.
     """
     mi = int_matrix(m)
+    if not mi:
+        raise ValueError("empty matrix")
     n = len(mi)
     if any(len(row) != n for row in mi):
         raise ValueError("snf needs a square matrix")

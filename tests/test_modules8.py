@@ -227,10 +227,10 @@ def test_star_coords_numeric_rotation_check():
 def test_star_render_embedding_is_the_star_coords_formula(parent):
     sqrt2 = math.sqrt(2.0)
     columns = _window_columns(parent, parent, 2)
-    xs, ys = render_module._embed(parent, columns, star=True)
+    kx, ky, position = render_module._embed(parent, columns, star=True)
     points = list(zip(*columns))
-    assert len(points) == len(xs) == len(ys) == 5**4
-    for coords, x, y in zip(points, xs, ys):
+    assert len(points) == len(kx) == len(ky) == 5**4
+    for coords, x, y in zip(points, map(position, kx), map(position, ky)):
         ambient = [Fraction(a, parent.den) for a in vec_mat(coords, parent.hnf_rows)]
         (xr, xq), (yr, yq) = star_coords(ambient)
         assert (x, y) == (float(xr) + float(xq) * sqrt2, float(yr) + float(yq) * sqrt2)

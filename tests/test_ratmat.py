@@ -346,6 +346,12 @@ def test_snf_rejects_singular():
         snf(((1, 2), (2, 4)))
 
 
+def test_snf_refuses_the_empty_matrix_as_hnf_does():
+    for reduce in (hnf, snf):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            reduce([])
+
+
 @settings(max_examples=80)
 @given(
     st.lists(

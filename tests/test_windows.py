@@ -3,7 +3,8 @@
 `window_census` and `render_svg` read a window as columns of
 coordinates and compute colours and positions as one list operation
 per coordinate; the census reads each image off its own walk, with
-csl1_inv's basis rows walked beside their images.  The references
+csl1_inv's basis rows walked beside their images, and the render
+writes its lines from columns of strings.  The references
 below visit one point at a time, with one `vec_mat` and one
 `colour_of_coords` per point.  The census reference maps each point
 through its own conjugated map T = H.A^T.H^-1 (H the parent's Hermite
@@ -14,13 +15,21 @@ the same census and the same SVG bytes.
 from __future__ import annotations
 
 import json
+import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import CUBIC_SUBLATTICES, cayley_rotation
+from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
 
 from cslcolour import cli, coincidence, render
-from cslcolour.coincidence import commensurable_map, csl, window_census
+from cslcolour.coincidence import (
+    commensurable_map,
+    csl,
+    enumerate_square_rotations,
+    window_census,
+)
 from cslcolour.cyclo8 import (
     AMMANN_BEENKER_ROTATION,
     cyc8,
@@ -31,7 +40,6 @@ from cslcolour.errors import InternalInvariantViolation
 from cslcolour.lattice import (
     Colouring,
     _window_columns,
-    _window_points,
     lattice_new,
     standard_lattice,
 )
@@ -48,6 +56,11 @@ RATIONAL_PARENT = lattice_new([["1/2", 1], [0, "5/2"]])
 # the eightfold module z.Z[xi] (den 3) coloured by its double: m = 16, four Smith factors
 MODULE_DEN3 = principal_submodule(AMMANN_BEENKER_ROTATION)
 DOUBLE_DEN3 = lattice_new([[2 * x for x in row] for row in MODULE_DEN3.basis])
+
+
+def _window_points(parent, lat, radius):
+    """The points of `_window_columns` as coordinate tuples, in the same order."""
+    return list(zip(*_window_columns(parent, lat, radius)))
 
 
 def census_one_point_at_a_time(colouring, amap, radius):
@@ -191,6 +204,37 @@ def test_census_columns_match_the_per_point_census(colouring, amap, radius):
     assert census == census_one_point_at_a_time(colouring, amap, radius)
 
 
+def _corpus_render_sample(count, seed):
+    """A seeded sample of corpus renders: rotation x index-1..12 sublattice.
+
+    Case i has radius i mod 7; every third case scales parent and sub by
+    1/2 (a parent with den 2, which every rotation still maps into
+    coincidence), and every fourth one, from the second, lists its reps
+    shuffled and each moved by a sub vector, so colours go through the
+    table.
+    """
+    rng = random.Random(seed)
+    rotations = enumerate_square_rotations(40)
+    cases = []
+    for i in range(count):
+        amap = rng.choice(rotations)
+        rows = rng.choice(SUBLATTICE_BASES)
+        scale = Fraction(1, 2) if i % 3 == 2 else 1
+        parent = lattice_new([[scale, 0], [0, scale]])
+        sub = lattice_new([[scale * x for x in row] for row in rows])
+        colouring = Colouring(parent, sub)
+        if i % 4 == 1:
+            reps = colouring.reps[1:]
+            rng.shuffle(reps)
+            moved = []
+            for rep in reps:
+                k, row = rng.randrange(-2, 3), rng.choice(sub.basis)
+                moved.append([a + k * b for a, b in zip(rep, row)])
+            colouring = Colouring(parent, sub, reps=colouring.reps[:1] + moved)
+        cases.append(pytest.param(colouring, amap, i % 7, False, id=f"corpus{i}"))
+    return cases
+
+
 RENDER_CASES = [
     pytest.param(
         Colouring(Z2, lattice_new([[6, 0], [2, 1]]), reps=[[i, 0] for i in range(6)]),
@@ -210,6 +254,7 @@ RENDER_CASES = [
     ),
     pytest.param(Colouring(Z4, ONE_PLUS_XI2), Z_XI, 2, True, id="d4-star"),
     pytest.param(Colouring(MODULE_DEN3, DOUBLE_DEN3), Z_XI, 1, True, id="d4-star-den3"),
+    *_corpus_render_sample(48, 7),
 ]
 
 
@@ -231,13 +276,53 @@ def test_render_columns_match_the_per_point_render(
     assert svg == render_one_point_at_a_time(colouring, amap, mode, radius, **options)
 
 
+@pytest.mark.parametrize(
+    "colouring, amap, radius, star",
+    [
+        pytest.param(Colouring(Z2, lattice_new([[2, 1], [0, 5]])), ROT13, 3, False, id="plane"),
+        pytest.param(
+            Colouring(RATIONAL_PARENT, lattice_new([[1, "9/2"], [0, "15/2"]])),
+            ROT,
+            6,
+            False,
+            id="plane-den2",
+        ),
+        pytest.param(Colouring(Z4, ONE_PLUS_XI2), Z_XI, 2, True, id="star"),
+    ],
+)
+def test_points_on_an_axis_keep_the_sign_of_their_zero(colouring, amap, radius, star):
+    """y is negated for SVG, so a point with y = 0 is written at cy -0.0000
+    and one with x = 0 at cx 0.0000; 0.0 and -0.0 compare and hash alike,
+    and a render that shared one string between them would lose one."""
+    parent = colouring.parent
+    svg = render.render_svg(colouring, amap, "parent", radius, star_embedding=star)
+    on_x_axis = on_y_axis = 0
+    circles = re.findall(r'class="pt" cx="([^"]*)" cy="([^"]*)".*data-coords="([^"]*)"', svg)
+    for cx, cy, coords in circles:
+        a = vec_mat([int(c) for c in coords.split(",")], parent.hnf_rows)
+        # x = a0 + (a1 - a3) sqrt 2 / 2 and y = a2 + (a1 + a3) sqrt 2 / 2 in the star
+        x, y = ([a[0]], [a[1]]) if not star else ([a[0], a[1] - a[3]], [a[2], a[1] + a[3]])
+        if not any(x):
+            on_y_axis += 1
+            assert cx == "0.0000", coords
+        if not any(y):
+            on_x_axis += 1
+            assert cy == "-0.0000", coords
+    assert on_x_axis > 1 and on_y_axis > 1
+    origin = re.search(r'<circle class="origin" cx="([^"]*)" cy="([^"]*)"', svg)
+    assert origin.groups() == ("0.0000", "-0.0000")
+
+
 @pytest.mark.parametrize("radius", [0, 1, 4])
 def test_window_points_are_the_columns_transposed(radius):
     sub = lattice_new([[2, 1], [0, 5]])
     columns = _window_columns(Z2, sub, radius)
-    points = _window_points(Z2, sub, radius)
+    # the points a.(2, 1) + b.(0, 5) in the box, in product order, which
+    # render_svg relies on to find the origin by bisection
+    box = set(product(range(-radius, radius + 1), repeat=2))
+    spanned = {(2 * a, a + 5 * b) for a in range(-9, 10) for b in range(-9, 10)}
     assert len(columns) == 2
-    assert list(zip(*columns)) == points == sorted(points)
+    assert list(zip(*columns)) == sorted(spanned & box)
 
 
 def test_census_raises_when_a_csl_inv_image_leaves_the_parent(monkeypatch, tmp_path, capsys):
