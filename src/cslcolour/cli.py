@@ -36,7 +36,7 @@ from cslcolour.errors import (
     UnsupportedDimension,
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
-from cslcolour.ratmat import _bounded, parse_rational
+from cslcolour.ratmat import _bounded, rat_matrix
 from cslcolour.render import RENDER_MODES, render_svg
 
 # the most points a render or oracle window, (2R+1)^dim, may hold
@@ -45,6 +45,8 @@ WINDOW_BUDGET = 2_000_000
 COLOUR_BUDGET = 100_000
 # the largest gen-rotations --max; the output grows linearly with it
 ROTATION_BUDGET = 2_000
+# the largest dim; the analysis's Hermite forms swell with it (README, "Dimension budget")
+DIM_BUDGET = 16
 # a palette entry is written into SVG attributes, so only #rrggbb passes
 HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")
 # how json.dumps writes the two scalar types of a report's long lists;
@@ -58,7 +60,7 @@ class JobConfig:
     sub: Lattice
     amap: CommensurableMap
     star_embedding: bool
-    reps: Optional[list]
+    reps: Optional[tuple]
     render_radius: Optional[int]
     palette: Optional[list]
     highlight_csl: bool
@@ -87,18 +89,13 @@ def _require_window(radius: int, dim: int, what: str) -> None:
 
 def _parse_matrix(raw, dim: int, what: str):
     _require(isinstance(raw, list) and len(raw) == dim, f"{what} must be a {dim}x{dim} array")
-    rows = []
     for row in raw:
         _require(isinstance(row, list) and len(row) == dim, f"{what} must be a {dim}x{dim} array")
-        vals = []
-        for entry in row:
-            _require(isinstance(entry, str), f"{what} entries must be \"p/q\" strings")
-            try:
-                vals.append(parse_rational(entry))
-            except ValueError as exc:
-                raise ConfigError(f"{what}: {exc}") from None
-        rows.append(vals)
-    return rows
+        _require(all(isinstance(x, str) for x in row), f"{what} entries must be \"p/q\" strings")
+    try:
+        return rat_matrix(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def load_job_config(path: str) -> JobConfig:
@@ -113,6 +110,7 @@ def load_job_config(path: str) -> JobConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     dim = raw.get("dim")
     _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
+    _require(dim <= DIM_BUDGET, f"dim {_bounded(dim)} is over the budget of {DIM_BUDGET}")
     try:
         parent = lattice_new(_parse_matrix(raw.get("parent_basis"), dim, "parent_basis"))
         sub = lattice_new(_parse_matrix(raw.get("sub_basis"), dim, "sub_basis"))
@@ -148,17 +146,16 @@ def load_job_config(path: str) -> JobConfig:
     if raw.get("reps") is not None:
         raw_reps = raw["reps"]
         _require(isinstance(raw_reps, list) and raw_reps, "reps must be a nonempty array")
-        reps = []
         for vec in raw_reps:
             _require(
                 isinstance(vec, list) and len(vec) == dim
                 and all(isinstance(x, str) for x in vec),
                 f"each rep must be {dim} \"p/q\" strings",
             )
-            try:
-                reps.append([parse_rational(x) for x in vec])
-            except ValueError as exc:
-                raise ConfigError(f"reps: {exc}") from None
+        try:
+            reps = rat_matrix(raw_reps)
+        except ValueError as exc:
+            raise ConfigError(f"reps: {exc}") from None
     render_radius = None
     palette = None
     highlight = False
@@ -201,7 +198,7 @@ def load_job_config(path: str) -> JobConfig:
     )
 
 
-def _colouring(cfg: JobConfig, reps: Optional[list]) -> Colouring:
+def _colouring(cfg: JobConfig, reps: Optional[tuple]) -> Colouring:
     try:
         return Colouring(cfg.parent, cfg.sub, reps=reps)
     except CslcolourError as exc:

@@ -66,7 +66,6 @@ from cslcolour.ratmat import (  # noqa: F401
     clear_denominators,
     mat_mul,
     rat_inverse,
-    rat_matrix,
     snf,
     transpose,
     vec_mat,
@@ -119,7 +118,8 @@ def commensurable_map(rows: Sequence[Sequence]) -> CommensurableMap:
     With A^T = N / q, one elimination of N gives A^-T = q . N^-1 and
     det A = det N / q^d.
     """
-    num, q = clear_denominators(transpose(rat_matrix(rows)))
+    ints, q = clear_denominators(rows)
+    num = transpose(ints)
     inv, den, det = _inverse_det(num)
     g = gcd(q, den)
     backward = tuple(tuple(q // g * x for x in row) for row in inv), den // g

@@ -16,7 +16,7 @@ from typing import Sequence
 from cslcolour.coincidence import CommensurableMap, commensurable_map
 from cslcolour.errors import InternalInvariantViolation, ZeroElement
 from cslcolour.lattice import Lattice, lattice_new
-from cslcolour.ratmat import RatMatrix, parse_rational, transpose
+from cslcolour.ratmat import RatMatrix, _rational, transpose
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,7 @@ def cyc8(*coeffs) -> Cyc8:
         coeffs = tuple(coeffs[0])
     if len(coeffs) != 4:
         raise ValueError("expected 4 coefficients")
-    return Cyc8(
-        tuple(
-            parse_rational(x) if isinstance(x, str) else Fraction(x) for x in coeffs
-        )
-    )
+    return Cyc8(tuple(map(_rational, coeffs)))
 
 
 CYC8_ONE = cyc8(1, 0, 0, 0)
@@ -151,7 +147,7 @@ def star_coords(
     part xr + xs.sqrt(2) and imaginary part yr + ys.sqrt(2); callers
     evaluate sqrt(2) at display precision only.
     """
-    a0, a1, a2, a3 = (Fraction(x) for x in coeffs)
+    a0, a1, a2, a3 = map(_rational, coeffs)
     return (
         (a0, (a1 - a3) / 2),
         (a2, (a1 + a3) / 2),

@@ -24,10 +24,10 @@ walks beside its image.  What is read from those points is a linear form
 over the columns (`_forms`), evaluated one coordinate at a time as a list
 operation: ambient rows, and the keys and so the colours, which
 come from one method (`Colouring._keys`, through `_colours_of_columns`).
-``fractions.Fraction`` appears only at the edges, where rational input
-is parsed (`lattice_new`, `transform`, and every point by `_point_ints`)
-and rational output is formed (`basis`, `det_abs`, `Colouring.reps` and
-`coset_reps`, witnesses).
+``fractions.Fraction`` appears only at the edges, where each input is
+read once by the one reader, `ratmat.clear_denominators` (`lattice_new`,
+`transform`, and every point by `_point_ints`), and rational output is
+formed (`basis`, `det_abs`, `Colouring.reps` and `coset_reps`, witnesses).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from cslcolour.ratmat import (  # noqa: F401
     clear_denominators,
     mat_mul,
     rat_inverse,
-    rat_matrix,
     snf,
     transpose,
     vec_mat,
@@ -123,11 +122,11 @@ def lattice_new(basis: Sequence[Sequence]) -> Lattice:
     Entries may be ints, Fractions, or "p/q" strings.  Raises
     RankDeficient when the rows are dependent.
     """
-    rows = rat_matrix(basis)
+    rows, den = clear_denominators(basis)
     d = len(rows)
     if d == 0 or len(rows[0]) != d:
         raise RankDeficient("basis must be square and nonempty")
-    return _from_ints(*clear_denominators(rows))
+    return _from_ints(rows, den)
 
 
 def standard_lattice(d: int) -> Lattice:
@@ -164,10 +163,9 @@ def _coords(lat: Lattice, w: Sequence[int], q: int = 1) -> Optional[tuple[int, .
 
 def _point_ints(v: Sequence, dim: int, what: str) -> tuple[tuple[int, ...], int]:
     """The one reader of rational points: (w, q) for v = w / q in lowest terms."""
-    vec = [Fraction(x) for x in v]
-    if len(vec) != dim:
-        raise DimensionMismatch(f"point has dimension {len(vec)}, {what} {dim}")
-    (w,), q = clear_denominators([vec])
+    (w,), q = clear_denominators([v])
+    if len(w) != dim:
+        raise DimensionMismatch(f"point has dimension {len(w)}, {what} {dim}")
     return w, q
 
 
@@ -246,10 +244,10 @@ def transform(lat: Lattice, map_matrix: Sequence[Sequence]) -> Lattice:
     `map_matrix` is the matrix A of the linear map in the ambient
     coordinates; basis rows map to rows of basis . A^T.
     """
-    m = rat_matrix(map_matrix)
-    if len(m) != lat.dim or len(m[0]) != lat.dim:
+    num, q = clear_denominators(map_matrix)
+    if len(num) != lat.dim or len(num[0]) != lat.dim:
         raise DimensionMismatch("map and lattice dimensions differ")
-    return _image(lat, *clear_denominators(transpose(m)))
+    return _image(lat, transpose(num), q)
 
 
 def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:

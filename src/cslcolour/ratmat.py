@@ -4,10 +4,11 @@ Internally a rational matrix is an integer matrix plus one common
 denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms, and the
 one elimination that gives an inverse and a determinant
 (:func:`_inverse_det`), all run on Python ints only.
-``fractions.Fraction`` values appear at the edges: parsing ``p/q``
-text and user matrices (:func:`parse_rational`, :func:`rat_matrix`,
-:func:`clear_denominators`), the public rational inverse
-(:func:`rat_inverse`) and formatting.  Matrices are
+``fractions.Fraction`` values appear at the edges: reading input
+numbers, the public rational inverse (:func:`rat_inverse`) and
+formatting.  Every number the package is given is read by one reader,
+:func:`_rational` (a string by :func:`parse_rational`, anything else by
+``Fraction``), most through :func:`clear_denominators`.  Matrices are
 immutable tuples of row tuples.  Everything is exact: no floats, no
 rounding, ever.
 
@@ -89,14 +90,17 @@ def _bounded(x: Fraction | int) -> str:
     return f"a {_digits(f.numerator)}-digit/{_digits(f.denominator)}-digit fraction"
 
 
+def _rational(x) -> Fraction:
+    """The one reader of an input number: a str by `parse_rational`, else `Fraction(x)`."""
+    return parse_rational(x) if isinstance(x, str) else Fraction(x)
+
+
 def rat_matrix(rows: Sequence[Sequence]) -> RatMatrix:
-    """Coerce nested sequences of int/str/Fraction entries to a RatMatrix."""
+    """Coerce nested sequences of int/str/Fraction entries to a RatMatrix (`_rational`)."""
     out = []
     width = None
     for row in rows:
-        vals = tuple(
-            parse_rational(x) if isinstance(x, str) else Fraction(x) for x in row
-        )
+        vals = tuple(map(_rational, row))
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -106,13 +110,13 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatMatrix:
 
 
 def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Validate an integer matrix; other entries must have integral Fraction values."""
+    """Validate an integer matrix; other entries must read (`_rational`) as integers."""
     out = []
     for row in rows:
         vals = []
         for x in row:
             if type(x) is not int:
-                f = Fraction(x)
+                f = _rational(x)
                 if f.denominator != 1:
                     raise ValueError(f"non-integer entry {x}")
                 x = f.numerator
@@ -198,12 +202,9 @@ def rat_inverse(m: Sequence[Sequence]) -> RatMatrix:
 
 
 def clear_denominators(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
-    """Return (den*m as IntMatrix, den) with den the lcm of all denominators."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
+    """Return (den*m as IntMatrix, den) with den the lcm of all denominators of `rat_matrix(m)`."""
+    rows = rat_matrix(m)
+    den = lcm(*(x.denominator for row in rows for x in row))
     ints = tuple(
         tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
     )

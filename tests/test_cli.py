@@ -10,11 +10,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import re
 import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,7 @@ from cslcolour.cli import main
 from cslcolour.coincidence import analyze, commensurable_map
 from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION
 from cslcolour.lattice import Colouring, lattice_new
-from cslcolour.ratmat import format_rational
+from cslcolour.ratmat import format_rational, mat_mul, rat_inverse
 
 CONFIG_DIR = Path(cslcolour.__file__).parent / "configs"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -627,6 +629,27 @@ def test_an_entry_with_a_trailing_newline_is_one_config_error(capsys, tmp_path, 
     assert "not a rational literal" in _one_error(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "base, key, message",
+    [
+        ("example1.json", "parent_basis", "parent_basis: not a rational literal: '1.5'"),
+        ("example1.json", "sub_basis", "sub_basis: not a rational literal: '1.5'"),
+        ("example1.json", "map", "map: not a rational literal: '1.5'"),
+        ("example1.json", "reps", "reps: not a rational literal: '1.5'"),
+        ("ammann_beenker.json", "map.coeffs", "invalid map element: not a rational literal: '1.5'"),
+    ],
+)
+def test_a_bad_literal_is_one_config_error_naming_it(capsys, tmp_path, base, key, message):
+    raw = json.loads((CONFIG_DIR / base).read_text())
+    if key == "map.coeffs":
+        raw["map"]["coeffs"][0] = "1.5"
+    else:
+        raw[key][0][0] = "1.5"
+    code, out, err = run(capsys, "analyze", variant(tmp_path, base, **raw))
+    assert code == 2 and out == ""
+    assert _one_error(err) == {"type": "ConfigError", "message": message}
+
+
 def test_non_square_map_rejected(capsys, tmp_path):
     path = variant(tmp_path, "example1.json", map=[["1", "0", "0"], ["0", "1", "0"]])
     assert run(capsys, "analyze", path)[0] == 2
@@ -755,6 +778,61 @@ def test_colour_budget_boundary(tmp_path):
     assert cli_module.build_colouring(load(budget)).m == budget
     with pytest.raises(cslcolour.ConfigError, match="budget"):
         cli_module.build_colouring(load(budget + 1))
+
+
+def _swell_config(d: int, seed: int) -> dict:
+    """Z^d, sub diag(2, 1, ..., 1), and the cyclic shift conjugated by a unit
+    upper-triangular P with entries in {-3..3}/2: its Hermite forms swell with d."""
+    rng = random.Random(seed)
+    p = [[Fraction(int(i == j)) if j <= i else Fraction(rng.randint(-3, 3), 2)
+          for j in range(d)] for i in range(d)]
+    shift = [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)]
+    a = mat_mul(mat_mul(rat_inverse(p), shift), p)
+    return {
+        "dim": d,
+        "parent_basis": [[str(int(i == j)) for j in range(d)] for i in range(d)],
+        "sub_basis": [[str((1 + (i == 0)) * (i == j)) for j in range(d)] for i in range(d)],
+        "map": [[format_rational(x) for x in row] for row in a],
+    }
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_dim_budget_refuses_before_any_lattice(capsys, tmp_path, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("a lattice was built for an over-budget dim")
+
+    monkeypatch.setattr(cli_module, "lattice_new", never)
+    over = cli_module.DIM_BUDGET + 1
+    path = tmp_path / "swell.json"
+    raw = dict(_swell_config(over, seed=0), render={"radius": 0}, oracle_radius=1)
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, *_argv(command, str(path), tmp_path))
+    assert code == 2 and out == ""
+    assert _one_error(err) == {
+        "type": "ConfigError",
+        "message": f"dim {over} is over the budget of {cli_module.DIM_BUDGET}",
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+def test_dim_budget_echoes_a_long_dim_bounded(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", dim=10**3999)
+    code, out, err = _at_the_digit_limit(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert _one_error(err)["message"] == (
+        f"dim about 10^3999 is over the budget of {cli_module.DIM_BUDGET}"
+    )
+
+
+def test_the_swell_recipe_at_the_dim_budget_is_analyzed(capsys, tmp_path):
+    d = cli_module.DIM_BUDGET
+    path = tmp_path / "swell.json"
+    path.write_text(json.dumps(_swell_config(d, seed=0)))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["m"] == 2
 
 
 def test_other_package_error_exit5(capsys, monkeypatch):

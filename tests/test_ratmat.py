@@ -17,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslcolour.coincidence import commensurable_map
+from cslcolour.cyclo8 import cyc8, star_coords
 from cslcolour.errors import RankDeficient, Singular
+from cslcolour.lattice import (
+    Colouring,
+    colour_of,
+    contains,
+    coset_meets_lattice,
+    lattice_new,
+    standard_lattice,
+    transform,
+)
 from cslcolour.ratmat import (
     _bounded,
     _inverse_det,
@@ -128,6 +138,48 @@ def test_clear_denominators():
     ints, den = clear_denominators(m)
     assert den == 6
     assert ints == ((3, 0), (2, 6))
+
+
+# every public entry point that reads numbers, with x placed in an input
+# it accepts; QUARTER is (1/4)Z x Z, so 3/4 and -3 both lie in it
+QUARTER = lattice_new([["1/4", "0"], ["0", "1"]])
+READERS = {
+    "lattice_new": lambda x: lattice_new([[x, 0], [0, 1]]),
+    "transform": lambda x: transform(QUARTER, [[x, 0], [0, 1]]),
+    "commensurable_map": lambda x: commensurable_map([[x, 0], [0, 1]]),
+    "contains": lambda x: contains(QUARTER, [x, 0]),
+    "colour_of": lambda x: colour_of(Colouring(QUARTER, standard_lattice(2)), [x, 0]),
+    "coset_meets_lattice": lambda x: coset_meets_lattice([x, 0], standard_lattice(2), QUARTER),
+    "CommensurableMap.apply": lambda x: commensurable_map([[0, -1], [1, 0]]).apply([x, 1]),
+    "Colouring(reps=...)": lambda x: Colouring(
+        QUARTER, lattice_new([["1/4", 0], [0, 2]]), reps=[[0, 0], [x, 1]]
+    ).reps,
+    "rat_inverse": lambda x: rat_inverse([[x, 0], [0, 1]]),
+    "rat_matrix": lambda x: rat_matrix([[x, "1/2"]]),
+    "clear_denominators": lambda x: clear_denominators([[x, "1/2"]]),
+    "hnf": lambda x: hnf([[x, 0], [0, 1]]),
+    "snf": lambda x: snf([[x, 0], [0, 1]]),
+    "cyc8": lambda x: cyc8(x, 0, "1/2", 0),
+    "star_coords": lambda x: star_coords([x, 1, 0, 0]),
+}
+
+
+def _outcome(read, x):
+    """What read(x) returns, or the ValueError it raises (hnf and snf refuse 3/4)."""
+    try:
+        return read(x)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_every_reader_reads_numbers_by_one_rule(name):
+    read = READERS[name]
+    for bad in ("1e3", " 3/1 ", "1.5", "1_0", "3/-4"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            read(bad)
+    assert _outcome(read, "3/4") == _outcome(read, Fraction(3, 4))
+    assert _outcome(read, "-3") == _outcome(read, -3)
 
 
 # ---------------------------------------------------------------------------
