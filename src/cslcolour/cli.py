@@ -6,6 +6,11 @@ contradicted the lattice-algebra analysis (which indicates a bug and
 must never happen on the bundled configs), 5 any other package error,
 such as a failed internal invariant check (also a bug).  Failures also
 emit a machine-readable error object on standard error.
+
+The CLI checks a config's shapes, types and budgets; the library reads
+each basis, map and ring element once.  `_checked` runs every library
+call on a config value and is the one place where a library error
+becomes a ConfigError (a render's UnsupportedDimension aside).
 """
 
 from __future__ import annotations
@@ -87,15 +92,27 @@ def _require_window(radius: int, dim: int, what: str) -> None:
     )
 
 
-def _parse_matrix(raw, dim: int, what: str):
+def _parse_matrix(raw, dim: int, what: str) -> list:
+    """The config's own dim x dim array of strings, shape and types checked."""
     _require(isinstance(raw, list) and len(raw) == dim, f"{what} must be a {dim}x{dim} array")
     for row in raw:
         _require(isinstance(row, list) and len(row) == dim, f"{what} must be a {dim}x{dim} array")
         _require(all(isinstance(x, str) for x in row), f"{what} entries must be \"p/q\" strings")
+    return raw
+
+
+def _checked(what: str, invalid: str, fn, *args):
+    """fn(*args), a library call on config values, run once.
+
+    A ValueError (a literal the reader refuses) becomes the ConfigError
+    "what: ...", and any other package error "invalid: ...".
+    """
     try:
-        return rat_matrix(raw)
+        return fn(*args)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
+    except CslcolourError as exc:
+        raise ConfigError(f"{invalid}: {exc}") from None
 
 
 def load_job_config(path: str) -> JobConfig:
@@ -111,13 +128,10 @@ def load_job_config(path: str) -> JobConfig:
     dim = raw.get("dim")
     _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     _require(dim <= DIM_BUDGET, f"dim {_bounded(dim)} is over the budget of {DIM_BUDGET}")
-    try:
-        parent = lattice_new(_parse_matrix(raw.get("parent_basis"), dim, "parent_basis"))
-        sub = lattice_new(_parse_matrix(raw.get("sub_basis"), dim, "sub_basis"))
-    except CslcolourError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid basis: {exc}") from None
+    parent, sub = (
+        _checked(what, "invalid basis", lattice_new, _parse_matrix(raw.get(what), dim, what))
+        for what in ("parent_basis", "sub_basis")
+    )
     map_spec = raw.get("map")
     star = False
     if isinstance(map_spec, dict) and "coeffs" in map_spec:
@@ -128,20 +142,14 @@ def load_job_config(path: str) -> JobConfig:
             "map.coeffs must be 4 \"p/q\" strings",
         )
         _require(dim == 4, "a ring-element map needs dim = 4")
-        try:
-            amap = multiplication_map(cyc8(coeffs))
-        except (ValueError, CslcolourError) as exc:
-            raise ConfigError(f"invalid map element: {exc}") from None
+        what = "invalid map element"
+        amap = _checked(what, what, lambda: multiplication_map(cyc8(coeffs)))
         star = True
     else:
         if isinstance(map_spec, dict) and "matrix" in map_spec:
             map_spec = map_spec["matrix"]
-        try:
-            amap = commensurable_map(_parse_matrix(map_spec, dim, "map"))
-        except CslcolourError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"invalid map: {exc}") from None
+        rows = _parse_matrix(map_spec, dim, "map")
+        amap = _checked("map", "invalid map", commensurable_map, rows)
     reps = None
     if raw.get("reps") is not None:
         raw_reps = raw["reps"]
@@ -152,10 +160,7 @@ def load_job_config(path: str) -> JobConfig:
                 and all(isinstance(x, str) for x in vec),
                 f"each rep must be {dim} \"p/q\" strings",
             )
-        try:
-            reps = rat_matrix(raw_reps)
-        except ValueError as exc:
-            raise ConfigError(f"reps: {exc}") from None
+        reps = _checked("reps", "reps", rat_matrix, raw_reps)
     render_radius = None
     palette = None
     highlight = False
@@ -198,23 +203,15 @@ def load_job_config(path: str) -> JobConfig:
     )
 
 
-def _colouring(cfg: JobConfig, reps: Optional[tuple]) -> Colouring:
-    try:
-        return Colouring(cfg.parent, cfg.sub, reps=reps)
-    except CslcolourError as exc:
-        raise ConfigError(f"invalid colouring: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"invalid representatives: {exc}") from None
-
-
 def build_colouring(cfg: JobConfig) -> Colouring:
     """The job's colouring, with m checked against the budget before any custom reps."""
-    colouring = _colouring(cfg, None)
+    call = ("invalid representatives", "invalid colouring", Colouring, cfg.parent, cfg.sub)
+    colouring = _checked(*call)
     _require(
         colouring.m <= COLOUR_BUDGET,
         f"sub_basis gives {_bounded(colouring.m)} colours, over the budget of {COLOUR_BUDGET}",
     )
-    return colouring if cfg.reps is None else _colouring(cfg, cfg.reps)
+    return colouring if cfg.reps is None else _checked(*call, cfg.reps)
 
 
 def _over_digit_limit(exc: ValueError) -> ConfigError:

@@ -16,7 +16,7 @@ from typing import Sequence
 from cslcolour.coincidence import CommensurableMap, commensurable_map
 from cslcolour.errors import InternalInvariantViolation, ZeroElement
 from cslcolour.lattice import Lattice, lattice_new
-from cslcolour.ratmat import RatMatrix, _rational, transpose
+from cslcolour.ratmat import RatMatrix, _rational, clear_denominators, transpose, vec_mat
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,9 @@ class Cyc8:
         return Cyc8(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "Cyc8") -> "Cyc8":
-        a = self.coeffs
-        b = other.coeffs
-        c = [Fraction(0)] * 4
-        for i in range(4):
-            if not a[i]:
-                continue
-            for j in range(4):
-                k = i + j
-                if k < 4:
-                    c[k] += a[i] * b[j]
-                else:
-                    c[k - 4] -= a[i] * b[j]
-        return Cyc8(tuple(c))
+        # in integers over one denominator q: Fraction sums cost twice as much
+        (a, b), q = clear_denominators([self.coeffs, other.coeffs])
+        return Cyc8(tuple(Fraction(x, q * q) for x in vec_mat(b, _negacyclic(a))))
 
     def galois(self, k: int) -> "Cyc8":
         """The field automorphism xi -> xi^k for odd k."""
@@ -95,16 +85,19 @@ CYC8_XI = cyc8(0, 1, 0, 0)
 AMMANN_BEENKER_ROTATION = cyc8("-1/3", "2/3", "0", "2/3")
 
 
+def _negacyclic(c: Sequence) -> tuple:
+    """Rows xi^k . z of z = c0 + ... + c3.xi^3: c shifted k places, wrapped entries negated.
+
+    Every product reduces by xi^4 = -1 here.
+    """
+    return tuple(tuple(c[j - k] if j >= k else -c[j - k + 4] for j in range(4)) for k in range(4))
+
+
 def cyc8_mul_matrix(z: Cyc8) -> RatMatrix:
     """Matrix of multiplication by z on row vectors: row k is xi^k . z."""
     if z.is_zero():
         raise ZeroElement("multiplication matrix of zero is singular")
-    rows = []
-    power = CYC8_ONE
-    for _ in range(4):
-        rows.append((power * z).coeffs)
-        power = power * CYC8_XI
-    return tuple(rows)
+    return _negacyclic(z.coeffs)
 
 
 def cyc8_norm(z: Cyc8) -> Fraction:

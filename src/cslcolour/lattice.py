@@ -256,7 +256,7 @@ def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
     for row in sub.hnf_rows:
         coords = _coords(parent, row, sub.den)
         if coords is None:
-            raise NotASublattice(f"{sub!r} is not inside {parent!r}")
+            raise NotASublattice("sub is not inside parent")
         out.append(coords)
     return tuple(out)
 
@@ -519,7 +519,7 @@ class Colouring:
         """Integer parent coordinates of the point w / q; raises NotInParent."""
         coords = _coords(self.parent, w, q)
         if coords is None:
-            point = ", ".join(str(Fraction(x, q)) for x in w)
+            point = ", ".join(_bounded(Fraction(x, q)) for x in w)
             raise NotInParent(f"({point}) is not in the parent lattice")
         return coords
 

@@ -72,7 +72,7 @@ def _digits(n: int) -> int:
 
 
 def _bounded(x: Fraction | int) -> str:
-    """A non-negative number for a message: `format_rational`, or its size when long.
+    """A number for a message: `format_rational`, or its sign and size when long.
 
     Above 30 digits in the numerator or denominator only the order of
     magnitude is written, `about 10^k`, so no message grows with its
@@ -82,6 +82,8 @@ def _bounded(x: Fraction | int) -> str:
     would not tell it from 1.
     """
     f = Fraction(x)
+    if f < 0:
+        return "-" + _bounded(-f)
     if f.numerator < _ECHO_BOUND and f.denominator < _ECHO_BOUND:
         return format_rational(f)
     k = floor(log10(f.numerator) - log10(f.denominator))

@@ -204,6 +204,24 @@ def _at_the_digit_limit(capsys, *argv):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_a_sub_basis_outside_the_parent_over_the_digit_limit_is_one_config_error(
+    capsys, tmp_path, command
+):
+    """Every entry has at most 4000 digits, but a product of two, and so a
+    message that wrote the sublattice, has about 8000."""
+    sub = [["1" + "0" * 3998 + "1", "1/2"], ["1" + "0" * 3999, "9" * 4000]]
+    path = variant(tmp_path, "example1.json", reps=None, sub_basis=sub)
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
+    assert code == 2 and out == ""
+    assert _one_error(err) == {
+        "type": "ConfigError", "message": "invalid colouring: colouring needs sub inside parent"
+    }
+
+
 def _one_error(err: str) -> dict:
     (line,) = err.splitlines()
     return json.loads(line)["error"]
@@ -648,6 +666,136 @@ def test_a_bad_literal_is_one_config_error_naming_it(capsys, tmp_path, base, key
     code, out, err = run(capsys, "analyze", variant(tmp_path, base, **raw))
     assert code == 2 and out == ""
     assert _one_error(err) == {"type": "ConfigError", "message": message}
+
+
+def _entry(base: str, key: str, literal: str = "1.5") -> list:
+    """The bundled config's `key` matrix with its first entry replaced by `literal`."""
+    rows = json.loads((CONFIG_DIR / base).read_text())[key]
+    rows[0][0] = literal
+    return rows
+
+
+E1, AB = "example1.json", "ammann_beenker.json"
+SINGULAR = [["1", "2"], ["2", "4"]]
+ROW_OF_ZEROS = [["0", "0"], ["0", "1"]]
+SINGULAR_MAP = [["1", "0"], ["1", "0"]]
+STRETCH = [["2", "0"], ["0", "1"]]
+OVER_THE_COLOUR_BUDGET = [["100001", "0"], ["0", "1"]]
+HALF_STEP = [["1/2", "0"], ["0", "1"]]
+TWO_REPS = [["0", "0"], ["1", "0"]]
+ZERO_COEFFS = {"coeffs": ["0", "0", "0", "0"]}
+BAD_COEFFS = {"coeffs": ["1.5", "2/3", "0", "2/3"]}
+
+
+def _reps(*xs: str) -> list:
+    return [[x, "0"] for x in xs]
+
+
+# broken configs: (base, changed keys, exit code, message); where a config
+# has two faults, the message names the one reported, which fixes the order
+# in which a config is checked
+BROKEN_CONFIGS = {
+    "map-matrix-literal": (E1, {"map": {"matrix": _entry(E1, "map")}}, 2,
+                           "map: not a rational literal: '1.5'"),
+    "parent-zero-denominator": (E1, {"parent_basis": _entry(E1, "parent_basis", "1/0")}, 2,
+                                "parent_basis: zero denominator: '1/0'"),
+    "parent-non-square": (E1, {"parent_basis": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
+                          "parent_basis must be a 2x2 array"),
+    "sub-ragged": (E1, {"sub_basis": [["6", "0"], ["2"]]}, 2, "sub_basis must be a 2x2 array"),
+    "map-non-square": (E1, {"map": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
+                       "map must be a 2x2 array"),
+    "parent-singular": (E1, {"parent_basis": SINGULAR}, 2,
+                        "invalid basis: basis rows are linearly dependent"),
+    "sub-rank-deficient": (E1, {"sub_basis": ROW_OF_ZEROS}, 2,
+                           "invalid basis: basis rows are linearly dependent"),
+    "map-singular": (E1, {"map": SINGULAR_MAP}, 2, "invalid map: matrix is singular"),
+    "map-zero": (E1, {"map": [["0", "0"], ["0", "0"]]}, 2, "invalid map: matrix is singular"),
+    "coeffs-zero": (AB, {"map": ZERO_COEFFS}, 2,
+                    "invalid map element: multiplication matrix of zero is singular"),
+    "coeffs-short": (AB, {"map": {"coeffs": ["1", "0", "0"]}}, 2,
+                     "map.coeffs must be 4 \"p/q\" strings"),
+    "coeffs-in-dim-2": (E1, {"map": {"coeffs": ["1", "0", "0", "0"]}}, 2,
+                        "a ring-element map needs dim = 4"),
+    "non-coincidence": (E1, {"map": STRETCH}, 3, "|det| = 2 != 1"),
+    "ring-non-coincidence": (AB, {"map": {"coeffs": ["1", "1", "0", "0"]}}, 3, "|det| = 2 != 1"),
+    "render-radius-budget": (E1, {"render": {"radius": 10**6}}, 2,
+                             "render.radius 1000000 gives a window of 4000004000001 points "
+                             "in dimension 2, over the budget of 2000000"),
+    "oracle-radius-budget": (E1, {"oracle_radius": 10**6}, 2,
+                             "oracle_radius 1000000 gives a window of 4000004000001 points "
+                             "in dimension 2, over the budget of 2000000"),
+    "colour-budget": (E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET}, 2,
+                      "sub_basis gives 100001 colours, over the budget of 100000"),
+    "dim-budget": (E1, {"dim": 17}, 2, "dim 17 is over the budget of 16"),
+    "sub-outside-parent": (E1, {"reps": None, "sub_basis": HALF_STEP}, 2,
+                           "invalid colouring: colouring needs sub inside parent"),
+    "reps-count": (E1, {"reps": TWO_REPS}, 2,
+                   "invalid representatives: expected 6 representatives, got 2"),
+    "reps-first-not-zero": (E1, {"reps": _reps("1", "0", "2", "3", "4", "5")}, 2,
+                            "invalid representatives: first representative must be the zero "
+                            "vector"),
+    "reps-congruent": (E1, {"reps": _reps("0", "1", "2", "3", "4", "7")}, 2,
+                       "invalid representatives: representatives are congruent mod sub"),
+    "reps-outside-parent": (E1, {"reps": _reps("0", "1", "2", "-1/2", "4", "5")}, 2,
+                            "invalid colouring: (-1/2, 0) is not in the parent lattice"),
+    "reps-short-row": (E1, {"reps": [["0", "0"], ["1"]]}, 2, "each rep must be 2 \"p/q\" strings"),
+    "reps-empty": (E1, {"reps": []}, 2, "reps must be a nonempty array"),
+    # two faults
+    "parent-literal+sub-rank-deficient": (
+        E1, {"parent_basis": _entry(E1, "parent_basis"), "sub_basis": ROW_OF_ZEROS}, 2,
+        "parent_basis: not a rational literal: '1.5'"),
+    "parent-singular+map-literal": (
+        E1, {"parent_basis": SINGULAR, "map": _entry(E1, "map")}, 2,
+        "invalid basis: basis rows are linearly dependent"),
+    "parent-non-square+sub-literal": (
+        E1, {"parent_basis": [["1", "0"]], "sub_basis": _entry(E1, "sub_basis")}, 2,
+        "parent_basis must be a 2x2 array"),
+    "sub-literal+reps-literal": (
+        E1, {"sub_basis": _entry(E1, "sub_basis"), "reps": _entry(E1, "reps")}, 2,
+        "sub_basis: not a rational literal: '1.5'"),
+    "map-singular+reps-literal": (
+        E1, {"map": SINGULAR_MAP, "reps": _entry(E1, "reps")}, 2,
+        "invalid map: matrix is singular"),
+    "map-literal+map-non-string": (
+        E1, {"map": [["1.5", 0], ["0", "1"]]}, 2, "map entries must be \"p/q\" strings"),
+    "reps-literal+colour-budget": (
+        E1, {"sub_basis": OVER_THE_COLOUR_BUDGET, "reps": _entry(E1, "reps")}, 2,
+        "reps: not a rational literal: '1.5'"),
+    "non-coincidence+reps-count": (
+        E1, {"map": STRETCH, "reps": TWO_REPS}, 2,
+        "invalid representatives: expected 6 representatives, got 2"),
+    "sub-outside-parent+reps-count": (
+        E1, {"sub_basis": HALF_STEP, "reps": TWO_REPS}, 2,
+        "invalid colouring: colouring needs sub inside parent"),
+    "render-radius-budget+map-singular": (
+        E1, {"render": {"radius": 10**6}, "map": SINGULAR_MAP}, 2,
+        "invalid map: matrix is singular"),
+    "dim-budget+parent-literal": (
+        E1, {"dim": 17, "parent_basis": _entry(E1, "parent_basis")}, 2,
+        "dim 17 is over the budget of 16"),
+    "coeffs-literal+coeffs-in-dim-2": (
+        E1, {"map": BAD_COEFFS}, 2, "a ring-element map needs dim = 4"),
+    "coeffs-zero+sub-rank-deficient": (
+        AB, {"map": ZERO_COEFFS, "sub_basis": [["0"] * 4] * 4}, 2,
+        "invalid basis: basis rows are linearly dependent"),
+    "colour-budget+non-coincidence": (
+        E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET, "map": STRETCH}, 2,
+        "sub_basis gives 100001 colours, over the budget of 100000"),
+    "reps-congruent+reps-outside-parent": (
+        E1, {"reps": _reps("0", "1", "1", "1/2", "4", "5")}, 2,
+        "invalid representatives: representatives are congruent mod sub"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+@pytest.mark.parametrize("name", BROKEN_CONFIGS)
+def test_a_broken_config_keeps_its_exit_code_and_message(capsys, tmp_path, name, command):
+    base, changes, code, message = BROKEN_CONFIGS[name]
+    path = variant(tmp_path, base, **changes)
+    got, out, err = run(capsys, *_argv(command, path, tmp_path))
+    assert (got, out) == (code, "")
+    kind = "ConfigError" if code == 2 else "NotCoincidence"
+    assert _one_error(err) == {"type": kind, "message": message}
 
 
 def test_non_square_map_rejected(capsys, tmp_path):

@@ -46,7 +46,12 @@ from cslcolour.cyclo8 import (
     multiplication_map,
     principal_submodule,
 )
-from cslcolour.errors import NotCoincidence, NotColourCoincidence, Singular
+from cslcolour.errors import (
+    NotCoincidence,
+    NotColourCoincidence,
+    Singular,
+    UnsupportedDimension,
+)
 from cslcolour.lattice import (
     Colouring,
     colour_of,
@@ -736,6 +741,11 @@ def test_census_contradictions_detects_tampering():
     problems = census_contradictions(a, bad_transfer)
     assert len(problems) == 2 and "permutation says" in problems[0]
     bad_colours = dict(census)
+    bad_colours["observed_J"] = census["observed_J"] + [8]
+    assert census_contradictions(a, bad_colours) == [
+        "colours [8] observed in csl1 but not predicted"
+    ]
+    bad_colours = dict(census)
     bad_colours["observed_I"] = census["observed_I"] + [7]
     assert census_contradictions(a, bad_colours) != []
     # an unpredicted csl1_inv colour with a transfer is reported once, not looked up
@@ -832,6 +842,20 @@ def test_census_and_render_membership_match_a_box_scan(colouring, amap, radius):
             drawn = re.findall(r'class="pt" [^>]*data-coords="([^"]*)"', svg)
             # the points are drawn in box-scan order
             assert [tuple(map(int, c.split(","))) for c in drawn] == sorted(points)
+
+
+@pytest.mark.parametrize(
+    "options, error, message",
+    [
+        ({"mode": "chart"}, ValueError, "mode must be one of"),
+        ({"star_embedding": True}, UnsupportedDimension, "star embedding needs dimension 4"),
+        ({"palette": ["#000000"] * 5}, ValueError, "palette needs at least 6 colours"),
+    ],
+    ids=["mode", "star-embedding-in-d2", "short-palette"],
+)
+def test_render_svg_refuses_a_bad_request(options, error, message):
+    with pytest.raises(error, match=message):
+        render.render_svg(EX1, ROT, **{"mode": "parent", "radius": 2, **options})
 
 
 def test_render_svg_rejects_negative_radius_before_building_a_csl(monkeypatch):

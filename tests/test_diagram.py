@@ -13,6 +13,7 @@ subgroup of Z_n1 x ... x Z_nk from one Hermite form.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -336,6 +337,20 @@ def test_every_verdict_passes_the_invariant_web(monkeypatch, verdict):
     colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
     with pytest.raises(InternalInvariantViolation, match="invariant web reached"):
         verdict(colouring, rotation(4, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "change, label",
+    [
+        ({"permutation": None}, "permutation present iff colour coincidence"),
+        ({"permutation": ((0, 1), (1, 0), (2, 2))}, "permutation fixes colour 0"),
+    ],
+)
+def test_the_invariant_web_names_the_identity_a_broken_analysis_fails(change, label):
+    # example 2: sub diag(3, 1) under the 3-4-5 rotation is a colour coincidence
+    analysis = analyze(Colouring(Z2, lattice_new([[3, 0], [0, 1]])), rotation(4, 3, 5))
+    with pytest.raises(InternalInvariantViolation, match=f"^analysis invariant failed: {label}$"):
+        coincidence_module._check_analysis(dataclasses.replace(analysis, **change))
 
 
 # ---------------------------------------------------------------------------

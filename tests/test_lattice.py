@@ -6,6 +6,7 @@ to this file and independent of the code under test.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslcolour.lattice as lattice_module
-from cslcolour.coincidence import commensurable_map
+from cslcolour.coincidence import commensurable_map, is_coincidence
 from cslcolour.errors import (
     CslcolourError,
     DimensionMismatch,
@@ -82,6 +83,8 @@ def test_lattice_new_examples():
 def test_lattice_new_rejects_dependent_rows():
     with pytest.raises(RankDeficient):
         lattice_new([[1, 2], [2, 4]])
+    with pytest.raises(RankDeficient, match="square"):
+        lattice_new([[1, 0, 0], [0, 1, 0]])
 
 
 def test_equality_is_basis_independent():
@@ -119,6 +122,23 @@ def test_contains_dimension_check():
         contains(Z2, (1, 2, 3))
 
 
+Z3 = standard_lattice(3)
+# each operation on two operands, given a plane and a space
+MIXED_DIMENSIONS = {
+    "is_sublattice": lambda: is_sublattice(Z2, Z3),
+    "index": lambda: index(Z3, Z2),
+    "intersect": lambda: intersect(Z2, Z3),
+    "transform": lambda: transform(Z2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "is_coincidence": lambda: is_coincidence(Z3, commensurable_map(ROT)),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_DIMENSIONS)
+def test_operations_refuse_mixed_dimensions(name):
+    with pytest.raises(DimensionMismatch):
+        MIXED_DIMENSIONS[name]()
+
+
 @settings(max_examples=60)
 @given(small_bases)
 def test_contains_agrees_with_cramer_oracle(basis):
@@ -152,6 +172,37 @@ def test_index_cases():
 def test_index_requires_containment():
     with pytest.raises(NotASublattice):
         index(EX1_SUB, Z2)
+
+
+# a = 10^3999 + 1, c = 10^3999, d = 10^4000 - 1: each entry of FAR_SUB
+# is within Python's int-to-str limit of 4300 digits, a.d is not
+A, C, D = 10**3999 + 1, 10**3999, 10**4000 - 1
+FAR_SUB = lattice_new([[A, Fraction(1, 2)], [C, D]])
+# calls whose error message would hold a.d, or an entry of FAR_SUB's Hermite form
+OVER_THE_DIGIT_LIMIT = {
+    "Colouring": (lambda: Colouring(Z2, FAR_SUB), NotASublattice),
+    "index": (lambda: index(Z2, FAR_SUB), NotASublattice),
+    "colour_of": (
+        lambda: colour_of(Colouring(Z2, lattice_new([[2, 0], [0, 1]])), [Fraction(A * D, 2), 0]),
+        NotInParent,
+    ),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("name", OVER_THE_DIGIT_LIMIT)
+def test_an_error_message_converts_no_unbounded_number(name):
+    call, error = OVER_THE_DIGIT_LIMIT[name]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        with pytest.raises(error) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(str(info.value)) < 200
 
 
 # ---------------------------------------------------------------------------

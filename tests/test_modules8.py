@@ -20,6 +20,7 @@ from cslcolour.cyclo8 import (
     AMMANN_BEENKER_ROTATION,
     CYC8_ONE,
     CYC8_XI,
+    Cyc8,
     cyc8,
     cyc8_mul_matrix,
     cyc8_norm,
@@ -60,6 +61,7 @@ def test_basic_products():
     fourth = cyc8(0, 0, 0, 1) * CYC8_XI
     assert fourth == cyc8(-1, 0, 0, 0)  # xi^4 = -1
     assert (CYC8_ONE + CYC8_XI) * (CYC8_ONE - CYC8_XI) == cyc8(1, 0, -1, 0)
+    assert all(type(x) is Fraction for x in fourth.coeffs)
 
 
 @settings(max_examples=80)
@@ -68,6 +70,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+    assert (-a) * b == -(a * b) and a + (-a) == a - a
     assert a.conjugate() * b.conjugate() == (a * b).conjugate()
 
 
@@ -75,6 +78,20 @@ def test_ring_axioms(a, b, c):
 @given(elements, elements)
 def test_norm_is_multiplicative(a, b):
     assert cyc8_norm(a * b) == cyc8_norm(a) * cyc8_norm(b)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Cyc8((Fraction(1), Fraction(0), Fraction(0))), ValueError),
+        (lambda: cyc8(1, 0, 0), ValueError),
+        (lambda: principal_submodule(cyc8(0, 0, 0, 0)), ZeroElement),
+    ],
+    ids=["Cyc8-of-3", "cyc8-of-3", "principal-submodule-of-zero"],
+)
+def test_malformed_elements_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_galois_structure():

@@ -116,6 +116,11 @@ def test_bounded_writes_short_numbers_in_full_and_long_ones_as_a_power_of_ten():
     assert _bounded(Fraction(10**40 + 1, 10**40)) == "a 41-digit/41-digit fraction"
     # over Python's int-to-str digit limit, and never converted
     assert _bounded(10**5000 + 1) == "about 10^5000"
+    # a negative number is its sign and the bound of its size
+    assert _bounded(Fraction(-1, 2)) == "-1/2"
+    assert _bounded(-(10**5000)) == "-about 10^5000"
+    # log10(10^31 - 1) rounds up to 31.0
+    assert _bounded(Fraction(10**31 - 1, 10**31 - 2)) == "a 31-digit/31-digit fraction"
 
 
 @pytest.mark.parametrize(
@@ -396,6 +401,8 @@ def test_snf_already_diagonal():
 def test_snf_rejects_singular():
     with pytest.raises(RankDeficient):
         snf(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="square"):
+        snf(((1, 0, 0), (0, 1, 0)))
 
 
 def test_snf_refuses_the_empty_matrix_as_hnf_does():
