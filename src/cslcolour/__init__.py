@@ -29,7 +29,6 @@ from cslcolour.errors import (
 )
 from cslcolour.ratmat import (
     format_rational,
-    hnf,
     parse_rational,
     rat_inverse,
     rat_matrix,
@@ -39,14 +38,11 @@ from cslcolour.lattice import (
     Colouring,
     Lattice,
     colour_of,
-    contains,
     coset_meets_lattice,
     coset_reps,
     index,
     intersect,
-    is_sublattice,
     lattice_new,
-    lattice_sum,
     standard_lattice,
     transform,
 )
@@ -69,11 +65,8 @@ from cslcolour.cyclo8 import (
     Cyc8,
     cyc8,
     cyc8_mul_matrix,
-    cyc8_norm,
-    is_unit_modulus,
     multiplication_map,
     principal_submodule,
-    star_coords,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +85,6 @@ __all__ = [
     "UnsupportedDimension",
     "ZeroElement",
     "format_rational",
-    "hnf",
     "parse_rational",
     "rat_inverse",
     "rat_matrix",
@@ -100,14 +92,11 @@ __all__ = [
     "Colouring",
     "Lattice",
     "colour_of",
-    "contains",
     "coset_meets_lattice",
     "coset_reps",
     "index",
     "intersect",
-    "is_sublattice",
     "lattice_new",
-    "lattice_sum",
     "standard_lattice",
     "transform",
     "ColouringAnalysis",
@@ -126,10 +115,7 @@ __all__ = [
     "Cyc8",
     "cyc8",
     "cyc8_mul_matrix",
-    "cyc8_norm",
-    "is_unit_modulus",
     "multiplication_map",
     "principal_submodule",
-    "star_coords",
     "__version__",
 ]

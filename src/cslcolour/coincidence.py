@@ -49,7 +49,6 @@ from cslcolour.lattice import (  # noqa: F401
     _box_columns,
     _hermite,
     _image,
-    _point_ints,
     _rows_beside_images,
     _window_columns,
     colour_of,
@@ -64,11 +63,9 @@ from cslcolour.ratmat import (  # noqa: F401
     _bounded,
     _inverse_det,
     clear_denominators,
-    mat_mul,
     rat_inverse,
     snf,
     transpose,
-    vec_mat,
 )
 
 
@@ -99,17 +96,6 @@ class CommensurableMap:
     @cached_property
     def inverse_map(self) -> "CommensurableMap":
         return CommensurableMap(forward=self.backward, backward=self.forward, det=1 / self.det)
-
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        w, q = _point_ints(v, self.dim, "map")
-        num, den = self.forward
-        return tuple(Fraction(x, q * den) for x in vec_mat(w, num))
-
-    def is_orthogonal(self) -> bool:
-        """A^T . A = identity; meaningful for the standard embedding only."""
-        num, q = self.forward
-        gram = mat_mul(num, transpose(num))
-        return all(x == q * q * (i == j) for i, row in enumerate(gram) for j, x in enumerate(row))
 
 
 def commensurable_map(rows: Sequence[Sequence]) -> CommensurableMap:

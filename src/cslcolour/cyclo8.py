@@ -1,67 +1,81 @@
 """The 8th cyclotomic ring Z[xi] (xi = exp(i.pi/4)) as a rank-4 module.
 
 Elements are exact rational combinations a0 + a1.xi + a2.xi^2 + a3.xi^3,
-reduced by xi^4 = -1.  Multiplication by a fixed element is a linear map
-of the coefficient row vectors, which is how ring rotations enter the
-lattice machinery: the plane rotation by an angle whose cosine and sine
-live in Q(sqrt 2) becomes multiplication by a unit-modulus element.
+reduced by xi^4 = -1, stored as four integers over one positive
+denominator in lowest terms, so equal elements compare equal and ring
+operations run on Python ints; ``coeffs`` is the rational view.
+Multiplication by a fixed element is a linear map of the coefficient
+row vectors, which is how ring rotations enter the lattice machinery:
+the plane rotation by an angle whose cosine and sine live in Q(sqrt 2)
+becomes multiplication by a unit-modulus element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from cslcolour.coincidence import CommensurableMap, commensurable_map
-from cslcolour.errors import InternalInvariantViolation, ZeroElement
+from cslcolour.errors import ZeroElement
 from cslcolour.lattice import Lattice, lattice_new
-from cslcolour.ratmat import RatMatrix, _rational, clear_denominators, transpose, vec_mat
+from cslcolour.ratmat import RatMatrix, clear_denominators, transpose, vec_mat
 
 
 @dataclass(frozen=True)
 class Cyc8:
-    """One element of Q(xi) on the basis 1, xi, xi^2, xi^3."""
+    """One element of Q(xi) on the basis 1, xi, xi^2, xi^3: the integers num over den.
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    den > 0 and gcd(den, *num) = 1; build through :func:`cyc8`.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
-            raise ValueError("Cyc8 needs exactly 4 coefficients")
+    num: tuple[int, int, int, int]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The rational coefficients num / den."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __add__(self, other: "Cyc8") -> "Cyc8":
-        return Cyc8(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        p, q = self.den, other.den
+        return _reduced([a * q + b * p for a, b in zip(self.num, other.num)], p * q)
 
     def __sub__(self, other: "Cyc8") -> "Cyc8":
-        return Cyc8(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Cyc8":
-        return Cyc8(tuple(-a for a in self.coeffs))
+        return Cyc8(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: "Cyc8") -> "Cyc8":
-        # in integers over one denominator q: Fraction sums cost twice as much
-        (a, b), q = clear_denominators([self.coeffs, other.coeffs])
-        return Cyc8(tuple(Fraction(x, q * q) for x in vec_mat(b, _negacyclic(a))))
+        return _reduced(vec_mat(other.num, _negacyclic(self.num)), self.den * other.den)
 
     def galois(self, k: int) -> "Cyc8":
         """The field automorphism xi -> xi^k for odd k."""
         if k not in (1, 3, 5, 7):
             raise ValueError("k must be coprime to 8 and in 1..7")
-        c = [Fraction(0)] * 4
-        for i, a in enumerate(self.coeffs):
+        c = [0] * 4
+        for i, a in enumerate(self.num):
             e = (i * k) % 8
             if e < 4:
                 c[e] += a
             else:
                 c[e - 4] -= a
-        return Cyc8(tuple(c))
+        return Cyc8(tuple(c), self.den)
 
     def conjugate(self) -> "Cyc8":
         """Complex conjugation: xi -> xi^-1 = -xi^3."""
         return self.galois(7)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.num)
+
+
+def _reduced(num: Sequence[int], den: int) -> Cyc8:
+    """The element num / den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    return Cyc8(tuple(a // g for a in num), den // g)
 
 
 def cyc8(*coeffs) -> Cyc8:
@@ -70,7 +84,9 @@ def cyc8(*coeffs) -> Cyc8:
         coeffs = tuple(coeffs[0])
     if len(coeffs) != 4:
         raise ValueError("expected 4 coefficients")
-    return Cyc8(tuple(map(_rational, coeffs)))
+    # over the lcm of reduced denominators the numerators share no factor with it
+    (num,), den = clear_denominators([coeffs])
+    return Cyc8(num, den)
 
 
 CYC8_ONE = cyc8(1, 0, 0, 0)
@@ -100,21 +116,6 @@ def cyc8_mul_matrix(z: Cyc8) -> RatMatrix:
     return _negacyclic(z.coeffs)
 
 
-def cyc8_norm(z: Cyc8) -> Fraction:
-    """Field norm: the product of all four Galois conjugates."""
-    n = z
-    for k in (3, 5, 7):
-        n = n * z.galois(k)
-    if any(n.coeffs[i] != 0 for i in (1, 2, 3)):
-        raise InternalInvariantViolation("norm must be rational")
-    return n.coeffs[0]
-
-
-def is_unit_modulus(z: Cyc8) -> bool:
-    """True iff z . conj(z) = 1, i.e. z encodes a plane rotation."""
-    return (z * z.conjugate()).coeffs == CYC8_ONE.coeffs
-
-
 def principal_submodule(z: Cyc8) -> Lattice:
     """The Z-span of z, z.xi, z.xi^2, z.xi^3 as a rank-4 lattice."""
     if z.is_zero():
@@ -129,19 +130,3 @@ def multiplication_map(z: Cyc8) -> CommensurableMap:
     row-convention multiplication matrix.
     """
     return commensurable_map(transpose(cyc8_mul_matrix(z)))
-
-
-def star_coords(
-    coeffs: Sequence,
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Exact planar coordinates of an element, split over 1 and sqrt(2).
-
-    Returns ((xr, xs), (yr, ys)) meaning the complex value has real
-    part xr + xs.sqrt(2) and imaginary part yr + ys.sqrt(2); callers
-    evaluate sqrt(2) at display precision only.
-    """
-    a0, a1, a2, a3 = map(_rational, coeffs)
-    return (
-        (a0, (a1 - a3) / 2),
-        (a2, (a1 + a3) / 2),
-    )

@@ -9,12 +9,12 @@ their stored pairs are equal.  That turns lattice equality, the
 backbone of the colour-coincidence criterion, into tuple comparison.
 
 Every operation works on integer rows over a common denominator: an
-image maps hnf_rows . N over den . q for a map N / q; a meet and a sum
-are the two diagonal blocks of one stacked Hermite form (`_stacked`),
-which also decides whether a coset meets a lattice; membership and
-coordinates are one forward substitution against the triangular
-hnf_rows.  A sublattice's basis in parent coordinates is triangular
-too (an index is the product of its diagonal), and so is the Hermite
+image maps hnf_rows . N over den . q for a map N / q; a meet is the
+lower diagonal block of one stacked Hermite form (`_stacked`), whose
+upper block, the sum, decides whether a coset meets a lattice;
+coordinates in a lattice are one forward substitution against the
+triangular hnf_rows.  A sublattice's basis in parent coordinates is
+triangular too (an index is the product of its diagonal), and so is the Hermite
 form of a colour subgroup: one walk over a triangular basis cut to a
 box (`_box_columns`) lists, as one list per column, a lattice's points
 in a window (`_window_columns`), the prefixes of the colours a lattice
@@ -27,7 +27,8 @@ come from one method (`Colouring._keys`, through `_colours_of_columns`).
 ``fractions.Fraction`` appears only at the edges, where each input is
 read once by the one reader, `ratmat.clear_denominators` (`lattice_new`,
 `transform`, and every point by `_point_ints`), and rational output is
-formed (`basis`, `det_abs`, `Colouring.reps` and `coset_reps`, witnesses).
+formed (`basis`, `Colouring.reps` and `coset_reps`, witnesses); a repr
+writes each entry through `ratmat._bounded`.
 """
 
 from __future__ import annotations
@@ -77,16 +78,9 @@ class Lattice:
             tuple(Fraction(x, self.den) for x in row) for row in self.hnf_rows
         )
 
-    @property
-    def det_abs(self) -> Fraction:
-        d = 1
-        for i in range(self.dim):
-            d *= self.hnf_rows[i][i]
-        return Fraction(d, self.den ** self.dim)
-
     def __repr__(self) -> str:
         rows = ", ".join(
-            "(" + ", ".join(str(Fraction(x, self.den)) for x in row) + ")"
+            "(" + ", ".join(_bounded(Fraction(x, self.den)) for x in row) + ")"
             for row in self.hnf_rows
         )
         return f"Lattice[{rows}]"
@@ -169,18 +163,6 @@ def _point_ints(v: Sequence, dim: int, what: str) -> tuple[tuple[int, ...], int]
     return w, q
 
 
-def contains(lat: Lattice, v: Sequence) -> bool:
-    """Exact membership of a rational point in the lattice."""
-    return _coords(lat, *_point_ints(v, lat.dim, "lattice")) is not None
-
-
-def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
-    """True iff every basis row of sub lies in sup."""
-    if sub.dim != sup.dim:
-        raise DimensionMismatch("lattices live in different dimensions")
-    return all(_coords(sup, row, sub.den) is not None for row in sub.hnf_rows)
-
-
 def index(sup: Lattice, sub: Lattice) -> int:
     """Group index [sup : sub]; requires sub to be a sublattice of sup.
 
@@ -224,13 +206,6 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     h, scale = _stacked(l1, l2)
     d = l1.dim
     return _canonical([row[d:] for row in h[d:]], scale)
-
-
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    """Smallest lattice containing both inputs (see `_stacked`)."""
-    h, scale = _stacked(l1, l2)
-    d = l1.dim
-    return _canonical([row[:d] for row in h[:d]], scale)
 
 
 def _image(lat: Lattice, num: IntMatrix, den: int) -> Lattice:
@@ -571,7 +546,7 @@ class Colouring:
         return self._colours_of_columns([[x] for x in coords])[0]
 
     def __repr__(self) -> str:
-        return f"Colouring(m={self.m}, parent={self.parent!r}, sub={self.sub!r})"
+        return f"Colouring(m={_bounded(self.m)}, parent={self.parent!r}, sub={self.sub!r})"
 
 
 def colour_of(colouring: Colouring, v: Sequence) -> int:

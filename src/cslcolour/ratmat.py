@@ -1,12 +1,14 @@
 """Exact integer matrix kernel, with rational edges.
 
 Internally a rational matrix is an integer matrix plus one common
-denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms, and the
-one elimination that gives an inverse and a determinant
-(:func:`_inverse_det`), all run on Python ints only.
-``fractions.Fraction`` values appear at the edges: reading input
-numbers, the public rational inverse (:func:`rat_inverse`) and
-formatting.  Every number the package is given is read by one reader,
+denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms
+(:func:`_hermite`, :func:`snf`), and the one elimination that gives an
+inverse and a determinant (:func:`_inverse_det`), all run on Python
+ints only.  ``fractions.Fraction`` values appear at the edges: reading
+input numbers, the rational inverse (:func:`rat_inverse`) and
+formatting; a message echoes a long literal by a prefix and its length
+(:func:`_literal`), and a long number by its size (:func:`_bounded`).
+Every number the package is given is read by one reader,
 :func:`_rational` (a string by :func:`parse_rational`, anything else by
 ``Fraction``), most through :func:`clear_denominators`.  Matrices are
 immutable tuples of row tuples.  Everything is exact: no floats, no
@@ -36,8 +38,10 @@ IntMatrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-# messages write a number in full only below this, so they stay one short line
+# messages write a number in full only below this, and a literal only up
+# to this many characters, so they stay one short line
 _ECHO_BOUND = 10**30
+_ECHO_CHARS = 40
 
 
 def parse_rational(text: str) -> Fraction:
@@ -46,13 +50,20 @@ def parse_rational(text: str) -> Fraction:
     The sign may appear on p only and q must be a positive integer.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {_literal(text)}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
+            raise ValueError(f"zero denominator: {_literal(text)}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def _literal(text) -> str:
+    """A literal for a message: its repr, or that of its first 40 characters and its length."""
+    if isinstance(text, str) and len(text) > _ECHO_CHARS:
+        return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+    return repr(text)
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -120,15 +131,11 @@ def int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
             if type(x) is not int:
                 f = _rational(x)
                 if f.denominator != 1:
-                    raise ValueError(f"non-integer entry {x}")
+                    raise ValueError(f"non-integer entry {_bounded(f)}")
                 x = f.numerator
             vals.append(x)
         out.append(tuple(vals))
     return tuple(out)
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(m):
@@ -183,23 +190,14 @@ def _inverse_det(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, int, int]:
     return tuple(tuple(x // g for x in row[n:]) for row in work), p // g, sign * p
 
 
-def int_inverse(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
-    """Inverse of a square integer matrix as (N, q) with m^-1 = N / q.
-
-    q > 0 is the least common denominator of the inverse's entries (see
-    :func:`_inverse_det`).  Raises Singular.
-    """
-    return _inverse_det(m)[:2]
-
-
 def rat_inverse(m: Sequence[Sequence]) -> RatMatrix:
     """Exact rational inverse; raises Singular.
 
     With m = M / q for an integer M, the inverse is q . M^-1, read off
-    :func:`int_inverse`.
+    :func:`_inverse_det`.
     """
     ints, q = clear_denominators(m)
-    inv, den = int_inverse(ints)
+    inv, den = _inverse_det(ints)[:2]
     return tuple(tuple(Fraction(q * x, den) for x in row) for row in inv)
 
 
@@ -224,7 +222,7 @@ def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
     """Row Hermite form of an arbitrary integer matrix, without transform.
 
     Returns (h, rank): h = u . m for a unimodular u that is not built
-    (:func:`hnf` reads it off an identity block), the first `rank` rows
+    (the form of [m | I] is [h | u]), the first `rank` rows
     of h are the staircase and the rest are zero.  Eliminations reduce
     as they go, which keeps intermediate entries small.
     """
@@ -251,26 +249,6 @@ def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
                 _row_addmul(h, r, rank, -q)
         rank += 1
     return h, rank
-
-
-def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """Hermite normal form H = U . M of a full-row-rank integer matrix.
-
-    H is the unique upper-triangular canonical form of the row span
-    (positive pivots, entries above each pivot in [0, pivot)); U is
-    unimodular.  Raises RankDeficient when the rows are dependent.
-    The Hermite form of [M | I] is [H | U]: all its pivots lie in M's
-    columns exactly when M has full row rank.
-    """
-    mi = int_matrix(m)
-    if not mi or not mi[0]:
-        raise ValueError("empty matrix")
-    k = len(mi[0])
-    h, _ = _hermite([row + e for row, e in zip(mi, identity(len(mi)))])
-    if not any(h[-1][:k]):
-        rank = sum(1 for row in h if any(row[:k]))
-        raise RankDeficient(f"row rank {rank} < {len(mi)}")
-    return tuple(tuple(r[:k]) for r in h), tuple(tuple(r[k:]) for r in h)
 
 
 def _col_addmul(rows, dst, src, factor):
@@ -355,4 +333,3 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in v),
     )
-

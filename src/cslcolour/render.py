@@ -56,8 +56,8 @@ def _embed(
     The ambient integer rows over den are one linear form per entry
     (`_forms`).  In the plane a key is the entry itself and its
     position entry / den, int / int correctly rounded: the same float
-    as the exact Fraction.  The star embedding is cyclo8.star_coords of
-    the row over den, x = a0/den + (a1 - a3)/(2 den) sqrt 2 and
+    as the exact Fraction.  The star embedding, xi -> (1 + i)/sqrt 2, of
+    the row over den is x = a0/den + (a1 - a3)/(2 den) sqrt 2 and
     y = a2/den + (a1 + a3)/(2 den) sqrt 2, each rational part rounded
     once the same way; a key is the pair of integers (a0, a1 - a3) or
     (a2, a1 + a3).  Points with one key share one position.  Keys are

@@ -1,16 +1,23 @@
-"""Shared test fixtures: the sublattice corpus and acceptance reporting.
+"""Shared test fixtures: the sublattice corpus, oracles and acceptance reporting.
 
-Acceptance tests register one line per criterion; the terminal-summary
-hook prints them after the run so the PASS/FAIL lines survive pytest's
-output capture.
+The oracles below share no code with the package's kernels: they read
+its objects through their rational views (`Lattice.basis`,
+`CommensurableMap.matrix`, `Cyc8.coeffs` and its ring operations) and
+compute from there in Fractions and plain integers.  Acceptance tests register one line per
+criterion; the terminal-summary hook prints them after the run so the
+PASS/FAIL lines survive pytest's output capture.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+
+from cslcolour.errors import DimensionMismatch
+from cslcolour.lattice import lattice_new
 
 # square-lattice sublattices of index 1..12, used by property tests
 SUBLATTICE_BASES = [
@@ -113,6 +120,110 @@ def adjugate(m):
         ]
         for i in range(n)
     ]
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# lattice, map and ring oracles that share no code with the package
+
+
+def ref_solve(basis, v):
+    """The x with x . basis = v, by Fraction Gauss-Jordan elimination."""
+    n = len(basis)
+    aug = [[Fraction(basis[i][j]) for i in range(n)] + [Fraction(v[j])] for j in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+@lru_cache(maxsize=64)
+def ref_inverse_basis(lat):
+    """lat.basis^-1 as (N, D), integers over their common denominator (rows by `ref_solve`)."""
+    rows = [ref_solve(lat.basis, [int(i == j) for j in range(lat.dim)]) for i in range(lat.dim)]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
+def contains(lat, v):
+    """Exact membership of a rational point: its coordinates v . basis^-1 are integers."""
+    if len(v) != lat.dim:
+        raise DimensionMismatch(f"point has dimension {len(v)}, lattice {lat.dim}")
+    inverse, den = ref_inverse_basis(lat)
+    point = [Fraction(x) for x in v]
+    q = lcm(*(x.denominator for x in point))
+    scale = q * den
+    w = [int(x * q) for x in point]
+    return all(sum(a * row[j] for a, row in zip(w, inverse)) % scale == 0 for j in range(lat.dim))
+
+
+def is_sublattice(sub, sup):
+    """Every basis row of sub lies in sup."""
+    if sub.dim != sup.dim:
+        raise DimensionMismatch("lattices live in different dimensions")
+    return all(contains(sup, row) for row in sub.basis)
+
+
+def lattice_sum(l1, l2):
+    """The smallest lattice holding both: their 2d basis rows cut to d by Euclid, column by column.
+
+    Only the canonical form of the d rows left comes from `lattice_new`.
+    """
+    rows = [*l1.basis, *l2.basis]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    work = [[int(x * den) for x in row] for row in rows]
+    basis = []
+    for col in range(l1.dim):
+        # subtract the row of least nonzero entry until one row is left nonzero here
+        while sum(1 for row in work if row[col]) > 1:
+            work.sort(key=lambda row: (not row[col], abs(row[col])))
+            for row in work[1:]:
+                q = row[col] // work[0][col]
+                row[:] = [a - q * b for a, b in zip(row, work[0])]
+        pivot = next(row for row in work if row[col])
+        work.remove(pivot)
+        basis.append([Fraction(x, den) for x in pivot])
+    return lattice_new(basis)
+
+
+def apply(amap, v):
+    """The image v . A^T of a rational point, with A = amap.matrix."""
+    if len(v) != amap.dim:
+        raise DimensionMismatch(f"point has dimension {len(v)}, map {amap.dim}")
+    return tuple(sum(a * Fraction(x) for a, x in zip(row, v)) for row in amap.matrix)
+
+
+def is_orthogonal(amap):
+    """A^T . A = identity, with A = amap.matrix."""
+    a, d = amap.matrix, amap.dim
+    return all(sum(row[i] * row[j] for row in a) == (i == j) for i in range(d) for j in range(d))
+
+
+def cyc8_norm(z):
+    """Field norm: the product of all four Galois conjugates, a rational."""
+    n = z
+    for k in (3, 5, 7):
+        n = n * z.galois(k)
+    assert not any(n.coeffs[1:]), "norm must be rational"
+    return n.coeffs[0]
+
+
+def star_coords(coeffs):
+    """Exact planar coordinates of a0 + a1.xi + a2.xi^2 + a3.xi^3, split over 1 and sqrt(2).
+
+    ((xr, xs), (yr, ys)): the real part is xr + xs.sqrt(2) and the
+    imaginary part yr + ys.sqrt(2), since xi = (1 + i) / sqrt(2),
+    xi^2 = i and xi^3 = (-1 + i) / sqrt(2).
+    """
+    a0, a1, a2, a3 = map(Fraction, coeffs)
+    return (a0, (a1 - a3) / 2), (a2, (a1 + a3) / 2)
 
 
 ACCEPTANCE_LINES: list[str] = []

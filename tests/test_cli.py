@@ -668,6 +668,20 @@ def test_a_bad_literal_is_one_config_error_naming_it(capsys, tmp_path, base, key
     assert _one_error(err) == {"type": "ConfigError", "message": message}
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_a_long_bad_literal_is_echoed_as_a_prefix_and_its_length(capsys, tmp_path, command):
+    literal = "1." + "0" * 100_000
+    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
+    raw["map"][0][0] = literal
+    path = variant(tmp_path, "example1.json", **raw)
+    code, out, err = run(capsys, *_argv(command, path, tmp_path))
+    assert code == 2 and out == "" and len(err) < 1000
+    assert _one_error(err) == {
+        "type": "ConfigError",
+        "message": f"map: not a rational literal: {literal[:40]!r}... (100002 characters)",
+    }
+
+
 def _entry(base: str, key: str, literal: str = "1.5") -> list:
     """The bundled config's `key` matrix with its first entry replaced by `literal`."""
     rows = json.loads((CONFIG_DIR / base).read_text())[key]

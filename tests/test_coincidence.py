@@ -22,8 +22,11 @@ from hypothesis import strategies as st
 from conftest import (
     CUBIC_SUBLATTICES,
     SUBLATTICE_BASES,
+    apply,
     cayley_rotation,
+    contains,
     cubic_rotations,
+    is_orthogonal,
     ref_det,
 )
 
@@ -55,7 +58,6 @@ from cslcolour.errors import (
 from cslcolour.lattice import (
     Colouring,
     colour_of,
-    contains,
     index,
     intersect,
     lattice_new,
@@ -99,10 +101,10 @@ def sublattices():
 
 
 def test_commensurable_map_carries_exact_inverse():
-    assert ROT.apply((1, 0)) == (pytest.approx(0.8), pytest.approx(0.6))
-    assert ROT.inverse_map.apply(ROT.apply((2, 7))) == (2, 7)
+    assert apply(ROT, (1, 0)) == (pytest.approx(0.8), pytest.approx(0.6))
+    assert apply(ROT.inverse_map, apply(ROT, (2, 7))) == (2, 7)
     assert ROT.det == 1
-    assert ROT.is_orthogonal()
+    assert is_orthogonal(ROT)
 
 
 @st.composite
@@ -147,7 +149,7 @@ def test_is_coincidence_cases():
     assert is_coincidence(Z2, ROT)
     stretch = commensurable_map([[2, 0], [0, "1/2"]])
     assert is_coincidence(Z2, stretch)  # |det| = 1 without orthogonality
-    assert not stretch.is_orthogonal()
+    assert not is_orthogonal(stretch)
     assert not is_coincidence(Z2, commensurable_map([[2, 0], [0, 1]]))
 
 
@@ -341,11 +343,11 @@ def test_colour_permutations_compose_at_points(dim):
         perm_a, perm_b, perm_ab = (dict(colour_permutation(colouring, m)) for m in (a, b, ab))
         inv_a, inv_b, inv_ab = (csl(colouring.parent, m.inverse_map) for m in (a, b, ab))
         for x in product(range(-radius, radius + 1), repeat=dim):
-            if not (contains(inv_b, x) and contains(inv_a, b.apply(x))):
+            if not (contains(inv_b, x) and contains(inv_a, apply(b, x))):
                 continue
             assert contains(inv_ab, x)
             colour = colour_of(colouring, x)
-            image = colour_of(colouring, ab.apply(x))
+            image = colour_of(colouring, apply(ab, x))
             assert perm_ab[colour] == perm_a[perm_b[colour]] == image
             checked += 1
             moved += image != colour
@@ -435,7 +437,7 @@ def test_enumerate_all_orthogonal_and_distinct():
     assert len(maps) == 12
     assert len({m.matrix for m in maps}) == 12
     for m in maps:
-        assert m.is_orthogonal()
+        assert is_orthogonal(m)
         assert abs(m.det) == 1
     assert any(m.matrix == ROT.matrix for m in maps)
 
@@ -487,7 +489,7 @@ def test_sigma_of_cubic_rotations_is_odd_part_of_quaternion_norm():
         while odd % 2 == 0:
             odd //= 2
         amap = commensurable_map(rows)
-        assert amap.is_orthogonal() and amap.det == 1
+        assert is_orthogonal(amap) and amap.det == 1
         assert sigma(z3, amap) == odd, q
         identities += odd == 1
     # the 24 rotations of the cube are exactly the coincidences of index 1

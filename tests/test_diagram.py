@@ -42,7 +42,6 @@ from cslcolour import (
     intersect,
     is_colour_coincidence,
     lattice_new,
-    lattice_sum,
     multiplication_map,
     principal_submodule,
     rat_inverse,
@@ -58,6 +57,7 @@ from conftest import (
     cayley_rotation,
     cubic_rotations,
     det,
+    lattice_sum,
 )
 
 Z2 = standard_lattice(2)

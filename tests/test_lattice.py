@@ -1,7 +1,8 @@
 """Lattice algebra tests: canonical form, membership, meet/join, cosets.
 
 Brute-force oracles (Cramer membership, exhaustive searches) are local
-to this file and independent of the code under test.
+to this file or in conftest (membership, sublattices and sums in
+Fractions) and independent of the code under test.
 """
 
 from __future__ import annotations
@@ -28,19 +29,16 @@ from cslcolour.lattice import (
     Colouring,
     Lattice,
     colour_of,
-    contains,
     coset_meets_lattice,
     coset_reps,
     index,
     intersect,
-    is_sublattice,
     lattice_new,
-    lattice_sum,
     standard_lattice,
     transform,
 )
 from cslcolour.ratmat import mat_mul, snf, vec_mat
-from conftest import ref_det
+from conftest import apply, contains, is_sublattice, lattice_sum, ref_det, ref_solve
 
 Z2 = standard_lattice(2)
 EX1_SUB = lattice_new([[6, 0], [2, 1]])
@@ -72,12 +70,12 @@ small_bases = (
 
 def test_lattice_new_canonicalizes_worked_example():
     assert EX1_SUB.basis == ((Fraction(2), Fraction(1)), (Fraction(0), Fraction(3)))
-    assert EX1_SUB.det_abs == 6
+    assert abs(ref_det(EX1_SUB.basis)) == 6
 
 
 def test_lattice_new_examples():
-    assert Z2.det_abs == 1
-    assert lattice_new([[3, 0], [0, 1]]).det_abs == 3
+    assert abs(ref_det(Z2.basis)) == 1
+    assert abs(ref_det(lattice_new([[3, 0], [0, 1]]).basis)) == 3
 
 
 def test_lattice_new_rejects_dependent_rows():
@@ -205,6 +203,38 @@ def test_an_error_message_converts_no_unbounded_number(name):
     assert len(str(info.value)) < 200
 
 
+# a lattice and a colouring of FAR_SUB's, whose reprs would hold
+# entries over the digit limit; a small one is written in full
+FAR_REPRS = {
+    "Lattice": (
+        lambda: Z2,
+        "Lattice[(1, 0), (0, 1)]",
+        lambda: FAR_SUB,
+    ),
+    "Colouring": (
+        lambda: Colouring(lattice_new([["1/2", 0], [0, 1]]), lattice_new([[3, 0], [0, 1]])),
+        "Colouring(m=6, parent=Lattice[(1/2, 0), (0, 1)], sub=Lattice[(3, 0), (0, 1)])",
+        lambda: Colouring(FAR_SUB, lattice_new([[2 * x for x in row] for row in FAR_SUB.basis])),
+    ),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+@pytest.mark.parametrize("name", FAR_REPRS)
+def test_a_repr_converts_no_unbounded_number(name):
+    small, text, far = FAR_REPRS[name]
+    assert repr(small()) == text
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        written = repr(far())
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(written) < 200 and "about 10^" in written
+
+
 # ---------------------------------------------------------------------------
 # intersection and sum
 
@@ -252,7 +282,6 @@ def test_meet_sum_and_witness_take_one_hermite_form_each(monkeypatch):
     rotated = transform(Z2, ROT)
     for op in (
         lambda: intersect(EX1_SUB, rotated),
-        lambda: lattice_sum(EX1_SUB, rotated),
         lambda: coset_meets_lattice((1, 0), EX1_SUB, rotated),
         lambda: coset_meets_lattice(("1/2", 0), EX1_SUB, rotated),
     ):
@@ -293,22 +322,8 @@ def test_index_multiplicativity(b1, c2, c3):
 # the integer kernel against a plain-Fraction reference, d = 2, 3, 4
 #
 # The reference solves x . B = v by Gaussian elimination over Fraction
-# and compares lattices by mutual containment of their rows; nothing
-# below it calls the package.
-
-
-def ref_solve(basis, v):
-    """The x with x . basis = v, by Fraction Gauss-Jordan elimination."""
-    n = len(basis)
-    aug = [[Fraction(basis[i][j]) for i in range(n)] + [Fraction(v[j])] for j in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col] / aug[col][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+# (`conftest.ref_solve`) and compares lattices by mutual containment of
+# their rows; nothing below it calls the package.
 
 
 def ref_mat_mul(a, b):
@@ -529,7 +544,7 @@ def test_transform_identity():
 
 def test_transform_rotation_image():
     rotated = transform(Z2, ROT)
-    assert rotated.det_abs == 1
+    assert abs(ref_det(rotated.basis)) == 1
     assert rotated != Z2
     assert not contains(rotated, (1, 0))
     assert contains(rotated, ("4/5", "3/5"))
@@ -735,13 +750,14 @@ def test_coset_meets_lattice_absent_iff_outside_sum():
 
 
 ROT_MAP = commensurable_map(ROT)
-# each reader of a point, on the plane
+# each reader of a point, on the plane; the conftest oracles `contains`
+# and `apply` must read a point as the package does
 POINT_READERS = {
     "contains": lambda p: contains(EX1_SUB, p),
     "colour_of": lambda p: colour_of(Colouring(Z2, EX1_SUB), p),
     "coset_meets_lattice": lambda p: coset_meets_lattice(p, EX1_SUB, transform(Z2, ROT)),
     "reps": lambda p: Colouring(Z2, lattice_new([[2, 0], [0, 1]]), reps=[[0, 0], p]).rep_rows,
-    "apply": ROT_MAP.apply,
+    "apply": lambda p: apply(ROT_MAP, p),
 }
 
 

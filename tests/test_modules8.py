@@ -20,20 +20,15 @@ from cslcolour.cyclo8 import (
     AMMANN_BEENKER_ROTATION,
     CYC8_ONE,
     CYC8_XI,
-    Cyc8,
     cyc8,
     cyc8_mul_matrix,
-    cyc8_norm,
-    is_unit_modulus,
     multiplication_map,
     principal_submodule,
-    star_coords,
 )
 from cslcolour.errors import ZeroElement
 from cslcolour.lattice import (
     Colouring,
     _window_columns,
-    contains,
     coset_reps,
     index,
     lattice_new,
@@ -41,7 +36,7 @@ from cslcolour.lattice import (
     transform,
 )
 from cslcolour.ratmat import mat_mul, vec_mat
-from conftest import ref_det
+from conftest import apply, contains, cyc8_norm, ref_det, star_coords
 
 Z4 = standard_lattice(4)
 ONE_PLUS_XI2 = cyc8(1, 0, 1, 0)
@@ -64,6 +59,19 @@ def test_basic_products():
     assert all(type(x) is Fraction for x in fourth.coeffs)
 
 
+def test_elements_are_integers_over_one_denominator_in_lowest_terms():
+    assert AMMANN_BEENKER_ROTATION.num == (-1, 2, 0, 2)
+    assert AMMANN_BEENKER_ROTATION.den == 3
+    half = cyc8("2/4", 0, 0, "-3/6")
+    assert (half.num, half.den) == ((1, 0, 0, -1), 2)
+    # sums, products and conjugates come back reduced, so equal elements compare equal
+    total = half + half
+    assert (total.num, total.den) == ((1, 0, 0, -1), 1)
+    product = AMMANN_BEENKER_ROTATION * AMMANN_BEENKER_ROTATION.conjugate()
+    assert (product.num, product.den) == ((1, 0, 0, 0), 1) and product == CYC8_ONE
+    assert half - half == cyc8(0, 0, 0, 0) and (half - half).den == 1
+
+
 @settings(max_examples=80)
 @given(elements, elements, elements)
 def test_ring_axioms(a, b, c):
@@ -83,11 +91,10 @@ def test_norm_is_multiplicative(a, b):
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: Cyc8((Fraction(1), Fraction(0), Fraction(0))), ValueError),
         (lambda: cyc8(1, 0, 0), ValueError),
         (lambda: principal_submodule(cyc8(0, 0, 0, 0)), ZeroElement),
     ],
-    ids=["Cyc8-of-3", "cyc8-of-3", "principal-submodule-of-zero"],
+    ids=["cyc8-of-3", "principal-submodule-of-zero"],
 )
 def test_malformed_elements_are_refused(build, error):
     with pytest.raises(error):
@@ -146,7 +153,7 @@ def test_norm_values():
 def test_multiplication_map_applies_ring_product():
     z = AMMANN_BEENKER_ROTATION
     w = cyc8(2, -1, 0, 3)
-    assert multiplication_map(z).apply(w.coeffs) == (w * z).coeffs
+    assert apply(multiplication_map(z), w.coeffs) == (w * z).coeffs
 
 
 def test_multiplication_map_image_is_principal_submodule():
@@ -181,9 +188,10 @@ def test_quotient_by_one_plus_xi2_is_two_two():
 
 
 def test_is_unit_modulus_cases():
-    assert is_unit_modulus(CYC8_XI)
-    assert is_unit_modulus(AMMANN_BEENKER_ROTATION)
-    assert not is_unit_modulus(ONE_PLUS_XI2)
+    # z encodes a plane rotation exactly when z . conj(z) = 1
+    assert CYC8_XI * CYC8_XI.conjugate() == CYC8_ONE
+    assert AMMANN_BEENKER_ROTATION * AMMANN_BEENKER_ROTATION.conjugate() == CYC8_ONE
+    assert ONE_PLUS_XI2 * ONE_PLUS_XI2.conjugate() != CYC8_ONE
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ test.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -17,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslcolour.coincidence import commensurable_map
-from cslcolour.cyclo8 import cyc8, star_coords
+from cslcolour.cyclo8 import cyc8
 from cslcolour.errors import RankDeficient, Singular
 from cslcolour.lattice import (
     Colouring,
     colour_of,
-    contains,
     coset_meets_lattice,
     lattice_new,
     standard_lattice,
@@ -30,12 +30,10 @@ from cslcolour.lattice import (
 )
 from cslcolour.ratmat import (
     _bounded,
+    _hermite,
     _inverse_det,
     clear_denominators,
     format_rational,
-    hnf,
-    identity,
-    int_inverse,
     int_matrix,
     mat_mul,
     parse_rational,
@@ -44,7 +42,7 @@ from cslcolour.ratmat import (
     snf,
     transpose,
 )
-from conftest import adjugate, det, ref_det
+from conftest import adjugate, det, identity, ref_det
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -131,6 +129,35 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+def test_a_long_literal_is_echoed_as_a_prefix_and_its_length():
+    for text, error in (
+        ("1." + "0" * 100_000, "not a rational literal"),
+        ("1/" + "0" * 1000, "zero denominator"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"{error}: {text[:40]!r}... ({len(text)} characters)"
+    # up to 40 characters a literal is echoed whole
+    with pytest.raises(ValueError, match=r"^not a rational literal: '1\.0{38}'$"):
+        parse_rational("1." + "0" * 38)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+def test_a_non_integer_entry_past_the_digit_limit_is_named_by_its_size():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        with pytest.raises(ValueError) as info:
+            snf([[Fraction(10**5000 + 1, 2), 0], [0, 1]])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(info.value) == "non-integer entry about 10^4999"
+    with pytest.raises(ValueError, match="^non-integer entry 3/2$"):
+        int_matrix([["6/4", 0]])
+
+
 def test_rat_matrix_coercion():
     m = rat_matrix([["4/5", "-3/5"], ["3/5", "4/5"]])
     assert m[0][0] == Fraction(4, 5)
@@ -152,25 +179,21 @@ READERS = {
     "lattice_new": lambda x: lattice_new([[x, 0], [0, 1]]),
     "transform": lambda x: transform(QUARTER, [[x, 0], [0, 1]]),
     "commensurable_map": lambda x: commensurable_map([[x, 0], [0, 1]]),
-    "contains": lambda x: contains(QUARTER, [x, 0]),
     "colour_of": lambda x: colour_of(Colouring(QUARTER, standard_lattice(2)), [x, 0]),
     "coset_meets_lattice": lambda x: coset_meets_lattice([x, 0], standard_lattice(2), QUARTER),
-    "CommensurableMap.apply": lambda x: commensurable_map([[0, -1], [1, 0]]).apply([x, 1]),
     "Colouring(reps=...)": lambda x: Colouring(
         QUARTER, lattice_new([["1/4", 0], [0, 2]]), reps=[[0, 0], [x, 1]]
     ).reps,
     "rat_inverse": lambda x: rat_inverse([[x, 0], [0, 1]]),
     "rat_matrix": lambda x: rat_matrix([[x, "1/2"]]),
     "clear_denominators": lambda x: clear_denominators([[x, "1/2"]]),
-    "hnf": lambda x: hnf([[x, 0], [0, 1]]),
     "snf": lambda x: snf([[x, 0], [0, 1]]),
     "cyc8": lambda x: cyc8(x, 0, "1/2", 0),
-    "star_coords": lambda x: star_coords([x, 1, 0, 0]),
 }
 
 
 def _outcome(read, x):
-    """What read(x) returns, or the ValueError it raises (hnf and snf refuse 3/4)."""
+    """What read(x) returns, or the ValueError it raises (snf refuses 3/4)."""
     try:
         return read(x)
     except ValueError as exc:
@@ -261,7 +284,7 @@ def test_rat_inverse_multiplies_back(m):
     ).filter(lambda m: ref_det(m) != 0)
 )
 def test_int_inverse_is_exact_and_lowest_terms(m):
-    inv, den = int_inverse(m)
+    inv, den, _ = _inverse_det(m)
     assert den > 0
     assert mat_mul(m, inv) == tuple(tuple(den * x for x in row) for row in identity(4))
     assert gcd(den, *(x for row in inv for x in row)) == 1
@@ -270,11 +293,18 @@ def test_int_inverse_is_exact_and_lowest_terms(m):
 
 def test_int_inverse_singular():
     with pytest.raises(Singular):
-        int_inverse([[1, 2], [2, 4]])
+        _inverse_det([[1, 2], [2, 4]])
 
 
 # ---------------------------------------------------------------------------
 # Hermite form
+
+
+def hnf(m):
+    """(H, U) with H = U . M: the kernel's Hermite form of [M | I] is [H | U]."""
+    k = len(m[0])
+    h, _ = _hermite([list(row) + list(e) for row, e in zip(m, identity(len(m)))])
+    return tuple(tuple(r[:k]) for r in h), tuple(tuple(r[k:]) for r in h)
 
 
 def test_hnf_identity():
@@ -299,14 +329,11 @@ def test_hnf_idempotent():
 
 
 def test_hnf_rejects_rank_deficient():
-    with pytest.raises(RankDeficient):
-        hnf(((1, 2), (2, 4)))
-    with pytest.raises(RankDeficient):
-        hnf(((0, 0), (0, 0)))
-    with pytest.raises(RankDeficient):
-        hnf(((1, 0), (0, 1), (1, 1)))  # more rows than columns
-    with pytest.raises(RankDeficient):
-        hnf(((2, 4, 6), (1, 2, 3)))
+    # the kernel reports the rank; callers refuse a form of rank < rows
+    assert _hermite(((1, 2), (2, 4)))[1] == 1
+    assert _hermite(((0, 0), (0, 0)))[1] == 0
+    assert _hermite(((1, 0), (0, 1), (1, 1)))[1] == 2  # more rows than columns
+    assert _hermite(((2, 4, 6), (1, 2, 3)))[1] == 1
 
 
 def test_hnf_of_a_wide_matrix():
@@ -406,9 +433,8 @@ def test_snf_rejects_singular():
 
 
 def test_snf_refuses_the_empty_matrix_as_hnf_does():
-    for reduce in (hnf, snf):
-        with pytest.raises(ValueError, match="^empty matrix$"):
-            reduce([])
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        snf([])
 
 
 @settings(max_examples=80)

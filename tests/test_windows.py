@@ -43,7 +43,7 @@ from cslcolour.lattice import (
     lattice_new,
     standard_lattice,
 )
-from cslcolour.ratmat import int_inverse, mat_mul, vec_mat
+from cslcolour.ratmat import _inverse_det, mat_mul, vec_mat
 
 Z2 = standard_lattice(2)
 ROT = commensurable_map([["4/5", "-3/5"], ["3/5", "4/5"]])
@@ -70,7 +70,7 @@ def census_one_point_at_a_time(colouring, amap, radius):
     inv = _window_points(parent, csl(parent, amap.inverse_map), radius)
     colour_at = colouring.colour_of_coords
     a_num, a_den = amap.forward
-    h_inv, h_den = int_inverse(parent.hnf_rows)
+    h_inv, h_den, _ = _inverse_det(parent.hnf_rows)
     t_num = mat_mul(mat_mul(parent.hnf_rows, a_num), h_inv)
     t_den = a_den * h_den
     transfer = {}
