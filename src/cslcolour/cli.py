@@ -20,9 +20,10 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
 import cslcolour
 from cslcolour.coincidence import (
@@ -42,7 +43,8 @@ from cslcolour.errors import (
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
 from cslcolour.ratmat import _bounded, rat_matrix
-from cslcolour.render import RENDER_MODES, render_svg
+# render_svg is bound here for bench/tracing.py, which wraps it in every module that binds it
+from cslcolour.render import RENDER_MODES, _svg_lines, render_svg
 
 # the most points a render or oracle window, (2R+1)^dim, may hold
 WINDOW_BUDGET = 2_000_000
@@ -52,6 +54,8 @@ COLOUR_BUDGET = 100_000
 ROTATION_BUDGET = 2_000
 # the largest dim; the analysis's Hermite forms swell with it (README, "Dimension budget")
 DIM_BUDGET = 16
+# how many lines of an SVG are joined and written at a time
+_CHUNK_LINES = 65_536
 # a palette entry is written into SVG attributes, so only #rrggbb passes
 HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")
 # how json.dumps writes the two scalar types of a report's long lists;
@@ -271,12 +275,23 @@ def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
     return report
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _write_lines(lines: Iterable[str], fh) -> None:
+    """Write `"\n".join(lines)`, joining and writing _CHUNK_LINES lines at a time."""
+    lines = iter(lines)
+    sep = ""
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        fh.write(sep)
+        fh.write("\n".join(chunk))
+        sep = "\n"
+
+
+def _emit(lines: Iterable[str], out: Optional[str]) -> None:
+    """Write the lines joined by newlines to the file `out`, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_lines(lines, fh)
     else:
-        sys.stdout.write(text)
+        _write_lines(lines, sys.stdout)
 
 
 def _indented(value, pad: str) -> str:
@@ -321,7 +336,7 @@ def cmd_analyze(args) -> int:
     cfg = load_job_config(args.config)
     colouring = build_colouring(cfg)
     analysis = analyze(colouring, cfg.amap)
-    _emit(_report_json(build_report(cfg, colouring, analysis)), args.out)
+    _emit([_report_json(build_report(cfg, colouring, analysis))], args.out)
     return 0
 
 
@@ -332,7 +347,7 @@ def cmd_oracle(args) -> int:
     analysis = analyze(colouring, cfg.amap)
     census = window_census(colouring, cfg.amap, cfg.oracle_radius)
     report = build_report(cfg, colouring, analysis, census=census)
-    _emit(_report_json(report), args.out)
+    _emit([_report_json(report)], args.out)
     if report["contradictions"]:
         _error("OracleContradiction", "; ".join(report["contradictions"]))
         return 4
@@ -349,8 +364,10 @@ def cmd_render(args) -> int:
             len(palette) >= colouring.m,
             f"palette has {len(palette)} colours, colouring needs {colouring.m}",
         )
+    # every check runs here, before --out is opened, so a refused render
+    # leaves no file; the lines are joined as they are written
     try:
-        svg = render_svg(
+        lines = _svg_lines(
             colouring,
             cfg.amap,
             mode=args.mode,
@@ -361,7 +378,7 @@ def cmd_render(args) -> int:
         )
     except UnsupportedDimension as exc:
         raise ConfigError(str(exc)) from None
-    _emit(svg, args.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -375,7 +392,7 @@ def cmd_gen_rotations(args) -> int:
         # the rows of A are the columns of A^T = forward
         "rotations": [_rational_strings(zip(*r.forward[0]), r.forward[1]) for r in rotations],
     }
-    _emit(_report_json(payload), args.out)
+    _emit([_report_json(payload)], args.out)
     return 0
 
 
@@ -405,7 +422,7 @@ def main(argv=None) -> int:
     p_render = sub.add_parser("render", help="draw a coloured lattice window as SVG")
     p_render.add_argument("config")
     p_render.add_argument("--mode", choices=RENDER_MODES, required=True)
-    p_render.add_argument("--out", required=True)
+    p_render.add_argument("--out", default=None)
     p_render.set_defaults(fn=cmd_render)
 
     p_oracle = sub.add_parser("oracle", help="brute-force window census cross-check")

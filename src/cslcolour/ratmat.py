@@ -27,6 +27,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import floor, gcd, lcm, log10
 from typing import Sequence
@@ -51,12 +52,14 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {_literal(text)}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {_literal(text)}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if den and not den.strip("0"):
+        raise ValueError(f"zero denominator: {_literal(text)}")
+    # int() refuses a run of more digits than Python's limit (0: none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(len(num.lstrip("+-")), len(den)) > limit:
+        raise ValueError(f"over the limit of {limit} digits: {_literal(text)}")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _literal(text) -> str:

@@ -10,16 +10,18 @@ one list operation per coordinate.  The SVG is written the same way:
 one circle template per render, its fields filled from columns of
 strings, each string formatted once per distinct value (a position,
 a coordinate, a colour) and looked up per point, and one join per line.
+The lines are joined only as they are read (`_svg_lines`), so the CLI
+writes a document without holding it; a default palette entry is
+computed in closed form, without `colorsys`.
 """
 
 from __future__ import annotations
 
-import colorsys
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, sub
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from cslcolour.coincidence import CommensurableMap, _require_coincidence, csl
 from cslcolour.errors import UnsupportedDimension
@@ -31,13 +33,41 @@ BASE_PALETTE = ["#000000", "#ffff00", "#0000ff", "#ff0000", "#808080", "#008000"
 RENDER_MODES = ("parent", "csl", "csl-inv")
 
 
+# colorsys.hls_to_rgb(h, 0.5, 0.65) with its constants and its float
+# operations in its order, so every entry is the same float it computes
+_M2 = 0.5 * (1.0 + 0.65)
+_M1 = 2.0 * 0.5 - _M2
+_ONE_THIRD = 1.0 / 3.0
+_ONE_SIXTH = 1.0 / 6.0
+_TWO_THIRD = 2.0 / 3.0
+_HEX = [f"{v:02x}" for v in range(256)]
+
+
+def _channel(hue: float) -> str:
+    """One channel of the entry at hue, as two hex digits (colorsys._v)."""
+    hue = hue % 1.0
+    if hue < _ONE_SIXTH:
+        v = _M1 + (_M2 - _M1) * hue * 6.0
+    elif hue < 0.5:
+        v = _M2
+    elif hue < _TWO_THIRD:
+        v = _M1 + (_M2 - _M1) * (_TWO_THIRD - hue) * 6.0
+    else:
+        v = _M1
+    return _HEX[round(v * 255)]
+
+
 def _palette_entry(i: int) -> str:
-    """Colour i of the default palette: a base colour, then golden-angle HSL steps."""
+    """Colour i of the default palette: a base colour, then golden-angle HSL steps.
+
+    Past index 5, colour i is the HSL colour of hue 137.508 (i - 5)
+    degrees, lightness 0.5 and saturation 0.65, each channel rounded to
+    0..255: what `colorsys.hls_to_rgb` gives, computed in closed form.
+    """
     if i < len(BASE_PALETTE):
         return BASE_PALETTE[i]
-    hue = (137.508 * (i - 5)) % 360.0
-    r, g, b = colorsys.hls_to_rgb(hue / 360.0, 0.5, 0.65)
-    return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
+    h = (137.508 * (i - 5)) % 360.0 / 360.0
+    return "#" + _channel(h + _ONE_THIRD) + _channel(h) + _channel(h - _ONE_THIRD)
 
 
 def default_palette(m: int) -> list[str]:
@@ -94,7 +124,28 @@ def render_svg(
     the points of the forward / inverse coincidence site lattice.
     A point of colour i is filled with palette[i], so `palette` needs m
     entries.  Without one, the fills are `default_palette(m)`, but
-    only the entries of the colours drawn are computed.
+    only the entries of the colours drawn are computed.  The document
+    is `_svg_lines` joined by newlines.
+    """
+    return "\n".join(
+        _svg_lines(colouring, amap, mode, radius, palette, highlight_csl, star_embedding)
+    )
+
+
+def _svg_lines(
+    colouring: Colouring,
+    amap: CommensurableMap,
+    mode: str,
+    radius: int,
+    palette: Optional[Sequence[str]] = None,
+    highlight_csl: bool = False,
+    star_embedding: bool = False,
+) -> Iterator[str]:
+    """The lines of `render_svg`'s document, the last one ending in a newline.
+
+    Every check runs, and every field string is formatted, before this
+    returns; the circle lines are joined only as the iterator is read,
+    so a caller that writes them as they come never holds the document.
     """
     if mode not in RENDER_MODES:
         raise ValueError(f"mode must be one of {RENDER_MODES}")
@@ -148,11 +199,11 @@ def render_svg(
     y0 = min(ys.values()) - margin
     width = max(xs.values()) - min(xs.values()) + 2 * margin
     height = max(ys.values()) - min(ys.values()) + 2 * margin
-    out = [
+    header = (
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0:.4f} {y0:.4f} {width:.4f} {height:.4f}">',
-    ]
+    )
     # one template per render; each line joins its constant pieces with
     # one string from each column of field values
     template = (
@@ -168,17 +219,16 @@ def render_svg(
         rings,
     ]
     pieces = template.split("{}")
-    out += map("".join, zip(*chain(*zip(map(repeat, pieces), fields)), repeat(pieces[-1])))
+    body = map("".join, zip(*chain(*zip(map(repeat, pieces), fields)), repeat(pieces[-1])))
     # the walk is in lexicographic order: the origin is the one point
     # whose every coordinate is 0 within the run of the ones before
     lo, hi = 0, len(kx)
     for column in columns:
         lo, hi = bisect_left(column, 0, lo, hi), bisect_right(column, 0, lo, hi)
-    out.insert(
-        3 + lo,
+    origin = (
         f'  <circle class="origin" cx="{cx[kx[lo]]}" cy="{cy[ky[lo]]}" '
         f'r="{dot * 1.9:.4f}" fill="none" stroke="#000000" '
-        f'stroke-width="{dot / 3:.4f}"/>',
+        f'stroke-width="{dot / 3:.4f}"/>'
     )
-    out.append("</svg>\n")
-    return "\n".join(out)
+    # the origin's ring goes right after the origin's own line
+    return chain(header, islice(body, lo + 1), (origin,), body, ("</svg>\n",))

@@ -10,6 +10,7 @@ PASS/FAIL lines survive pytest's output capture.
 
 from __future__ import annotations
 
+import colorsys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -224,6 +225,21 @@ def star_coords(coeffs):
     """
     a0, a1, a2, a3 = map(Fraction, coeffs)
     return (a0, (a1 - a3) / 2), (a2, (a1 + a3) / 2)
+
+
+# ---------------------------------------------------------------------------
+# render oracle that shares no code with the package
+
+
+def hls_palette_entry(i: int) -> str:
+    """Colour i of the default palette by `colorsys`: the six base colours,
+    then hue 137.508 (i - 5) degrees at lightness 0.5 and saturation 0.65."""
+    base = ["#000000", "#ffff00", "#0000ff", "#ff0000", "#808080", "#008000"]
+    if i < len(base):
+        return base[i]
+    hue = (137.508 * (i - 5)) % 360.0
+    r, g, b = colorsys.hls_to_rgb(hue / 360.0, 0.5, 0.65)
+    return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -31,6 +31,7 @@ from cslcolour.coincidence import analyze, commensurable_map
 from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION
 from cslcolour.lattice import Colouring, lattice_new
 from cslcolour.ratmat import format_rational, mat_mul, rat_inverse
+from cslcolour.render import render_svg
 
 CONFIG_DIR = Path(cslcolour.__file__).parent / "configs"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -539,6 +540,86 @@ def test_render_dim4_without_star_is_config_error(capsys, tmp_path):
     assert "star" in json.loads(err)["error"]["message"]
 
 
+def _rendered(path: str, mode: str) -> str:
+    """`render_svg` of a config, as the library draws it."""
+    cfg = cli_module.load_job_config(path)
+    return render_svg(
+        cli_module.build_colouring(cfg), cfg.amap, mode, cfg.render_radius,
+        palette=cfg.palette, highlight_csl=cfg.highlight_csl,
+        star_embedding=cfg.star_embedding,
+    )
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts its non-empty writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += bool(text)
+        return super().write(text)
+
+
+def _render_both_ways(capsys, monkeypatch, tmp_path, path, mode):
+    """The SVG that render writes to stdout, the number of writes, and the file it writes."""
+    stdout = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(["render", path, "--mode", mode]) == 0
+    dest = tmp_path / f"{mode}.svg"
+    code, out, err = run(capsys, "render", path, "--mode", mode, "--out", str(dest))
+    assert (code, out, err) == (0, "", "")
+    return stdout.getvalue(), stdout.writes, dest.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", cli_module.RENDER_MODES)
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_render_writes_render_svg_to_stdout_and_to_out(capsys, monkeypatch, tmp_path, name, mode):
+    svg = _rendered(config(name), mode)
+    assert _render_both_ways(capsys, monkeypatch, tmp_path, config(name), mode) == (svg, 1, svg)
+
+
+def test_render_writes_a_window_of_more_than_one_chunk(capsys, monkeypatch, tmp_path):
+    # 257^2 = 66,049 points: the circle lines fill more than one chunk
+    path = variant(tmp_path, "example1.json", render={"radius": 128, "highlight_csl": True})
+    svg = _rendered(path, "parent")
+    assert svg.count("\n") > cli_module._CHUNK_LINES
+    # two chunks and the newline between them
+    assert _render_both_ways(capsys, monkeypatch, tmp_path, path, "parent") == (svg, 3, svg)
+
+
+FLAT3 = {
+    "dim": 3,
+    "reps": None,
+    "parent_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "sub_basis": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "map": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+    "render": {"radius": 1},
+}
+
+# renders refused after the config is read: (base, changed keys, exit code, message)
+REFUSED_RENDERS = {
+    "dim-3-without-star": ("example1.json", FLAT3, 2,
+                           "cannot draw dimension 3 without a star embedding"),
+    "non-coincidence": ("example1.json", {"map": [["2", "0"], ["0", "1"]]}, 3, "|det| = 2 != 1"),
+    "palette-too-short": ("example1.json", {"render": {"radius": 2, "palette": ["#111111"]}}, 2,
+                          "palette has 1 colours, colouring needs 6"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_RENDERS)
+def test_a_refused_render_writes_no_file(capsys, tmp_path, name):
+    base, changes, code, message = REFUSED_RENDERS[name]
+    dest = tmp_path / "fig.svg"
+    got, out, err = run(
+        capsys, "render", variant(tmp_path, base, **changes), "--mode", "parent", "--out", str(dest)
+    )
+    assert (got, out) == (code, "")
+    kind = "ConfigError" if code == 2 else "NotCoincidence"
+    assert _one_error(err) == {"type": kind, "message": message}
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-rotations
 
@@ -682,6 +763,29 @@ def test_a_long_bad_literal_is_echoed_as_a_prefix_and_its_length(capsys, tmp_pat
     }
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+@pytest.mark.parametrize(
+    "literal, error",
+    [("1" + "0" * 5000, "over the limit of 4300 digits"), ("1/" + "0" * 5000, "zero denominator")],
+    ids=["over-the-limit", "zero-denominator"],
+)
+def test_a_literal_past_the_digit_limit_is_one_short_config_error(
+    capsys, tmp_path, command, literal, error
+):
+    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
+    raw["map"][0][0] = literal
+    path = variant(tmp_path, "example1.json", **raw)
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
+    assert code == 2 and out == "" and len(err) < 1000
+    assert _one_error(err) == {
+        "type": "ConfigError",
+        "message": f"map: {error}: {literal[:40]!r}... ({len(literal)} characters)",
+    }
+
+
 def _entry(base: str, key: str, literal: str = "1.5") -> list:
     """The bundled config's `key` matrix with its first entry replaced by `literal`."""
     rows = json.loads((CONFIG_DIR / base).read_text())[key]
@@ -810,6 +914,7 @@ def test_a_broken_config_keeps_its_exit_code_and_message(capsys, tmp_path, name,
     assert (got, out) == (code, "")
     kind = "ConfigError" if code == 2 else "NotCoincidence"
     assert _one_error(err) == {"type": kind, "message": message}
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_non_square_map_rejected(capsys, tmp_path):
@@ -911,7 +1016,7 @@ def test_colour_budget_refuses_before_any_rep_or_analysis(capsys, tmp_path, monk
         raise AssertionError("work started on an over-budget colouring")
 
     monkeypatch.setattr(lattice_module, "_radix_reps", never)
-    for name in ("analyze", "render_svg", "window_census"):
+    for name in ("analyze", "_svg_lines", "window_census"):
         monkeypatch.setattr(cli_module, name, never)
     path = variant(
         tmp_path, "example1.json", sub_basis=[["10000000", "0"], ["0", "1"]],

@@ -7,7 +7,6 @@ corpus and a list of sublattices of index up to 12.
 
 from __future__ import annotations
 
-import colorsys
 import random
 import re
 from collections import Counter
@@ -26,6 +25,7 @@ from conftest import (
     cayley_rotation,
     contains,
     cubic_rotations,
+    hls_palette_entry,
     is_orthogonal,
     ref_det,
 )
@@ -856,8 +856,12 @@ def test_census_and_render_membership_match_a_box_scan(colouring, amap, radius):
     ids=["mode", "star-embedding-in-d2", "short-palette"],
 )
 def test_render_svg_refuses_a_bad_request(options, error, message):
+    request = {"mode": "parent", "radius": 2, **options}
     with pytest.raises(error, match=message):
-        render.render_svg(EX1, ROT, **{"mode": "parent", "radius": 2, **options})
+        render.render_svg(EX1, ROT, **request)
+    # the lines are refused when asked for, before any is read
+    with pytest.raises(error, match=message):
+        render._svg_lines(EX1, ROT, **request)
 
 
 def test_render_svg_rejects_negative_radius_before_building_a_csl(monkeypatch):
@@ -922,8 +926,8 @@ def test_render_svg_without_a_palette_draws_the_default_palette(job):
 
 def test_render_svg_computes_default_entries_only_for_the_colours_drawn(monkeypatch):
     calls = []
-    original = colorsys.hls_to_rgb
-    monkeypatch.setattr(colorsys, "hls_to_rgb", lambda *args: calls.append(1) or original(*args))
+    original = render._palette_entry
+    monkeypatch.setattr(render, "_palette_entry", lambda i: calls.append(i) or original(i))
     colouring = Colouring(Z2, lattice_new([[10**5, 0], [0, 1]]))
     svg = render.render_svg(colouring, ROT, "parent", 8, highlight_csl=True)
     drawn = set(re.findall(r'data-colour="(\d+)"', svg))
@@ -935,3 +939,13 @@ def test_render_svg_refuses_a_non_coincidence_in_every_mode():
     for mode in render.RENDER_MODES:
         with pytest.raises(NotCoincidence):
             render.render_svg(EX1, stretch, mode, 2)
+        with pytest.raises(NotCoincidence):
+            render._svg_lines(EX1, stretch, mode, 2)
+
+
+def test_default_palette_matches_colorsys_below_the_colour_budget():
+    n = cli.COLOUR_BUDGET
+    got = [render._palette_entry(i) for i in range(n)]
+    want = [hls_palette_entry(i) for i in range(n)]
+    assert got == want, next(i for i in range(n) if got[i] != want[i])
+

@@ -143,6 +143,32 @@ def test_a_long_literal_is_echoed_as_a_prefix_and_its_length():
 
 
 @pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
+)
+def test_a_literal_past_the_digit_limit_is_refused_by_name():
+    over, zeros = "1" + "0" * 5000, "1/" + "0" * 5000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        for text, error in (
+            (over, "over the limit of 4300 digits"),
+            ("-1/" + over, "over the limit of 4300 digits"),
+            (zeros, "zero denominator"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == f"{error}: {text[:40]!r}... ({len(text)} characters)"
+        # a run of exactly the limit is read
+        assert parse_rational("9" * 4300) == 10**4300 - 1
+        sys.set_int_max_str_digits(0)  # no limit: the literal is read
+        assert parse_rational(over) == 10**5000
+        with pytest.raises(ValueError, match="^zero denominator"):
+            parse_rational(zeros)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
 )
 def test_a_non_integer_entry_past_the_digit_limit_is_named_by_its_size():
