@@ -42,7 +42,7 @@ from cslcolour.errors import (
     UnsupportedDimension,
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
-from cslcolour.ratmat import _bounded, rat_matrix
+from cslcolour.ratmat import _bounded, _digit_limit, rat_matrix
 # render_svg is bound here for bench/tracing.py, which wraps it in every module that binds it
 from cslcolour.render import RENDER_MODES, _svg_lines, render_svg
 
@@ -119,10 +119,18 @@ def _checked(what: str, invalid: str, fn, *args):
         raise ConfigError(f"{invalid}: {exc}") from None
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer of the config; one over Python's int-to-str digit limit is a ConfigError."""
+    digits, limit = len(text.lstrip("-")), _digit_limit()
+    if limit and digits > limit:
+        raise ConfigError(f"config integer of {digits} digits is over the limit of {limit} digits")
+    return int(text)
+
+
 def load_job_config(path: str) -> JobConfig:
     try:
         with open(path, "rb") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -407,7 +415,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+def _parser() -> _ArgumentParser:
+    """The command line: a root parser and one subparser per command."""
     parser = _ArgumentParser(
         prog="cslcolour",
         description="Exact coincidence site lattice and colour coincidence analysis.",
@@ -434,9 +443,16 @@ def main(argv=None) -> int:
     p_gen.add_argument("--max", type=int, required=True)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(fn=cmd_gen_rotations)
+    return parser
 
+
+# built once per process; `main` only parses and dispatches
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         _error("ConfigError", str(exc))

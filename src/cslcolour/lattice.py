@@ -420,10 +420,11 @@ class Colouring:
     """A colouring of `parent` by the m cosets of `sub`.
 
     Colours are numbered by Smith normal form coordinates.  With
-    D = U.rel.V the SNF of sub's basis in parent coordinates, the point
-    with integer parent coordinates c lies in the coset keyed by
-    (c.V)_j mod d_j, and its colour is the mixed-radix index of that
-    key, first factor most significant.  The reps are kept as integer
+    D = U.rel.V the SNF of sub's basis in parent coordinates, for some
+    unimodular U that is never built, the point with integer parent
+    coordinates c lies in the coset keyed by (c.V)_j mod d_j, and its
+    colour is the mixed-radix index of that key, first factor most
+    significant.  The reps are kept as integer
     rows over parent.den (`rep_rows`), and `reps` is their rational
     view.  The default rows are built on first access: rel is
     triangular, so each coset has one point in the box
@@ -446,7 +447,7 @@ class Colouring:
             self._rel = _relative_basis(parent, sub)
         except NotASublattice:
             raise NotASublattice("colouring needs sub inside parent") from None
-        d, _, v = snf(self._rel)
+        d, v = snf(self._rel)
         # the SNF elementary divisors d_1 | d_2 | ... of parent/sub
         self.moduli = tuple(d[j][j] for j in range(parent.dim))
         self.m = prod(self.moduli)

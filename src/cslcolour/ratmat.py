@@ -2,8 +2,9 @@
 
 Internally a rational matrix is an integer matrix plus one common
 denominator, ``(N, q)`` meaning N / q: Hermite and Smith forms
-(:func:`_hermite`, :func:`snf`), and the one elimination that gives an
-inverse and a determinant (:func:`_inverse_det`), all run on Python
+(:func:`_hermite`, and :func:`snf`, which returns D and V of
+D = U . M . V without building U), and the one elimination that gives
+an inverse and a determinant (:func:`_inverse_det`), all run on Python
 ints only.  ``fractions.Fraction`` values appear at the edges: reading
 input numbers, the rational inverse (:func:`rat_inverse`) and
 formatting; a message echoes a long literal by a prefix and its length
@@ -55,11 +56,15 @@ def parse_rational(text: str) -> Fraction:
     num, _, den = text.partition("/")
     if den and not den.strip("0"):
         raise ValueError(f"zero denominator: {_literal(text)}")
-    # int() refuses a run of more digits than Python's limit (0: none)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and max(len(num.lstrip("+-")), len(den)) > limit:
         raise ValueError(f"over the limit of {limit} digits: {_literal(text)}")
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits int() reads from a string, or 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _literal(text) -> str:
@@ -264,11 +269,12 @@ def _col_swap(rows, a, b):
         row[a], row[b] = row[b], row[a]
 
 
-def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form D = U . M . V of a square nonsingular matrix.
+def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
+    """(D, V): the Smith normal form D = U . M . V of a square nonsingular matrix.
 
     D is diagonal with positive entries in a divisor chain d1 | d2 | ...;
-    U and V are unimodular.  Raises RankDeficient when det M = 0.
+    V is unimodular, and so is the U that the row operations amount to,
+    which is not built.  Raises RankDeficient when det M = 0.
     """
     mi = int_matrix(m)
     if not mi:
@@ -277,7 +283,6 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if any(len(row) != n for row in mi):
         raise ValueError("snf needs a square matrix")
     d = [list(row) for row in mi]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n):
         while True:
@@ -294,16 +299,13 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             pi, pj = piv
             if pi != k:
                 d[k], d[pi] = d[pi], d[k]
-                u[k], u[pi] = u[pi], u[k]
             if pj != k:
                 _col_swap(d, k, pj)
                 _col_swap(v, k, pj)
             clean = True
             for i in range(k + 1, n):
                 if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    _row_addmul(d, i, k, -q)
-                    _row_addmul(u, i, k, -q)
+                    _row_addmul(d, i, k, -(d[i][k] // d[k][k]))
                     if d[i][k]:
                         clean = False
             for j in range(k + 1, n):
@@ -327,12 +329,6 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if offender is None:
                 break
             _row_addmul(d, k, offender, 1)
-            _row_addmul(u, k, offender, 1)
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
-            u[k] = [-x for x in u[k]]
-    return (
-        tuple(tuple(r) for r in d),
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-    )
+    return tuple(tuple(r) for r in d), tuple(tuple(r) for r in v)

@@ -70,11 +70,6 @@ def _palette_entry(i: int) -> str:
     return "#" + _channel(h + _ONE_THIRD) + _channel(h) + _channel(h - _ONE_THIRD)
 
 
-def default_palette(m: int) -> list[str]:
-    """The first m colours of the default palette (`_palette_entry`)."""
-    return [_palette_entry(i) for i in range(m)]
-
-
 SQRT2 = math.sqrt(2.0)
 
 
@@ -123,9 +118,9 @@ def render_svg(
     coordinates in [-radius, radius]^d; "csl" and "csl-inv" draw only
     the points of the forward / inverse coincidence site lattice.
     A point of colour i is filled with palette[i], so `palette` needs m
-    entries.  Without one, the fills are `default_palette(m)`, but
-    only the entries of the colours drawn are computed.  The document
-    is `_svg_lines` joined by newlines.
+    entries.  Without one, colour i is filled with `_palette_entry(i)`,
+    computed only for the colours drawn.  The document is `_svg_lines`
+    joined by newlines.
     """
     return "\n".join(
         _svg_lines(colouring, amap, mode, radius, palette, highlight_csl, star_embedding)

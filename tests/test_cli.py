@@ -7,6 +7,7 @@ the installed package directory.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -676,6 +677,22 @@ def test_argument_errors_are_one_json_error(capsys, argv):
     assert json.loads(line)["error"]["type"] == "ConfigError"
 
 
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    """A second call parses with the parser the first one used, and reports alike."""
+    first = run(capsys, "analyze", config("example1.json"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    second = run(capsys, "analyze", config("example1.json"))
+    assert built == []
+    assert first == second and first[0] == 0 and first[2] == ""
+
+
 def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -783,6 +800,29 @@ def test_a_literal_past_the_digit_limit_is_one_short_config_error(
     assert _one_error(err) == {
         "type": "ConfigError",
         "message": f"map: {error}: {literal[:40]!r}... ({len(literal)} characters)",
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
+)
+@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
+def test_a_json_integer_past_the_digit_limit_is_one_short_config_error(
+    capsys, tmp_path, command
+):
+    """oracle_radius 10^5000 is valid JSON past Python's int-to-str digit
+    limit; the refusal gives its digits and the limit, and does not call
+    the config invalid JSON."""
+    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
+    raw["oracle_radius"] = 0
+    path = tmp_path / "job.json"
+    text = json.dumps(raw).replace('"oracle_radius": 0', '"oracle_radius": 1' + "0" * 5000)
+    path.write_text(text)
+    code, out, err = _at_the_digit_limit(capsys, *_argv(command, str(path), tmp_path))
+    assert code == 2 and out == "" and len(err) < 1000
+    assert _one_error(err) == {
+        "type": "ConfigError",
+        "message": "config integer of 5001 digits is over the limit of 4300 digits",
     }
 
 

@@ -917,7 +917,7 @@ RENDER_JOBS = {
 @pytest.mark.parametrize("job", RENDER_JOBS)
 def test_render_svg_without_a_palette_draws_the_default_palette(job):
     colouring, amap, radius, options = RENDER_JOBS[job]()
-    full = render.default_palette(colouring.m)
+    full = [hls_palette_entry(i) for i in range(colouring.m)]
     for mode in render.RENDER_MODES:
         assert render.render_svg(colouring, amap, mode, radius, **options) == render.render_svg(
             colouring, amap, mode, radius, palette=full, **options

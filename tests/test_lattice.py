@@ -604,7 +604,7 @@ def radix_reps_one_colour_at_a_time(colouring):
     of the key (c . V_j) mod d_j, read off a Smith form of the relative
     basis here, and `colour_of_coords` must agree with it.
     """
-    d, _, v = snf(colouring._rel)
+    d, v = snf(colouring._rel)
     factors = [(d[j][j], [row[j] for row in v]) for j in range(len(d))]
     rows = [None] * colouring.m
     for coords in product(*(range(row[j]) for j, row in enumerate(colouring._rel))):

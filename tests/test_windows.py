@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation
+from conftest import CUBIC_SUBLATTICES, SUBLATTICE_BASES, cayley_rotation, hls_palette_entry
 
 from cslcolour import cli, coincidence, render
 from cslcolour.coincidence import (
@@ -108,7 +108,9 @@ def render_one_point_at_a_time(
         return a0 / den + (a1 - a3) / (2 * den) * sqrt2, a2 / den + (a1 + a3) / (2 * den) * sqrt2
 
     dot = 0.12 if star_embedding else 0.22
-    colours = render.default_palette(colouring.m) if palette is None else palette
+    colours = palette
+    if palette is None:
+        colours = [hls_palette_entry(i) for i in range(colouring.m)]
     shown, ringed = parent, set()
     if mode != "parent":
         shown = csl(parent, amap.inverse_map if mode == "csl-inv" else amap)
