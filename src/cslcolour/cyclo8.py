@@ -7,7 +7,10 @@ operations run on Python ints; ``coeffs`` is the rational view.
 Multiplication by a fixed element is a linear map of the coefficient
 row vectors, which is how ring rotations enter the lattice machinery:
 the plane rotation by an angle whose cosine and sine live in Q(sqrt 2)
-becomes multiplication by a unit-modulus element.
+becomes multiplication by a unit-modulus element.  That map is built
+from the element's integers, its negacyclic rows over its denominator,
+with no rational matrix in between; ``cyc8_mul_matrix`` is the
+rational view.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from cslcolour.coincidence import CommensurableMap, commensurable_map
+from cslcolour.coincidence import CommensurableMap, _map_of_ints
 from cslcolour.errors import ZeroElement
 from cslcolour.lattice import Lattice, lattice_new
-from cslcolour.ratmat import RatMatrix, clear_denominators, transpose, vec_mat
+from cslcolour.ratmat import RatMatrix, clear_denominators, vec_mat
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,11 @@ def principal_submodule(z: Cyc8) -> Lattice:
 def multiplication_map(z: Cyc8) -> CommensurableMap:
     """Multiplication by z as a map on coefficient row vectors.
 
-    CommensurableMap acts as v -> v . A^T, so A is the transpose of the
-    row-convention multiplication matrix.
+    CommensurableMap acts as v -> v . A^T, so A^T is the row-convention
+    multiplication matrix, built from z's own integers: the negacyclic
+    rows of z.num over z.den, in lowest terms because z is.  Its one
+    `Fraction` is the det.
     """
-    return commensurable_map(transpose(cyc8_mul_matrix(z)))
+    if z.is_zero():
+        raise ZeroElement("multiplication matrix of zero is singular")
+    return _map_of_ints(_negacyclic(z.num), z.den)

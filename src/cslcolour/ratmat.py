@@ -231,8 +231,13 @@ def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
 
     Returns (h, rank): h = u . m for a unimodular u that is not built
     (the form of [m | I] is [h | u]), the first `rank` rows
-    of h are the staircase and the rest are zero.  Eliminations reduce
-    as they go, which keeps intermediate entries small.
+    of h are the staircase and the rest are zero.  In each column the
+    rows below the pivot are cleared by Euclid's subtract-and-swap, and
+    the entries above the pivot are then reduced into [0, pivot).
+    Nothing else is reduced: the rows still to be eliminated keep the
+    multiples added to them, so their entries in later columns swell
+    with the dimension and the bit length of m (README, "Dimension
+    budget"), although the staircase that is returned is reduced.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0

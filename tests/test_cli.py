@@ -1,8 +1,10 @@
 """CLI tests: config validation, reports, renders, exit codes, goldens.
 
 Every invocation goes through ``main(argv)`` so the tests exercise the
-real argument parsing and error mapping.  Bundled configs are read from
-the installed package directory.
+real argument parsing and error mapping; one test also runs
+``python -m cslcolour`` as a subprocess and compares its bytes with
+``main``'s.  Bundled configs are read from the installed package
+directory.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -698,6 +702,23 @@ def test_help_still_prints_usage(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cslcolour")
+
+
+def test_python_dash_m_runs_main(capsys, tmp_path):
+    """`python -m cslcolour` (the package's __main__) writes what main writes, and exits with its code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cslcolour.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    for path, want in [(config("example1.json"), 0), (str(broken), 2)]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cslcolour", "analyze", path], capture_output=True, env=env
+        )
+        code, out, err = run(capsys, "analyze", path)
+        assert proc.returncode == code == want
+        assert proc.stdout == out.encode() and proc.stderr == err.encode()
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"]["type"] == "ConfigError"
 
 
 # ---------------------------------------------------------------------------

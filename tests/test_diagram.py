@@ -56,8 +56,10 @@ from conftest import (
     adjugate,
     cayley_rotation,
     cubic_rotations,
+    cyc8_norm,
     det,
     lattice_sum,
+    ref_det,
 )
 
 Z2 = standard_lattice(2)
@@ -677,3 +679,102 @@ def test_the_dual_diagram_is_fixed_by_the_diagram():
             assert dual(meet) == lattice_sum(star, transform(star, adjoint.matrix))
         for lat, meet in ((sub, b.csl1), (parent, b.csl2)):
             assert dual(meet) == lattice_sum(lat, transform(lat, amap.matrix))
+
+
+# ---------------------------------------------------------------------------
+# closed forms on the principal ideal domains Z[i] = Z^2 and Z[xi] = Z^4
+#
+# Take a rotation eps = alpha / conj(alpha) with alpha coprime to
+# conj(alpha), and colour by the ideal (beta).  From conj(alpha).x =
+# alpha.y, alpha divides x, so csl(eps) = (alpha), csl(eps^-1) =
+# (conj alpha) and sigma1 = sigma2 = N(alpha).  The colouring's diagram
+# is then m = N(beta), u = N(gcd(beta, alpha)), t = m / u,
+# v = N(gcd(beta, conj alpha)) and s = m / v, and eps is a colour
+# coincidence exactly when gcd(beta, alpha . conj alpha) = 1.  A gcd is
+# the lattice sum of two ideals and its norm the |det| of that sum's
+# basis, as Z^d has covolume 1; no index, meet or image of the package
+# is used.  Each rotation is analysed once, though several alpha give it,
+# and each ideal once, though several beta generate it.
+
+
+def assert_closed_form_diagrams(parent, box, ideal, conj, mul, norm, rotation):
+    """Compare `analyze` with the closed form over alpha in box and beta a product
+    of two box elements; return the counts of dropped alpha, rotations, ideals,
+    non-coincidences and pairs with u, v > 1."""
+
+    def gcd_norm(lat, x):
+        return abs(ref_det(lattice_sum(lat, ideal(x)).basis))
+
+    maps, dropped = {}, 0
+    for alpha in box:
+        if gcd_norm(ideal(alpha), conj(alpha)) == 1:
+            maps.setdefault(rotation(alpha), alpha)
+        else:
+            dropped += 1
+    ideals = {}
+    for i, b in enumerate(box):
+        for c in box[i:]:
+            ideals.setdefault(ideal(mul(b, c)), mul(b, c))
+    misses = both = 0
+    for amap, alpha in maps.items():
+        for sub, beta in ideals.items():
+            m, u, v = norm(beta), gcd_norm(sub, alpha), gcd_norm(sub, conj(alpha))
+            cc = gcd_norm(sub, mul(alpha, conj(alpha))) == 1
+            a = analyze(Colouring(parent, sub), amap)
+            got = (a.m, a.sigma1, a.sigma2, a.s, a.t, a.u, a.v, a.colour_coincidence)
+            assert got == (m, norm(alpha), norm(alpha), m // v, m // u, u, v, cc), (alpha, beta)
+            misses += not cc
+            both += u > 1 and v > 1
+    return dropped, len(maps), len(ideals), misses, both
+
+
+def gauss_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gauss_rotation(alpha):
+    """alpha / conj(alpha) = alpha^2 / N(alpha) as a map of Z^2."""
+    return rotation(*gauss_mul(alpha, alpha), alpha[0] ** 2 + alpha[1] ** 2)
+
+
+def test_gaussian_diagrams_are_the_closed_form():
+    # alpha in [-3, 3]^2: the smallest square box that holds, besides the
+    # units, primes over two split rational primes (2 + i over 5 and
+    # 3 + 2i over 13), so sigma is 1, 5 or 13; it also holds the ramified
+    # 1 + i and the inert 3, which a kept alpha must avoid.  Products of
+    # two box elements give beta = 5 = (2 + i)(2 - i), whose gcds with
+    # alpha and conj(alpha) are both non-trivial
+    box = [x for x in product(range(-3, 4), repeat=2) if any(x)]
+    counts = assert_closed_form_diagrams(
+        Z2, box, lambda x: lattice_new(gauss(*x)), lambda x: (x[0], -x[1]), gauss_mul,
+        lambda x: x[0] ** 2 + x[1] ** 2, gauss_rotation,
+    )
+    # 20 alpha kept (alpha and -alpha give one rotation), 28 dropped
+    assert counts[:3] == (28, 10, 63)
+    assert counts[3] > 0 and counts[4] > 0
+
+
+def eightfold_rotation(alpha):
+    """alpha / conj(alpha) = alpha^2 . g3(alpha . conj(alpha)) / N(alpha) in the ring,
+    g3 being xi -> xi^3; its multiplication map."""
+    eps = alpha * alpha * (alpha * alpha.conjugate()).galois(3)
+    return multiplication_map(eps * cyc8(Fraction(1, cyc8_norm(alpha)), 0, 0, 0))
+
+
+def test_eightfold_diagrams_are_the_closed_form():
+    # alpha in {-1, 0, 1}^4: the smallest box of coefficients that holds
+    # the paper's rotation z (sigma 9), the units (xi and 1 + sqrt 2 =
+    # 1 + xi - xi^3) and the ramified 1 - xi, which a kept alpha must
+    # avoid; the next box, {-2..2}^4, has 624 elements.  Products of two
+    # box elements give the paper's colouring by (1 + xi^2) and beta = 3,
+    # the product of the two primes of norm 9, whose gcds with alpha and
+    # conj(alpha) are both non-trivial
+    box = [cyc8(*x) for x in product((-1, 0, 1), repeat=4) if any(x)]
+    assert multiplication_map(AMMANN_BEENKER_ROTATION) in {eightfold_rotation(x) for x in box}
+    counts = assert_closed_form_diagrams(
+        standard_lattice(4), box, principal_submodule, lambda x: x.conjugate(),
+        lambda x, y: x * y, cyc8_norm, eightfold_rotation,
+    )
+    # 40 alpha kept (12 rotations), 40 dropped
+    assert counts[:3] == (40, 12, 18)
+    assert counts[3] > 0 and counts[4] > 0

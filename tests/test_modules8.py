@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cslcolour.render as render_module
-from cslcolour.coincidence import analyze, sigma
+from cslcolour.coincidence import analyze, commensurable_map, sigma
 from cslcolour.cyclo8 import (
     AMMANN_BEENKER_ROTATION,
     CYC8_ONE,
@@ -35,7 +35,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import mat_mul, vec_mat
+from cslcolour.ratmat import mat_mul, transpose, vec_mat
 from conftest import apply, contains, cyc8_norm, ref_det, star_coords
 
 Z4 = standard_lattice(4)
@@ -93,8 +93,9 @@ def test_norm_is_multiplicative(a, b):
     [
         (lambda: cyc8(1, 0, 0), ValueError),
         (lambda: principal_submodule(cyc8(0, 0, 0, 0)), ZeroElement),
+        (lambda: multiplication_map(cyc8(0, 0, 0, 0)), ZeroElement),
     ],
-    ids=["cyc8-of-3", "principal-submodule-of-zero"],
+    ids=["cyc8-of-3", "principal-submodule-of-zero", "multiplication-map-of-zero"],
 )
 def test_malformed_elements_are_refused(build, error):
     with pytest.raises(error):
@@ -159,6 +160,45 @@ def test_multiplication_map_applies_ring_product():
 def test_multiplication_map_image_is_principal_submodule():
     for z in [CYC8_XI, ONE_PLUS_XI2, cyc8(1, 1, 0, 0)]:
         assert transform(Z4, multiplication_map(z).matrix) == principal_submodule(z)
+
+
+def assert_is_the_rational_path_map(z):
+    """multiplication_map(z), built from z's integers, equals the map parsed
+    from the rational multiplication matrix, field by field."""
+    amap = multiplication_map(z)
+    ref = commensurable_map(transpose(cyc8_mul_matrix(z)))
+    assert (amap.forward, amap.backward, amap.det) == (ref.forward, ref.backward, ref.det)
+
+
+@settings(max_examples=80)
+@given(elements)
+def test_multiplication_map_is_the_rational_path_map(z):
+    assume(not z.is_zero())
+    assert_is_the_rational_path_map(z)
+
+
+@pytest.mark.parametrize("g", [1, 3, 5, 7])
+def test_multiplication_map_of_rotation_powers_is_the_rational_path_map(g):
+    z = AMMANN_BEENKER_ROTATION.galois(g)
+    power = z
+    for _ in range(8):
+        assert_is_the_rational_path_map(power)
+        power = power * z
+
+
+def test_multiplication_map_makes_one_fraction(monkeypatch):
+    z = AMMANN_BEENKER_ROTATION * AMMANN_BEENKER_ROTATION * cyc8("1/2", 3, "-5/8", "7/3")
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    amap = multiplication_map(z)
+    monkeypatch.undo()
+    assert len(made) == 1 and amap.det == cyc8_norm(z)
 
 
 # ---------------------------------------------------------------------------
