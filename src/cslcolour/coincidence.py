@@ -241,10 +241,11 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     """Compute the complete index diagram for one colouring and one map.
 
     Each lattice of the diagram is built once, in 7 Hermite forms.  I
-    and J are the colours that csl1_inv and csl1 meet; under a colour
-    coincidence A carries each colour of csl1_inv to one colour of
-    csl1, and the colouring reads I, J and that permutation off the
-    images of csl1_inv's basis rows (`Colouring._colours_met`).  All
+    and J are the colours that csl1_inv and csl1 = A(csl1_inv) meet;
+    for either verdict the colouring reads them off csl1_inv's basis
+    rows beside their images (`Colouring._colour_sets`), and under a
+    colour coincidence, where A carries each colour of csl1_inv to one
+    colour of csl1, it reads that permutation in the same walk.  All
     reported numbers come from pure lattice algebra; every identity
     that must relate them is verified before returning.
     """
@@ -258,15 +259,7 @@ def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     # A(sub meet csl1_inv) = A(sub) meet A(csl1_inv) = A(sub) meet csl1
     cc = image_sub_in_csl == sub_in_csl
 
-    perm = None
-    if cc:
-        sources, images = colouring._colours_met(csl1_inv, amap.forward)
-        perm = tuple(zip(sources, images))
-        set_i = tuple(sources)
-        set_j = tuple(sorted(images))
-    else:
-        set_i = tuple(colouring._colours_met(csl1_inv)[0])
-        set_j = tuple(colouring._colours_met(csl1)[0])
+    set_i, set_j, perm = colouring._colour_sets(csl1_inv, amap.forward, graph=cc)
     analysis = ColouringAnalysis(
         m=colouring.m,
         sigma1=_two_sided_index(parent, image_parent, csl1),

@@ -147,7 +147,7 @@ def _solve_upper_triangular(
     return tuple(x)
 
 
-def _coords(lat: Lattice, w: Sequence[int], q: int = 1) -> Optional[tuple[int, ...]]:
+def _coords(lat: Lattice, w: Sequence[int], q: int) -> Optional[tuple[int, ...]]:
     """Integer coordinates over lat's basis of the point w / q, or None.
 
     x . hnf_rows / den = w / q is x . (q . hnf_rows) = den . w.
@@ -491,7 +491,7 @@ class Colouring:
         den = self.parent.den
         return [tuple(Fraction(x, den) for x in row) for row in self.rep_rows]
 
-    def _coords_of_ints(self, w: Sequence[int], q: int = 1) -> tuple[int, ...]:
+    def _coords_of_ints(self, w: Sequence[int], q: int) -> tuple[int, ...]:
         """Integer parent coordinates of the point w / q; raises NotInParent."""
         coords = _coords(self.parent, w, q)
         if coords is None:
@@ -499,31 +499,35 @@ class Colouring:
             raise NotInParent(f"({point}) is not in the parent lattice")
         return coords
 
-    def _colours_met(
-        self, lat: Lattice, amap_ints: Optional[tuple[IntMatrix, int]] = None
-    ) -> tuple[list[int], list[int]]:
-        """The colours that lat meets, increasing, and the colours of their images.
+    def _colour_sets(
+        self, csl_inv: Lattice, amap_ints: tuple[IntMatrix, int], graph: bool
+    ) -> tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[tuple[int, int], ...]]]:
+        """I, J and the colour permutation, read off csl_inv's rows beside their images.
 
-        They form the subgroup of parent/sub that the keys of lat's basis
-        rows generate (`_walk`).  With amap_ints = (N, q), a map
-        v -> v . N / q that carries each colour of lat to one colour, each
-        key is paired with the key of its row's image, and images[i] is
-        the image of colours[i]; without it images is empty.
+        amap_ints = (N, q) is the map A: v -> v . N / q, which carries
+        csl_inv onto csl(A).  I and J, the colours that csl_inv and
+        csl(A) meet, are the subgroups of parent/sub that the keys of
+        csl_inv's basis rows and of their images generate (`_walk`).
+        With `graph`, A carries each colour of I to one colour of J, so
+        one walk of the key pairs gives I beside the image of each
+        colour, the permutation; without it, I and J are one walk each
+        and the permutation is None.
         """
-        if amap_ints is None:
-            keys = list(zip(*self._keys(list(zip(*_relative_basis(self.parent, lat))))))
-        else:
-            columns = list(zip(*_rows_beside_images(self.parent, lat, *amap_ints)))
-            keys = list(zip(*self._keys(columns[: lat.dim]), *self._keys(columns[lat.dim :])))
-        colours, images = _walk(keys, self._factors, graph=amap_ints is not None)
-        if self._table is None:
-            return colours, images
+        d = csl_inv.dim
+        columns = list(zip(*_rows_beside_images(self.parent, csl_inv, *amap_ints)))
+        left, right = (list(zip(*self._keys(half))) for half in (columns[:d], columns[d:]))
         # the table renumbers the walk's mixed-radix indices out of order
-        rename = self._table.__getitem__
-        if amap_ints is None:
-            return sorted(map(rename, colours)), images
-        pairs = sorted(zip(map(rename, colours), map(rename, images)))
-        return [c for c, _ in pairs], [j for _, j in pairs]
+        rename = self._table.__getitem__ if self._table is not None else None
+        if not graph:
+            set_i, set_j = (_walk(keys, self._factors)[0] for keys in (left, right))
+            if rename is not None:
+                set_i, set_j = sorted(map(rename, set_i)), sorted(map(rename, set_j))
+            return tuple(set_i), tuple(set_j), None
+        colours, images = _walk([a + b for a, b in zip(left, right)], self._factors, graph=True)
+        if rename is not None:
+            pairs = sorted(zip(map(rename, colours), map(rename, images)))
+            colours, images = [c for c, _ in pairs], [j for _, j in pairs]
+        return tuple(colours), tuple(sorted(images)), tuple(zip(colours, images))
 
     def _keys(self, columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         """The key of every point c given as columns of integer parent coordinates.

@@ -31,6 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from math import floor, gcd, lcm, log10
+from operator import mul
 from typing import Sequence
 
 from cslcolour.errors import RankDeficient, Singular
@@ -153,7 +154,7 @@ def transpose(m):
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
+from cslcolour.cyclo8 import cyc8
 from cslcolour.errors import DimensionMismatch
 from cslcolour.lattice import lattice_new
 
@@ -214,6 +215,18 @@ def cyc8_norm(z):
         n = n * z.galois(k)
     assert not any(n.coeffs[1:]), "norm must be rational"
     return n.coeffs[0]
+
+
+def ratio_to_conjugate(w):
+    """w / conj(w) in the ring: w^2 . g3(w . conj w) / N(w), g3 being xi -> xi^3."""
+    z = w * w * (w * w.conjugate()).galois(3)
+    return z * cyc8(Fraction(1, cyc8_norm(w)), 0, 0, 0)
+
+
+def eightfold_rotations(bound: int) -> list:
+    """w / conj(w) for every nonzero w in Z[xi] with coefficients in [-bound, bound]."""
+    box = product(range(-bound, bound + 1), repeat=4)
+    return [ratio_to_conjugate(cyc8(*x)) for x in box if any(x)]
 
 
 def star_coords(coeffs):

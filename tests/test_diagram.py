@@ -39,6 +39,7 @@ from cslcolour import (
     csl,
     cyc8,
     enumerate_square_rotations,
+    index,
     intersect,
     is_colour_coincidence,
     lattice_new,
@@ -58,7 +59,9 @@ from conftest import (
     cubic_rotations,
     cyc8_norm,
     det,
+    eightfold_rotations,
     lattice_sum,
+    ratio_to_conjugate,
     ref_det,
 )
 
@@ -755,10 +758,8 @@ def test_gaussian_diagrams_are_the_closed_form():
 
 
 def eightfold_rotation(alpha):
-    """alpha / conj(alpha) = alpha^2 . g3(alpha . conj(alpha)) / N(alpha) in the ring,
-    g3 being xi -> xi^3; its multiplication map."""
-    eps = alpha * alpha * (alpha * alpha.conjugate()).galois(3)
-    return multiplication_map(eps * cyc8(Fraction(1, cyc8_norm(alpha)), 0, 0, 0))
+    """The multiplication map of alpha / conj(alpha)."""
+    return multiplication_map(ratio_to_conjugate(alpha))
 
 
 def test_eightfold_diagrams_are_the_closed_form():
@@ -778,3 +779,48 @@ def test_eightfold_diagrams_are_the_closed_form():
     # 40 alpha kept (12 rotations), 40 dropped
     assert counts[:3] == (40, 12, 18)
     assert counts[3] > 0 and counts[4] > 0
+
+
+def csm_count(n):
+    """The number of CSMs of Z[xi] of index n (Pleasants, Baake & Roth, J. Math.
+    Phys. 37 (1996) 1029): multiplicative, 4k at p^k for p = 1 mod 8, 2 at p^2k
+    for p = 3 or 5 mod 8, and 0 at every other prime power."""
+    count, p = 1, 2
+    while n > 1:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if k and p % 8 == 1:
+            count *= 4 * k
+        elif k and p % 8 in (3, 5) and k % 2 == 0:
+            count *= 2
+        elif k:
+            return 0
+        p += 1
+    return count
+
+
+def test_csm_counts_by_index_are_the_closed_form():
+    """The distinct csl(Z[xi], w / conj(w)) of each index n <= 428 number csm_count(n).
+
+    Every CSM is the CSM of some w / conj(w), and one of index n has a w
+    of norm n, unique up to a unit; a unit changes w / conj(w) by a unit,
+    which leaves the CSM alone.  Multiplying w by the unit
+    1 + sqrt 2 = 1 + xi - xi^3 multiplies |s1(w)| / |s3(w)| by
+    (1 + sqrt 2)^2, where s1 and s3 are the embeddings xi -> xi and
+    xi -> xi^3, so some w brings that ratio into
+    [(1 + sqrt 2)^-1, 1 + sqrt 2].  With |s1(w)|.|s3(w)| = sqrt(n), each
+    coefficient of w, a mean of its four conjugates times roots of unity,
+    satisfies |a_i| <= (|s1(w)| + |s3(w)|) / 2 <= sqrt((1 + sqrt 2) / 2).n^(1/4),
+    about 1.0987.n^(1/4).  So the box [-4, 4]^4 holds such a w for every
+    n <= 428; [-3, 3]^4 misses seven indices, from 257 to 425.
+    """
+    z4, limit = standard_lattice(4), 428
+    csms = {}
+    for z in eightfold_rotations(4):
+        lat = csl(z4, multiplication_map(z))
+        n = index(z4, lat)
+        if n <= limit:
+            csms.setdefault(n, set()).add(lat)
+    counts = {n: csm_count(n) for n in range(1, limit + 1)}
+    assert {n: len(csms.get(n, ())) for n in counts} == counts

@@ -355,9 +355,11 @@ def test_census_raises_when_a_csl_inv_image_leaves_the_parent(monkeypatch, tmp_p
 
 
 def test_colour_walk_raises_when_an_image_leaves_the_parent():
-    """The colour walk pairs the keys of a lattice's rows with those of
-    their images; the images of Z^2's rows under the 3-4-5 rotation are
-    not parent points, which is a broken invariant, not a bad input."""
+    """The colour sets are read off a lattice's rows beside their images,
+    with or without the colour graph; the images of Z^2's rows under the
+    3-4-5 rotation are not parent points, which is a broken invariant,
+    not a bad input."""
     colouring = Colouring(Z2, lattice_new([[3, 0], [0, 1]]))
-    with pytest.raises(InternalInvariantViolation, match="left the parent lattice"):
-        colouring._colours_met(Z2, ROT.forward)
+    for graph in (True, False):
+        with pytest.raises(InternalInvariantViolation, match="left the parent lattice"):
+            colouring._colour_sets(Z2, ROT.forward, graph=graph)
