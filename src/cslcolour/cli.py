@@ -61,6 +61,10 @@ HEX_COLOUR = re.compile("#[0-9a-fA-F]{6}")
 # how json.dumps writes the two scalar types of a report's long lists;
 # bool is left out, as json writes it in lower case
 _FLAT = {str: encode_basestring_ascii, int: int.__repr__}
+# the fewest rows that `_indented` writes as a table of columns: the
+# column join has a fixed cost, so shorter tables are cheaper row by row
+# (measured crossover: 5 rows at widths 1-2, 6-7 at widths 3-4)
+_TABLE_ROWS = 6
 
 
 @dataclass
@@ -234,10 +238,13 @@ def _over_digit_limit(exc: ValueError) -> ConfigError:
 def _rational_strings(rows, den: int) -> list[list[str]]:
     """Each entry x / den of the integer rows as "p/q", or "p" when q = 1.
 
-    Raises ConfigError when an entry has more digits than Python's limit
-    on int-to-str conversion.
+    With den = 1 every entry is str(x) and no gcd is taken; otherwise
+    each entry is reduced by its own gcd.  Raises ConfigError when an
+    entry has more digits than Python's limit on int-to-str conversion.
     """
     try:
+        if den == 1:
+            return [[str(x) for x in row] for row in rows]
         return [
             [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
             for row in rows
@@ -302,20 +309,49 @@ def _emit(lines: Iterable[str], out: Optional[str]) -> None:
         _write_lines(lines, sys.stdout)
 
 
+def _table(rows: list, pad: str) -> Optional[str]:
+    """`_indented(rows, pad)` for rows that are one table, else None.
+
+    A table is a list of lists of one width w >= 1 whose every column is
+    all str or all int (`_FLAT`, so bool never is).  Each column is
+    encoded by one map and the block is one join over the zipped
+    columns, with no call per row or per cell.
+    """
+    if {*map(type, rows)} != {list}:
+        return None
+    columns = list(zip(*rows))
+    if not columns or {*map(len, rows)} != {len(columns)}:
+        return None
+    encoded = []
+    for column in columns:
+        kinds = {*map(type, column)}
+        if len(kinds) != 1 or (encode := _FLAT.get(kinds.pop())) is None:
+            return None
+        encoded.append(map(encode, column))
+    inner = pad + "  "
+    cell = inner + "  "
+    sep_out = "\n" + inner + "],\n" + inner + "[\n" + cell
+    block = sep_out.join(map((",\n" + cell).join, zip(*encoded)))
+    return "[\n" + inner + "[\n" + cell + block + "\n" + inner + "]\n" + pad + "]"
+
+
 def _indented(value, pad: str) -> str:
     """`json.dumps(value, indent=2)` for a value nested at indent `pad`.
 
-    A non-empty list, and a non-empty dict with str keys, are written
-    item by item; a list whose items are all str or int (`_FLAT`) is
-    joined in one go.  The rest goes through json.dumps, whose output has
-    a raw newline only between lines, since ensure_ascii escapes those
-    inside strings.
+    A list whose items are all str or int (`_FLAT`) is joined in one go,
+    and a list of at least _TABLE_ROWS rows that `_table` takes is one
+    join over its columns.  Any other non-empty list, and a non-empty
+    dict with str keys, are written item by item.  The rest goes through
+    json.dumps, whose output has a raw newline only between lines, since
+    ensure_ascii escapes those inside strings.
     """
     inner = pad + "  "
     if type(value) is list and value:
         try:
             items = [_FLAT[type(x)](x) for x in value]
         except KeyError:
+            if len(value) >= _TABLE_ROWS and (table := _table(value, pad)):
+                return table
             items = [_indented(x, inner) for x in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if type(value) is dict and value and all(type(k) is str for k in value):

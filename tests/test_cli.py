@@ -34,7 +34,8 @@ import cslcolour.lattice as lattice_module
 from cslcolour.cli import main
 from cslcolour.coincidence import analyze, commensurable_map
 from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION
-from cslcolour.lattice import Colouring, lattice_new
+from cslcolour.errors import ConfigError
+from cslcolour.lattice import Colouring, coset_reps, lattice_new
 from cslcolour.ratmat import format_rational, mat_mul, rat_inverse
 from cslcolour.render import render_svg
 
@@ -1319,12 +1320,21 @@ def test_undecodable_config_bytes_are_one_config_error(capsys, tmp_path, command
 # the report writer: json.dumps(report, indent=2) byte for byte
 
 
+CELLS = st.text() | st.integers() | st.booleans()
+# 1-40 rows of one width (1-4); each column draws its cells from one of
+# str, int, bool or all three, so some lists are tables of columns
+# (`cli._table`) and some must fall back to the row-by-row writer
+ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.sampled_from([st.text(), st.integers(), st.booleans(), CELLS]),
+                           min_size=width, max_size=width)
+).flatmap(lambda columns: st.lists(st.tuples(*columns).map(list), min_size=1, max_size=40))
 JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text()
     | st.integers() | st.integers(-(10**4000) + 1, 10**4000 - 1),
     lambda children: st.lists(children, max_size=5)
     | st.lists(st.text() | st.integers(), min_size=1, max_size=5)
-    | st.dictionaries(st.text(), children, max_size=5),
+    | st.dictionaries(st.text(), children, max_size=5)
+    | ROWS,
     max_leaves=30,
 )
 
@@ -1337,8 +1347,64 @@ JSON_TREES = st.recursive(
     ],
     "": {"long": [10**3999, -(10**3999)], "k": [[[]], {"": {}}]},
 })
+@example([[str(i), f"{-i}/2"] for i in range(600)])  # a long str table
+@example([[i, 23 * i % 529] for i in range(529)])  # a long int pair table
+@example([[i, i] for i in range(9)] + [[True, 1]])  # a bool in an int column prints true
+@example([[i if i % 2 else str(i), i] for i in range(10)])  # a column of str and int
+@example([[1, 2]] * 5 + [[3]] * 5)  # ragged rows
+@example([[], []])
+@example([[]] * 8)
+@example([[[i], [i, [i]]] for i in range(8)])  # rows of nested lists
+@example([["a", "b"]] * 7 + ["cd"])  # a str among the rows is not a row
+@example({"rows": [["\u00e9", '"', "\n", " "]] * 8})  # str cells that need escaping
 def test_report_writer_is_json_dumps_indent_2(value):
     assert cli_module._report_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+ROTATION_3_4 = [["3/5", "-4/5"], ["4/5", "3/5"]]
+LARGE_REPORTS = {
+    # Z^2 colourings of m = 4000 and 47^2 = 2209 colours, the second an
+    # ideal of Z[i] and so a colour coincidence with a pair per colour
+    "diag-4000": (identity_rows(2), [["4000", "0"], ["0", "1"]], None),
+    "gauss-47": (identity_rows(2), [["47", "0"], ["0", "47"]], 2209),
+    # a parent of den 2 and m = 50: the reps go through the gcd branch
+    # of _rational_strings, then through the column writer
+    "den-2": (RATIONAL_PARENT, [["5/2", "5"], ["0", "25"]], None),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_REPORTS)
+def test_a_large_report_is_json_dumps_indent_2_with_its_coset_reps(capsys, tmp_path, name):
+    parent, sub, pairs = LARGE_REPORTS[name]
+    path = variant(tmp_path, "example1.json", parent_basis=parent, sub_basis=sub,
+                   map=ROTATION_3_4, reps=None)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    reps = coset_reps(lattice_new(parent), lattice_new(sub))
+    assert report["m"] == len(reps) >= 50
+    assert report["reps"] == [[format_rational(x) for x in rep] for rep in reps]
+    assert report["colour_coincidence"] == (pairs is not None)
+    if pairs is None:
+        assert report["permutation"] is None
+    else:
+        assert len(report["permutation"]) == pairs
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+def test_a_table_over_the_digit_limit_raises_config_error():
+    # the lazy map over this column runs inside _report_json's try
+    table = [[i, str(i)] for i in range(49)] + [[10**4399, "x"]]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ConfigError, match="digit limit"):
+            cli_module._report_json({"table": table})
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_report_echoes_an_unknown_key_as_json_dumps_writes_it(capsys, tmp_path):
