@@ -5,18 +5,21 @@ a coincidence of the parent lattice, 4 the brute-force oracle
 contradicted the lattice-algebra analysis (which indicates a bug and
 must never happen on the bundled configs), 5 any other package error,
 such as a failed internal invariant check (also a bug).  Failures also
-emit a machine-readable error object on standard error.
+emit a machine-readable error object on standard error.  `main` picks
+every exit code: a render the library cannot draw and an output that
+cannot be written are configuration errors too.
 
 The CLI checks a config's shapes, types and budgets; the library reads
 each basis, map and ring element once.  `_checked` runs every library
 call on a config value and is the one place where a library error
-becomes a ConfigError (a render's UnsupportedDimension aside).
+becomes a ConfigError.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -307,6 +310,8 @@ def _emit(lines: Iterable[str], out: Optional[str]) -> None:
             _write_lines(lines, fh)
     else:
         _write_lines(lines, sys.stdout)
+        # a pipe whose reader has gone fails here at the latest, inside `main`
+        sys.stdout.flush()
 
 
 def _table(rows: list, pad: str) -> Optional[str]:
@@ -371,7 +376,11 @@ def _report_json(report: dict) -> str:
     dimension 4, has more digits than Python writes.
     """
     try:
-        return _indented(report, "") + "\n"
+        try:
+            return _indented(report, "") + "\n"
+        except RecursionError:
+            # a deep config echo: _indented takes more frames a level than json.dumps
+            return json.dumps(report, indent=2) + "\n"
     except ValueError as exc:
         raise _over_digit_limit(exc) from None
 
@@ -410,18 +419,15 @@ def cmd_render(args) -> int:
         )
     # every check runs here, before --out is opened, so a refused render
     # leaves no file; the lines are joined as they are written
-    try:
-        lines = _svg_lines(
-            colouring,
-            cfg.amap,
-            mode=args.mode,
-            radius=cfg.render_radius,
-            palette=palette,
-            highlight_csl=cfg.highlight_csl,
-            star_embedding=cfg.star_embedding,
-        )
-    except UnsupportedDimension as exc:
-        raise ConfigError(str(exc)) from None
+    lines = _svg_lines(
+        colouring,
+        cfg.amap,
+        mode=args.mode,
+        radius=cfg.render_radius,
+        palette=palette,
+        highlight_csl=cfg.highlight_csl,
+        star_embedding=cfg.star_embedding,
+    )
     _emit(lines, args.out)
     return 0
 
@@ -490,7 +496,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedDimension) as exc:
         _error("ConfigError", str(exc))
         return 2
     except NotCoincidence as exc:
@@ -499,6 +505,16 @@ def main(argv=None) -> int:
     except CslcolourError as exc:
         _error(type(exc).__name__, str(exc))
         return 5
+    except OSError as exc:
+        # config reads are refused in load_job_config, so this is the output
+        if not args.out:
+            # stdout failed: what is left in its buffer goes nowhere, and
+            # the interpreter's last flush has nothing to complain about
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _error("ConfigError", f"cannot write the output: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -547,7 +547,17 @@ class Colouring:
         return colours if self._table is None else list(map(self._table.__getitem__, colours))
 
     def colour_of_coords(self, coords: Sequence[int]) -> int:
-        """Colour index of a point given in integer parent coordinates (`_colours_of_columns`)."""
+        """Colour index of a point given in integer parent coordinates (`_colours_of_columns`).
+
+        Raises DimensionMismatch for other than `parent.dim` coordinates,
+        and ValueError for a coordinate that is not an int (bool included).
+        """
+        dim = self.parent.dim
+        if len(coords) != dim:
+            raise DimensionMismatch(f"point has dimension {len(coords)}, colouring {dim}")
+        for x in coords:
+            if type(x) is not int:
+                raise ValueError(f"coordinates must be ints, not {type(x).__name__}")
         return self._colours_of_columns([[x] for x in coords])[0]
 
     def __repr__(self) -> str:

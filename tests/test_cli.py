@@ -1,16 +1,17 @@
 """CLI tests: config validation, reports, renders, exit codes, goldens.
 
 Every invocation goes through ``main(argv)`` so the tests exercise the
-real argument parsing and error mapping; one test also runs
-``python -m cslcolour`` as a subprocess and compares its bytes with
-``main``'s.  Bundled configs are read from the installed package
-directory.
+real argument parsing and error mapping; two tests also run
+``python -m cslcolour`` as a subprocess, one to compare its bytes with
+``main``'s and one to close its stdout pipe.  Bundled configs are
+read from the installed package directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -369,13 +370,6 @@ def test_oracle_shows_a_vacuous_window(capsys, tmp_path):
     assert list(report)[-1] == "coverage"
 
 
-def test_oracle_requires_radius(capsys, tmp_path):
-    path = variant(tmp_path, "identity.json", oracle_radius=None)
-    code, _, err = run(capsys, "oracle", path)
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ConfigError"
-
-
 def test_oracle_contradiction_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_module, "census_contradictions", lambda analysis, census: ["injected"]
@@ -527,25 +521,6 @@ def test_render_palette_entries_must_be_rrggbb(capsys, tmp_path, entry):
     assert not dest.exists()
 
 
-def test_render_requires_render_section(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", render=None)
-    code, _, err = run(capsys, "render", path, "--mode", "parent", "--out", "x.svg")
-    assert code == 2
-
-
-def test_render_dim4_without_star_is_config_error(capsys, tmp_path):
-    # a plain 4x4 matrix map gives no star embedding, so dim 4 cannot render
-    raw = json.loads((CONFIG_DIR / "ammann_beenker.json").read_text())
-    matrix = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-              ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-    raw["map"] = {"matrix": matrix}
-    path = tmp_path / "flat4.json"
-    path.write_text(json.dumps(raw))
-    code, _, err = run(capsys, "render", str(path), "--mode", "parent", "--out", "x.svg")
-    assert code == 2
-    assert "star" in json.loads(err)["error"]["message"]
-
-
 def _rendered(path: str, mode: str) -> str:
     """`render_svg` of a config, as the library draws it."""
     cfg = cli_module.load_job_config(path)
@@ -603,23 +578,33 @@ FLAT3 = {
     "render": {"radius": 1},
 }
 
-# renders refused after the config is read: (base, changed keys, exit code, message)
+# renders, and one oracle run, refused after the config is read:
+# (command, base, changed keys, exit code, message)
 REFUSED_RENDERS = {
-    "dim-3-without-star": ("example1.json", FLAT3, 2,
+    "dim-3-without-star": ("render", "example1.json", FLAT3, 2,
                            "cannot draw dimension 3 without a star embedding"),
-    "non-coincidence": ("example1.json", {"map": [["2", "0"], ["0", "1"]]}, 3, "|det| = 2 != 1"),
-    "palette-too-short": ("example1.json", {"render": {"radius": 2, "palette": ["#111111"]}}, 2,
+    # a plain 4x4 matrix map gives no star embedding
+    "dim-4-matrix-map": ("render", "ammann_beenker.json", {"map": {"matrix": identity_rows(4)}}, 2,
+                         "cannot draw dimension 4 without a star embedding"),
+    "non-coincidence": ("render", "example1.json", {"map": [["2", "0"], ["0", "1"]]}, 3,
+                        "|det| = 2 != 1"),
+    "palette-too-short": ("render", "example1.json",
+                          {"render": {"radius": 2, "palette": ["#111111"]}}, 2,
                           "palette has 1 colours, colouring needs 6"),
+    "no-render-section": ("render", "example1.json", {"render": None}, 2,
+                          "render needs a render section in the config"),
+    "oracle-without-radius": ("oracle", "identity.json", {"oracle_radius": None}, 2,
+                              "oracle needs oracle_radius in the config"),
 }
 
 
 @pytest.mark.parametrize("name", REFUSED_RENDERS)
 def test_a_refused_render_writes_no_file(capsys, tmp_path, name):
-    base, changes, code, message = REFUSED_RENDERS[name]
+    command, base, changes, code, message = REFUSED_RENDERS[name]
     dest = tmp_path / "fig.svg"
-    got, out, err = run(
-        capsys, "render", variant(tmp_path, base, **changes), "--mode", "parent", "--out", str(dest)
-    )
+    mode = ["--mode", "parent"] if command == "render" else []
+    path = variant(tmp_path, base, **changes)
+    got, out, err = run(capsys, command, path, *mode, "--out", str(dest))
     assert (got, out) == (code, "")
     kind = "ConfigError" if code == 2 else "NotCoincidence"
     assert _one_error(err) == {"type": kind, "message": message}
@@ -705,21 +690,74 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: cslcolour")
 
 
+def python_m(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m cslcolour ARGV` in a new process, with this checkout's package.
+
+    Its stdout is buffered, as by default, whatever PYTHONUNBUFFERED says here.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cslcolour.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    )
+    return subprocess.run([sys.executable, "-m", "cslcolour", *argv], env=env, **kwargs)
+
+
 def test_python_dash_m_runs_main(capsys, tmp_path):
     """`python -m cslcolour` (the package's __main__) writes what main writes, and exits with its code."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cslcolour.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-    )}
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     for path, want in [(config("example1.json"), 0), (str(broken), 2)]:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cslcolour", "analyze", path], capture_output=True, env=env
-        )
+        proc = python_m("analyze", path, capture_output=True)
         code, out, err = run(capsys, "analyze", path)
         assert proc.returncode == code == want
         assert proc.stdout == out.encode() and proc.stderr == err.encode()
     assert len(err.splitlines()) == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+
+# one command line of each command, without its --out
+OUTPUTS = {
+    "analyze": ["analyze", config("example1.json")],
+    "oracle": ["oracle", config("example1.json")],
+    "render": ["render", config("example1.json"), "--mode", "parent"],
+    "gen-rotations": ["gen-rotations", "--max", "5"],
+}
+
+
+@pytest.mark.parametrize("where", ["a-directory", "in-a-missing-directory"])
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_an_out_that_cannot_be_written_is_one_config_error(capsys, tmp_path, command, where):
+    dest = tmp_path if where == "a-directory" else tmp_path / "missing" / "x.out"
+    with pytest.raises(OSError) as refused:
+        open(dest, "w")
+    code, out, err = run(capsys, *OUTPUTS[command], "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert _one_error(err) == {
+        "type": "ConfigError", "message": f"cannot write the output: {refused.value}"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["render", "analyze"])
+def test_a_closed_stdout_pipe_is_one_config_error(tmp_path, command):
+    """stdout is a pipe whose reader has gone.  A render of 601^2 points
+    fails in its first write, and a report that fits stdout's buffer
+    fails when it is flushed; both exit 2 with one JSON error, and the
+    interpreter's last flush adds nothing to stderr."""
+    argv = OUTPUTS[command]
+    if command == "render":
+        argv = ["render", variant(tmp_path, "example1.json", render={"radius": 300}), *argv[2:]]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python_m(*argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert b"Exception ignored" not in proc.stderr
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert _one_error(proc.stderr.decode()) == {
+        "type": "ConfigError", "message": f"cannot write the output: {broken}"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -739,21 +777,31 @@ def test_invalid_json(capsys, tmp_path):
     assert code == 2
 
 
-def test_missing_dim(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", dim=None)
+def test_non_square_map_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", map=[["1", "0", "0"], ["0", "1", "0"]])
     assert run(capsys, "analyze", path)[0] == 2
 
 
-def test_numeric_matrix_entries_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", parent_basis=[[1, 0], [0, 1]])
+def test_singular_map_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", map=[["1", "0"], ["1", "0"]])
+    assert run(capsys, "analyze", path)[0] == 2
+
+
+def test_bad_reps_rejected(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", reps=[["0", "0"], ["1", "0"]])
+    assert run(capsys, "analyze", path)[0] == 2
+
+
+def test_ring_map_needs_dim4(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", map={"coeffs": ["1", "0", "0", "0"]})
+    assert run(capsys, "analyze", path)[0] == 2
+
+
+def test_non_coincidence_map_exit3(capsys, tmp_path):
+    path = variant(tmp_path, "example1.json", map=[["2", "0"], ["0", "1"]])
     code, _, err = run(capsys, "analyze", path)
-    assert code == 2
-    assert "strings" in json.loads(err)["error"]["message"]
-
-
-def test_zero_denominator_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["1/0", "0"], ["0", "1"]])
-    assert run(capsys, "analyze", path)[0] == 2
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "NotCoincidence"
 
 
 @pytest.mark.parametrize(
@@ -875,10 +923,16 @@ def _reps(*xs: str) -> list:
 # has two faults, the message names the one reported, which fixes the order
 # in which a config is checked
 BROKEN_CONFIGS = {
+    "dim-missing": (E1, {"dim": None}, 2, "dim must be a positive integer"),
+    "dim-bool": (E1, {"dim": True}, 2, "dim must be a positive integer"),
+    "parent-numbers": (E1, {"parent_basis": [[1, 0], [0, 1]]}, 2,
+                       "parent_basis entries must be \"p/q\" strings"),
     "map-matrix-literal": (E1, {"map": {"matrix": _entry(E1, "map")}}, 2,
                            "map: not a rational literal: '1.5'"),
     "parent-zero-denominator": (E1, {"parent_basis": _entry(E1, "parent_basis", "1/0")}, 2,
                                 "parent_basis: zero denominator: '1/0'"),
+    "map-zero-denominator": (E1, {"map": [["1/0", "0"], ["0", "1"]]}, 2,
+                             "map: zero denominator: '1/0'"),
     "parent-non-square": (E1, {"parent_basis": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
                           "parent_basis must be a 2x2 array"),
     "sub-ragged": (E1, {"sub_basis": [["6", "0"], ["2"]]}, 2, "sub_basis must be a 2x2 array"),
@@ -904,6 +958,12 @@ BROKEN_CONFIGS = {
     "oracle-radius-budget": (E1, {"oracle_radius": 10**6}, 2,
                              "oracle_radius 1000000 gives a window of 4000004000001 points "
                              "in dimension 2, over the budget of 2000000"),
+    "render-radius-bool": (E1, {"render": {"radius": True}}, 2,
+                           "render.radius must be a non-negative integer"),
+    "oracle-radius-bool": (E1, {"oracle_radius": True}, 2,
+                           "oracle_radius must be a positive integer"),
+    "highlight-csl-string": (E1, {"render": {"radius": 8, "highlight_csl": "false"}}, 2,
+                             "render.highlight_csl must be true or false"),
     "colour-budget": (E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET}, 2,
                       "sub_basis gives 100001 colours, over the budget of 100000"),
     "dim-budget": (E1, {"dim": 17}, 2, "dim 17 is over the budget of 16"),
@@ -977,63 +1037,6 @@ def test_a_broken_config_keeps_its_exit_code_and_message(capsys, tmp_path, name,
     kind = "ConfigError" if code == 2 else "NotCoincidence"
     assert _one_error(err) == {"type": kind, "message": message}
     assert not (tmp_path / "x.svg").exists()
-
-
-def test_non_square_map_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["1", "0", "0"], ["0", "1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_singular_map_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["1", "0"], ["1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_bad_reps_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", reps=[["0", "0"], ["1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_ring_map_needs_dim4(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map={"coeffs": ["1", "0", "0", "0"]})
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_non_coincidence_map_exit3(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["2", "0"], ["0", "1"]])
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 3
-    assert json.loads(err)["error"]["type"] == "NotCoincidence"
-
-
-def test_boolean_dim_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", dim=True)
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 2
-    assert "dim" in json.loads(err)["error"]["message"]
-
-
-def test_boolean_render_radius_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", render={"radius": True})
-    code, _, err = run(capsys, "render", path, "--mode", "parent",
-                       "--out", str(tmp_path / "fig.svg"))
-    assert code == 2
-    assert "render.radius" in json.loads(err)["error"]["message"]
-
-
-def test_boolean_oracle_radius_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", oracle_radius=True)
-    code, _, err = run(capsys, "oracle", path)
-    assert code == 2
-    assert "oracle_radius" in json.loads(err)["error"]["message"]
-
-
-def test_string_highlight_csl_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json",
-                   render={"radius": 8, "highlight_csl": "false"})
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 2
-    assert "highlight_csl" in json.loads(err)["error"]["message"]
 
 
 def test_huge_oracle_radius_rejected_before_any_work(capsys, tmp_path, monkeypatch):
@@ -1415,6 +1418,43 @@ def test_report_echoes_an_unknown_key_as_json_dumps_writes_it(capsys, tmp_path):
     report = json.loads(out)
     assert report["config"]["note"] == note
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+def nested(depth: int) -> list:
+    """A list nested `depth` deep, [[...[]...]]."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+# 600 levels at Python's default recursion limit: json.load reads them
+# and json.dumps writes them, while `cli._indented` takes two frames a
+# level on Python 3.11 and runs out of stack
+DEEP = sys.getrecursionlimit() * 3 // 5
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_report_echoes_a_deeply_nested_unknown_key_as_json_dumps_writes_it(
+    capsys, tmp_path, command
+):
+    path = variant(tmp_path, "example1.json", note=nested(DEEP))
+    code, out, err = run(capsys, command, path)
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+def test_a_deep_report_over_the_digit_limit_raises_config_error():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ConfigError, match="digit limit"):
+            cli_module._report_json({"note": nested(DEEP), "sigma": 10**4399})
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------

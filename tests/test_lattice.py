@@ -695,6 +695,18 @@ def test_colour_of_examples():
         colour_of(colouring, ("1/2", "0"))
 
 
+@pytest.mark.parametrize("coords", [(), (1,), (1, 0, 5)])
+def test_colour_of_coords_rejects_a_point_of_another_dimension(coords):
+    with pytest.raises(DimensionMismatch, match=f"point has dimension {len(coords)}, colouring 2"):
+        Colouring(Z2, EX1_SUB).colour_of_coords(coords)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(1), 1.0, "1", True, None])
+def test_colour_of_coords_rejects_a_coordinate_that_is_not_an_int(entry):
+    with pytest.raises(ValueError, match=f"coordinates must be ints, not {type(entry).__name__}"):
+        Colouring(Z2, EX1_SUB).colour_of_coords((entry, 0))
+
+
 def test_colour_of_matches_coset_membership():
     colouring = Colouring(
         Z2, EX1_SUB, reps=[[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
