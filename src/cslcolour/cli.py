@@ -7,7 +7,8 @@ must never happen on the bundled configs), 5 any other package error,
 such as a failed internal invariant check (also a bug).  Failures also
 emit a machine-readable error object on standard error.  `main` picks
 every exit code: a render the library cannot draw and an output that
-cannot be written are configuration errors too.
+cannot be written, the `--help` text included, are configuration errors
+too, and so is a config nested deeper than the JSON reader can read.
 
 The CLI checks a config's shapes, types and budgets; the library reads
 each basis, map and ring element once.  `_checked` runs every library
@@ -140,7 +141,10 @@ def load_job_config(path: str) -> JobConfig:
             raw = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except (ValueError, RecursionError) as exc:
+    except RecursionError:
+        # raised before the reader sees whether the nested text is valid
+        raise ConfigError("config is nested deeper than the JSON reader can read") from None
+    except ValueError as exc:
         # UnicodeDecodeError (bytes read as UTF-16 or -32) is a ValueError too
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -456,6 +460,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
 
+    def exit(self, status=0, message=None):
+        # argparse swallows a failed write of the --help text; the flush
+        # lets a closed stdout reach `main` as an OSError
+        sys.stdout.flush()
+        super().exit(status, message)
+
 
 def _parser() -> _ArgumentParser:
     """The command line: a root parser and one subparser per command."""
@@ -493,6 +503,7 @@ _PARSER = _parser()
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _PARSER.parse_args(argv)
         return args.fn(args)
@@ -506,8 +517,9 @@ def main(argv=None) -> int:
         _error(type(exc).__name__, str(exc))
         return 5
     except OSError as exc:
-        # config reads are refused in load_job_config, so this is the output
-        if not args.out:
+        # config reads are refused in load_job_config, so this is the
+        # output: --out, or stdout (the --help text when args is None)
+        if args is None or not args.out:
             # stdout failed: what is left in its buffer goes nowhere, and
             # the interpreter's last flush has nothing to complain about
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -7,10 +7,10 @@ operations run on Python ints; ``coeffs`` is the rational view.
 Multiplication by a fixed element is a linear map of the coefficient
 row vectors, which is how ring rotations enter the lattice machinery:
 the plane rotation by an angle whose cosine and sine live in Q(sqrt 2)
-becomes multiplication by a unit-modulus element.  That map is built
-from the element's integers, its negacyclic rows over its denominator,
-with no rational matrix in between; ``cyc8_mul_matrix`` is the
-rational view.
+becomes multiplication by a unit-modulus element.  That map, and the
+principal submodule that the element spans, are built from the
+element's integers, its negacyclic rows over its denominator, with no
+rational matrix in between; ``cyc8_mul_matrix`` is the rational view.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from typing import Sequence
 
 from cslcolour.coincidence import CommensurableMap, _map_of_ints
 from cslcolour.errors import ZeroElement
-from cslcolour.lattice import Lattice, lattice_new
+# lattice_new is not used here; the name stays bound because
+# bench/tracing.py wraps it in this module
+from cslcolour.lattice import Lattice, _from_ints, lattice_new  # noqa: F401
 from cslcolour.ratmat import RatMatrix, clear_denominators, vec_mat
 
 
@@ -120,10 +122,13 @@ def cyc8_mul_matrix(z: Cyc8) -> RatMatrix:
 
 
 def principal_submodule(z: Cyc8) -> Lattice:
-    """The Z-span of z, z.xi, z.xi^2, z.xi^3 as a rank-4 lattice."""
+    """The Z-span of z, z.xi, z.xi^2, z.xi^3 as a rank-4 lattice.
+
+    Built from z's own integers: the negacyclic rows of z.num over z.den.
+    """
     if z.is_zero():
         raise ZeroElement("zero spans no full-rank submodule")
-    return lattice_new(cyc8_mul_matrix(z))
+    return _from_ints(_negacyclic(z.num), z.den)
 
 
 def multiplication_map(z: Cyc8) -> CommensurableMap:

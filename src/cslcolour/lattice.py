@@ -516,18 +516,24 @@ class Colouring:
         d = csl_inv.dim
         columns = list(zip(*_rows_beside_images(self.parent, csl_inv, *amap_ints)))
         left, right = (list(zip(*self._keys(half))) for half in (columns[:d], columns[d:]))
-        # the table renumbers the walk's mixed-radix indices out of order
-        rename = self._table.__getitem__ if self._table is not None else None
+        # the walk's colours come out in increasing order; a table renumbers
+        # them out of order, and only then are they sorted: re-sorting sorted
+        # lists is linear, but at m in the thousands it is a tenth of an analysis
         if not graph:
-            set_i, set_j = (_walk(keys, self._factors)[0] for keys in (left, right))
-            if rename is not None:
-                set_i, set_j = sorted(map(rename, set_i)), sorted(map(rename, set_j))
+            set_i, set_j = (self._renamed(_walk(keys, self._factors)[0]) for keys in (left, right))
+            if self._table is not None:
+                set_i, set_j = sorted(set_i), sorted(set_j)
             return tuple(set_i), tuple(set_j), None
         colours, images = _walk([a + b for a, b in zip(left, right)], self._factors, graph=True)
-        if rename is not None:
-            pairs = sorted(zip(map(rename, colours), map(rename, images)))
+        colours, images = self._renamed(colours), self._renamed(images)
+        if self._table is not None:
+            pairs = sorted(zip(colours, images))
             colours, images = [c for c, _ in pairs], [j for _, j in pairs]
         return tuple(colours), tuple(sorted(images)), tuple(zip(colours, images))
+
+    def _renamed(self, colours: list[int]) -> list[int]:
+        """Mixed-radix key indices as colours: renumbered through the custom-reps table, if any."""
+        return colours if self._table is None else list(map(self._table.__getitem__, colours))
 
     def _keys(self, columns: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         """The key of every point c given as columns of integer parent coordinates.
@@ -543,8 +549,7 @@ class Colouring:
         The mixed-radix index of the point's key (`_keys`, `_mixed_radix`);
         custom reps renumber it through the table.
         """
-        colours = _mixed_radix(self._keys(columns), self._factors, len(columns[0]))
-        return colours if self._table is None else list(map(self._table.__getitem__, colours))
+        return self._renamed(_mixed_radix(self._keys(columns), self._factors, len(columns[0])))
 
     def colour_of_coords(self, coords: Sequence[int]) -> int:
         """Colour index of a point given in integer parent coordinates (`_colours_of_columns`).

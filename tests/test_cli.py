@@ -1,10 +1,11 @@
 """CLI tests: config validation, reports, renders, exit codes, goldens.
 
 Every invocation goes through ``main(argv)`` so the tests exercise the
-real argument parsing and error mapping; two tests also run
-``python -m cslcolour`` as a subprocess, one to compare its bytes with
-``main``'s and one to close its stdout pipe.  Bundled configs are
-read from the installed package directory.
+real argument parsing and error mapping.  Two tests run
+``python -m cslcolour`` in a fresh interpreter: one compares its bytes
+with ``main``'s, and one table holds the failures that a whole process
+meets differently from an in-process call.  Bundled configs are read
+from the installed package directory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import cslcolour.cli as cli_module
 import cslcolour.lattice as lattice_module
 from cslcolour.cli import main
 from cslcolour.coincidence import analyze, commensurable_map
-from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION
+from cslcolour.cyclo8 import AMMANN_BEENKER_ROTATION, multiplication_map
 from cslcolour.errors import ConfigError
 from cslcolour.lattice import Colouring, coset_reps, lattice_new
 from cslcolour.ratmat import format_rational, mat_mul, rat_inverse
@@ -305,6 +306,21 @@ def test_analyze_rank4(capsys):
     assert (report["m"], report["sigma1"], report["sigma2"]) == (4, 9, 9)
     assert report["colour_coincidence"] is True
     assert report["permutation"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
+
+
+def test_a_ring_element_map_gives_the_report_of_its_rational_matrix(capsys, tmp_path):
+    """The Ammann-Beenker config with its map as {"coeffs": ...} and as the
+    rational matrix of multiplication_map: the reports differ in the echoed
+    config only."""
+    matrix = multiplication_map(AMMANN_BEENKER_ROTATION).matrix
+    as_matrix = [[format_rational(x) for x in row] for row in matrix]
+    reports = []
+    for path in (config("ammann_beenker.json"),
+                 variant(tmp_path, "ammann_beenker.json", map=as_matrix)):
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, err) == (0, "")
+        reports.append({key: value for key, value in json.loads(out).items() if key != "config"})
+    assert reports[0] == reports[1] and reports[0]["sigma1"] == 9
 
 
 def test_analyze_identity(capsys):
@@ -693,9 +709,13 @@ def test_help_still_prints_usage(capsys):
 def python_m(*argv, **kwargs) -> subprocess.CompletedProcess:
     """`python -m cslcolour ARGV` in a new process, with this checkout's package.
 
-    Its stdout is buffered, as by default, whatever PYTHONUNBUFFERED says here.
+    Its stdout is buffered and its int-to-str digit limit is 4300, as by
+    default, whatever PYTHONUNBUFFERED and PYTHONINTMAXSTRDIGITS say here.
     """
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env = {
+        key: value for key, value in os.environ.items()
+        if key not in ("PYTHONUNBUFFERED", "PYTHONINTMAXSTRDIGITS")
+    }
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cslcolour.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     )
@@ -737,27 +757,92 @@ def test_an_out_that_cannot_be_written_is_one_config_error(capsys, tmp_path, com
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["render", "analyze"])
-def test_a_closed_stdout_pipe_is_one_config_error(tmp_path, command):
-    """stdout is a pipe whose reader has gone.  A render of 601^2 points
-    fails in its first write, and a report that fits stdout's buffer
-    fails when it is flushed; both exit 2 with one JSON error, and the
-    interpreter's last flush adds nothing to stderr."""
-    argv = OUTPUTS[command]
-    if command == "render":
-        argv = ["render", variant(tmp_path, "example1.json", render={"radius": 300}), *argv[2:]]
-    read, write = os.pipe()
-    os.close(read)
+def _job(**changes) -> str:
+    """example1.json with top-level keys replaced, as JSON text (None is null)."""
+    return json.dumps({**json.loads((CONFIG_DIR / "example1.json").read_text()), **changes})
+
+
+def _nested_note(depth: int) -> str:
+    """example1.json with a note nested `depth` deep, written as text
+    (json.dumps itself cannot write that depth)."""
+    return _job(note=0).replace('"note": 0', '"note": ' + "[" * depth + "]" * depth)
+
+
+BROKEN_PIPE = f"cannot write the output: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}"
+# rows that read Python's default int-to-str limit of 4300 digits
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+# Failures that a whole process meets differently from `main` called in
+# this one: the default int-to-str digit limit, the default recursion
+# limit, the interpreter's last flush of stdout, and the exit status
+# through sys.exit.  (command line, config text or None, stdout a pipe
+# whose reader has gone, exit code, message); "JOB" in the command line
+# is the config's path.
+WHOLE_PROCESS_FAILURES = [
+    # argparse swallows the failed write of the help text, and a report
+    # that fits stdout's buffer fails when it is flushed
+    pytest.param(["--help"], None, True, 2, BROKEN_PIPE, id="help-into-a-closed-pipe"),
+    pytest.param(["analyze", "JOB"], _job(), True, 2, BROKEN_PIPE,
+                 id="report-into-a-closed-pipe"),
+    # 601^2 points fail in the render's first write
+    pytest.param(["render", "JOB", "--mode", "parent"], _job(render={"radius": 300}), True, 2,
+                 BROKEN_PIPE, id="render-into-a-closed-pipe"),
+    # valid JSON past json.load's recursion limit on Python 3.10 to 3.13
+    pytest.param(["analyze", "JOB"], _nested_note(100_000), False, 2,
+                 "config is nested deeper than the JSON reader can read", id="deep-config"),
+    pytest.param(["oracle", "JOB"],
+                 _job(oracle_radius=0).replace('"oracle_radius": 0',
+                                               '"oracle_radius": 1' + "0" * 5000),
+                 False, 2, "config integer of 5001 digits is over the limit of 4300 digits",
+                 id="json-integer-over-the-digit-limit", marks=DIGIT_LIMIT),
+    # a rotation with a 4300-digit denominator: a csl2 entry has 4305 digits
+    pytest.param(["analyze", "JOB"],
+                 _job(reps=None, sub_basis=[["99991", "0"], ["0", "1"]],
+                      map=rotation_block(int("7" * 2150), int("3" * 2149))),
+                 False, 2, "a report entry is over the integer digit limit: Exceeds the limit "
+                 "(4300 digits) for integer string conversion; use sys.set_int_max_str_digits() "
+                 "to increase the limit",
+                 id="report-entry-over-the-digit-limit", marks=DIGIT_LIMIT),
+    pytest.param(["render", "JOB", "--mode", "parent", "--out", "fig.svg"],
+                 _job(**OVER_LIMIT_BUDGET_CASES["render-radius"]), False, 2,
+                 "render.radius about 10^4000 gives a window of about 10^8000 points in "
+                 "dimension 2, over the budget of 2000000",
+                 id="render-radius-over-the-digit-limit", marks=DIGIT_LIMIT),
+    pytest.param(["oracle", "JOB"], _job(reps=None, **OVER_LIMIT_BUDGET_CASES["colours"]), False,
+                 2, "sub_basis gives about 10^8000 colours, over the budget of 100000",
+                 id="colours-over-the-digit-limit", marks=DIGIT_LIMIT),
+    pytest.param(["analyze", "JOB"],
+                 _job(reps=None, sub_basis=[["1" + "0" * 3998 + "1", "1/2"],
+                                            ["1" + "0" * 3999, "9" * 4000]]),
+                 False, 2, "invalid colouring: colouring needs sub inside parent",
+                 id="sub-outside-the-parent-over-the-digit-limit", marks=DIGIT_LIMIT),
+    pytest.param(["analyze", "JOB"], _job(map=[["1" + "0" * 2200, "0"], ["0", "1" + "0" * 2200]]),
+                 False, 3, "|det| = about 10^4400 != 1",
+                 id="determinant-over-the-digit-limit", marks=DIGIT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("argv, text, closed, code, message", WHOLE_PROCESS_FAILURES)
+def test_a_whole_process_failure_is_one_json_error(tmp_path, argv, text, closed, code, message):
+    job = tmp_path / "job.json"
+    if text is not None:
+        job.write_text(text)
+    argv = [str(job) if arg == "JOB" else arg for arg in argv]
+    stdout = subprocess.PIPE
+    if closed:
+        read, stdout = os.pipe()
+        os.close(read)
     try:
-        proc = python_m(*argv, stdout=write, stderr=subprocess.PIPE)
+        proc = python_m(*argv, cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE)
     finally:
-        os.close(write)
-    assert proc.returncode == 2
-    assert b"Exception ignored" not in proc.stderr
-    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
-    assert _one_error(proc.stderr.decode()) == {
-        "type": "ConfigError", "message": f"cannot write the output: {broken}"
-    }
+        if closed:
+            os.close(stdout)
+    assert proc.returncode == code and not proc.stdout
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    kind = "ConfigError" if code == 2 else "NotCoincidence"
+    assert _one_error(err) == {"type": kind, "message": message}
 
 
 # ---------------------------------------------------------------------------
@@ -1293,21 +1378,24 @@ def test_fuzzed_configs_exit_with_a_documented_code_and_one_error(command, text)
         assert set(error["error"]) == {"type", "message"}
 
 
-# bytes that json.load cannot decode: NUL bytes make it guess UTF-16 or
-# UTF-32, a truncated UTF-16 byte-order mark, and nesting past the recursion limit
+# bytes that json.load cannot decode, and the start of the message: NUL
+# bytes make it guess UTF-16 or UTF-32, a truncated UTF-16 byte-order
+# mark; nesting past the recursion limit is refused before the reader
+# sees that it is not JSON
 MALFORMED_CONFIG_BYTES = {
-    "nul-bytes": "\x00000000".encode(),
-    "fuzzed-nul-bytes": "0\x0000000".encode(),
-    "truncated-utf16-bom": b"\xff\xfe\x00",
-    "deep-nesting": b"[" * 200000,
+    "nul-bytes": ("\x00000000".encode(), "config is not valid JSON: "),
+    "fuzzed-nul-bytes": ("0\x0000000".encode(), "config is not valid JSON: "),
+    "truncated-utf16-bom": (b"\xff\xfe\x00", "config is not valid JSON: "),
+    "deep-nesting": (b"[" * 200000, "config is nested deeper than the JSON reader can read"),
 }
 
 
 @pytest.mark.parametrize("name", list(MALFORMED_CONFIG_BYTES))
 @pytest.mark.parametrize("command", [["analyze"], ["oracle"], ["render", "--mode", "parent"]])
 def test_undecodable_config_bytes_are_one_config_error(capsys, tmp_path, command, name):
+    text, prefix = MALFORMED_CONFIG_BYTES[name]
     path = tmp_path / "job.json"
-    path.write_bytes(MALFORMED_CONFIG_BYTES[name])
+    path.write_bytes(text)
     argv = [command[0], str(path), *command[1:]]
     if command[0] == "render":
         argv += ["--out", str(tmp_path / "fig.svg")]
@@ -1316,7 +1404,7 @@ def test_undecodable_config_bytes_are_one_config_error(capsys, tmp_path, command
     (line,) = err.splitlines()
     error = json.loads(line)["error"]
     assert error["type"] == "ConfigError"
-    assert error["message"].startswith("config is not valid JSON")
+    assert error["message"].startswith(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -1373,6 +1461,8 @@ LARGE_REPORTS = {
     # a parent of den 2 and m = 50: the reps go through the gcd branch
     # of _rational_strings, then through the column writer
     "den-2": (RATIONAL_PARENT, [["5/2", "5"], ["0", "25"]], None),
+    # sub diag(100000, 1), at the colour budget
+    "colour-budget": (identity_rows(2), [[str(cli_module.COLOUR_BUDGET), "0"], ["0", "1"]], None),
 }
 
 

@@ -227,6 +227,17 @@ def test_quotient_by_one_plus_xi2_is_two_two():
         assert contains(sub, tuple(2 * x for x in r))
 
 
+@pytest.mark.parametrize(
+    "z",
+    [cyc8(1, -2, 3, 5), cyc8("1/3", "2/3", 0, "-4/3"), cyc8("5/27", 1, "-2/9", 0)]
+    + [AMMANN_BEENKER_ROTATION.galois(g) for g in (1, 3, 5, 7)],
+    ids=["den-1", "den-3", "den-27", "z", "z-galois-3", "z-galois-5", "z-galois-7"],
+)
+def test_principal_submodule_is_the_lattice_of_the_rational_matrix(z):
+    """Built from z's integers, it equals the lattice read from cyc8_mul_matrix's Fractions."""
+    assert principal_submodule(z) == lattice_new(cyc8_mul_matrix(z))
+
+
 def test_is_unit_modulus_cases():
     # z encodes a plane rotation exactly when z . conj(z) = 1
     assert CYC8_XI * CYC8_XI.conjugate() == CYC8_ONE
