@@ -46,7 +46,7 @@ from cslcolour.errors import (
     UnsupportedDimension,
 )
 from cslcolour.lattice import Colouring, Lattice, lattice_new
-from cslcolour.ratmat import _bounded, _digit_limit, rat_matrix
+from cslcolour.ratmat import _bounded, _digit_limit, _digits, rat_matrix
 # render_svg is bound here for bench/tracing.py, which wraps it in every module that binds it
 from cslcolour.render import RENDER_MODES, _svg_lines, render_svg
 
@@ -237,17 +237,36 @@ def build_colouring(cfg: JobConfig) -> Colouring:
     return colouring if cfg.reps is None else _checked(*call, cfg.reps)
 
 
-def _over_digit_limit(exc: ValueError) -> ConfigError:
-    """The error for an int too long for str(), over 4300 digits by Python's default."""
-    return ConfigError(f"a report entry is over the integer digit limit: {exc}")
+def _most_digits(value) -> int:
+    """The most digits of an int in a JSON value, read without str(); 0 if it holds none."""
+    most, stack = 0, [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif type(x) is int and x:
+            most = max(most, _digits(abs(x)))
+    return most
 
 
-def _rational_strings(rows, den: int) -> list[list[str]]:
+def _over_digit_limit(key: str, value) -> ConfigError:
+    """The error for a report entry `key` whose `value` holds an int too long
+    for str(), over 4300 digits by Python's default."""
+    held = f"{key} has" if type(value) is int else f"{key} has an entry of"
+    return ConfigError(
+        f"{held} {_most_digits(value)} digits, over the limit of {_digit_limit()} digits"
+    )
+
+
+def _rational_strings(rows, den: int, key: str) -> list[list[str]]:
     """Each entry x / den of the integer rows as "p/q", or "p" when q = 1.
 
     With den = 1 every entry is str(x) and no gcd is taken; otherwise
-    each entry is reduced by its own gcd.  Raises ConfigError when an
-    entry has more digits than Python's limit on int-to-str conversion.
+    each entry is reduced by its own gcd.  Raises ConfigError, naming the
+    report key `key`, when an entry has more digits than Python's limit
+    on int-to-str conversion.
     """
     try:
         if den == 1:
@@ -256,8 +275,12 @@ def _rational_strings(rows, den: int) -> list[list[str]]:
             [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
             for row in rows
         ]
-    except ValueError as exc:
-        raise _over_digit_limit(exc) from None
+    except ValueError:
+        # the ints that str() writes: each entry, or its reduced p and q
+        written = rows if den == 1 else [
+            (x // g, den // g) for row in rows for x in row for g in [gcd(x, den)]
+        ]
+        raise _over_digit_limit(key, written) from None
 
 
 def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
@@ -279,10 +302,12 @@ def build_report(cfg: JobConfig, colouring, analysis, census=None) -> dict:
             if analysis.permutation is not None
             else None
         ),
-        "reps": _rational_strings(colouring.rep_rows, colouring.parent.den),
-        "csl1_basis": _rational_strings(analysis.csl1.hnf_rows, analysis.csl1.den),
-        "csl1_inv_basis": _rational_strings(analysis.csl1_inv.hnf_rows, analysis.csl1_inv.den),
-        "csl2_basis": _rational_strings(analysis.csl2.hnf_rows, analysis.csl2.den),
+        "reps": _rational_strings(colouring.rep_rows, colouring.parent.den, "reps"),
+        "csl1_basis": _rational_strings(analysis.csl1.hnf_rows, analysis.csl1.den, "csl1_basis"),
+        "csl1_inv_basis": _rational_strings(
+            analysis.csl1_inv.hnf_rows, analysis.csl1_inv.den, "csl1_inv_basis"
+        ),
+        "csl2_basis": _rational_strings(analysis.csl2.hnf_rows, analysis.csl2.den, "csl2_basis"),
     }
     if census is not None:
         contradictions = census_contradictions(analysis, census)
@@ -376,8 +401,9 @@ def _indented(value, pad: str) -> str:
 def _report_json(report: dict) -> str:
     """`json.dumps(report, indent=2)` and a newline, byte for byte.
 
-    Raises ConfigError when an integer of the report, such as sigma in
-    dimension 4, has more digits than Python writes.
+    Raises ConfigError, naming the first key that holds it, when an
+    integer of the report, such as sigma in dimension 4, has more digits
+    than Python writes.
     """
     try:
         try:
@@ -385,8 +411,9 @@ def _report_json(report: dict) -> str:
         except RecursionError:
             # a deep config echo: _indented takes more frames a level than json.dumps
             return json.dumps(report, indent=2) + "\n"
-    except ValueError as exc:
-        raise _over_digit_limit(exc) from None
+    except ValueError:
+        key = next(k for k, v in report.items() if _most_digits(v) > _digit_limit())
+        raise _over_digit_limit(key, report[key]) from None
 
 
 def cmd_analyze(args) -> int:
@@ -444,7 +471,9 @@ def cmd_gen_rotations(args) -> int:
         "max_den": args.max,
         "count": len(rotations),
         # the rows of A are the columns of A^T = forward
-        "rotations": [_rational_strings(zip(*r.forward[0]), r.forward[1]) for r in rotations],
+        "rotations": [
+            _rational_strings([*zip(*r.forward[0])], r.forward[1], "rotations") for r in rotations
+        ],
     }
     _emit([_report_json(payload)], args.out)
     return 0

@@ -1,11 +1,12 @@
 """CLI tests: config validation, reports, renders, exit codes, goldens.
 
 Every invocation goes through ``main(argv)`` so the tests exercise the
-real argument parsing and error mapping.  Two tests run
-``python -m cslcolour`` in a fresh interpreter: one compares its bytes
-with ``main``'s, and one table holds the failures that a whole process
-meets differently from an in-process call.  Bundled configs are read
-from the installed package directory.
+real argument parsing and error mapping.  One table, ``BROKEN_CONFIGS``,
+holds the configs that the commands refuse, each with its exit code and
+exact message.  Two tests run ``python -m cslcolour`` in a fresh
+interpreter: one compares its bytes with ``main``'s, and one table holds
+the failures that a whole process meets differently from an in-process
+call.  Bundled configs are read from the installed package directory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,17 +64,42 @@ def config(name: str) -> str:
     return str(CONFIG_DIR / name)
 
 
-def variant(tmp_path, base: str, **changes) -> str:
-    """Copy a bundled config with top-level keys replaced (None deletes)."""
+def _job(base: str = "example1.json", **changes) -> str:
+    """A bundled config with top-level keys replaced (None deletes), as JSON text."""
     raw = json.loads((CONFIG_DIR / base).read_text())
     for key, value in changes.items():
         if value is None:
             raw.pop(key, None)
         else:
             raw[key] = value
+    return json.dumps(raw)
+
+
+def variant(tmp_path, base: str, **changes) -> str:
+    """Copy a bundled config with top-level keys replaced (None deletes)."""
     out = tmp_path / f"variant_{base}"
-    out.write_text(json.dumps(raw))
+    out.write_text(_job(base, **changes))
     return str(out)
+
+
+# tests that read Python's default int-to-str limit of 4300 digits
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
+
+
+@contextlib.contextmanager
+def _default_digit_limit():
+    """Python's default int-to-str limit of 4300 digits, where it has one, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -169,66 +196,31 @@ def block_diagonal(r1, r2) -> list[list[str]]:
 # - d = 2, c of 4300 digits: csl2_basis has an entry of 4305 digits;
 # - d = 4, two rotations with coprime c of 2200 digits: every basis
 #   entry is short, but sigma1 = c1.c2 has 4400 digits.
+# (changed keys of example 1, message); a render of either succeeds
 DIGIT_LIMIT_CASES = {
-    "basis-entry": dict(
-        sub_basis=[["99991", "0"], ["0", "1"]],
-        map=rotation_block(int("7" * 2150), int("3" * 2149)),
+    "basis-entry": (
+        dict(sub_basis=[["99991", "0"], ["0", "1"]],
+             map=rotation_block(int("7" * 2150), int("3" * 2149))),
+        "csl2_basis has an entry of 4305 digits, over the limit of 4300 digits",
     ),
-    "sigma": dict(
-        dim=4, parent_basis=identity_rows(4), sub_basis=identity_rows(4),
-        map=block_diagonal(
-            rotation_block(int("7" * 1100), int("3" * 1099)),
-            rotation_block(int("8" * 1100), int("1" * 1099)),
-        ),
+    "sigma": (
+        dict(dim=4, parent_basis=identity_rows(4), sub_basis=identity_rows(4),
+             map=block_diagonal(rotation_block(int("7" * 1100), int("3" * 1099)),
+                                rotation_block(int("8" * 1100), int("1" * 1099)))),
+        "sigma1 has 4400 digits, over the limit of 4300 digits",
     ),
 }
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
+@DIGIT_LIMIT
 @pytest.mark.parametrize("case", DIGIT_LIMIT_CASES)
 def test_report_over_the_integer_digit_limit_is_one_config_error(capsys, tmp_path, case):
-    path = variant(tmp_path, "example1.json", reps=None, **DIGIT_LIMIT_CASES[case])
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # Python's default
-    try:
+    changes, message = DIGIT_LIMIT_CASES[case]
+    path = variant(tmp_path, "example1.json", reps=None, **changes)
+    with _default_digit_limit():
         code, out, err = run(capsys, "analyze", path)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert code == 2 and out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)["error"]
-    assert error["type"] == "ConfigError"
-    assert "digit limit" in error["message"] and "4300" in error["message"]
-
-
-def _at_the_digit_limit(capsys, *argv):
-    """`run` with Python's default int-to-str limit of 4300 digits."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        return run(capsys, *argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-def test_a_sub_basis_outside_the_parent_over_the_digit_limit_is_one_config_error(
-    capsys, tmp_path, command
-):
-    """Every entry has at most 4000 digits, but a product of two, and so a
-    message that wrote the sublattice, has about 8000."""
-    sub = [["1" + "0" * 3998 + "1", "1/2"], ["1" + "0" * 3999, "9" * 4000]]
-    path = variant(tmp_path, "example1.json", reps=None, sub_basis=sub)
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
-    assert code == 2 and out == ""
-    assert _one_error(err) == {
-        "type": "ConfigError", "message": "invalid colouring: colouring needs sub inside parent"
-    }
+    assert (code, out) == (2, "")
+    assert _one_error(err) == {"type": "ConfigError", "message": message}
 
 
 def _one_error(err: str) -> dict:
@@ -241,62 +233,6 @@ def _argv(command: str, path: str, tmp_path) -> list[str]:
     if command == "render":
         return [command, path, "--mode", "parent", "--out", str(tmp_path / "x.svg")]
     return [command, path]
-
-
-# Counts a budget refuses that are over the digit limit when written out:
-# a radius of 4000 digits gives a window of 8000 digits in d = 2, and
-# diag(9...9, 9...9) with 4000 digits each gives m of 8000 digits.
-OVER_LIMIT_BUDGET_CASES = {
-    "render-radius": dict(render={"radius": int("9" * 4000)}),
-    "oracle-radius": dict(oracle_radius=int("9" * 4000)),
-    "colours": dict(sub_basis=[["9" * 4000, "0"], ["0", "9" * 4000]]),
-}
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-@pytest.mark.parametrize("case", OVER_LIMIT_BUDGET_CASES)
-def test_budget_refusal_over_the_integer_digit_limit_is_one_config_error(
-    capsys, tmp_path, case, command
-):
-    path = variant(tmp_path, "example1.json", reps=None, **OVER_LIMIT_BUDGET_CASES[case])
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
-    assert code == 2 and out == ""
-    error = _one_error(err)
-    assert error["type"] == "ConfigError"
-    assert "budget" in error["message"] and "about 10^8000" in error["message"]
-    # the radius is echoed bounded too, so the message stays one short line
-    assert len(error["message"]) < 200
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-def test_colour_budget_is_checked_before_custom_reps(capsys, tmp_path, command):
-    """example 1 keeps its 6 reps while sub_basis gives m of 8000 digits:
-    the refusal names the colour budget, not the reps."""
-    path = variant(tmp_path, "example1.json", **OVER_LIMIT_BUDGET_CASES["colours"])
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
-    assert code == 2 and out == ""
-    error = _one_error(err)
-    assert error["type"] == "ConfigError"
-    assert error["message"] == "sub_basis gives about 10^8000 colours, over the budget of 100000"
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-def test_huge_determinant_is_one_not_coincidence_error(capsys, tmp_path, command):
-    """A = diag(10^2200, 10^2200): |det| has 4401 digits, over the digit limit."""
-    big = "1" + "0" * 2200
-    path = variant(tmp_path, "example1.json", map=[[big, "0"], ["0", big]])
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
-    assert code == 3 and out == ""
-    assert _one_error(err) == {"type": "NotCoincidence", "message": "|det| = about 10^4400 != 1"}
 
 
 def test_analyze_rank4(capsys):
@@ -509,34 +445,6 @@ def test_render_custom_palette(capsys, tmp_path):
     assert fills == set(palette)
 
 
-def test_render_palette_too_short(capsys, tmp_path):
-    path = variant(
-        tmp_path, "example1.json", render={"radius": 2, "palette": ["#111111"]}
-    )
-    dest = tmp_path / "fig.svg"
-    code, _, err = run(capsys, "render", path, "--mode", "parent", "--out", str(dest))
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ConfigError"
-
-
-@pytest.mark.parametrize(
-    "entry", ["#zz</svg><script>x</script>", "#12345", "#1234567", "#12345g"]
-)
-def test_render_palette_entries_must_be_rrggbb(capsys, tmp_path, entry):
-    # a palette entry is written into every fill attribute of its colour
-    path = variant(
-        tmp_path, "example2_rect.json", render={"radius": 2, "palette": ["#111111", entry]}
-    )
-    dest = tmp_path / "fig.svg"
-    code, out, err = run(capsys, "render", path, "--mode", "parent", "--out", str(dest))
-    assert code == 2
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)["error"]
-    assert error["type"] == "ConfigError" and "#rrggbb" in error["message"]
-    assert not dest.exists()
-
-
 def _rendered(path: str, mode: str) -> str:
     """`render_svg` of a config, as the library draws it."""
     cfg = cli_module.load_job_config(path)
@@ -583,48 +491,6 @@ def test_render_writes_a_window_of_more_than_one_chunk(capsys, monkeypatch, tmp_
     assert svg.count("\n") > cli_module._CHUNK_LINES
     # two chunks and the newline between them
     assert _render_both_ways(capsys, monkeypatch, tmp_path, path, "parent") == (svg, 3, svg)
-
-
-FLAT3 = {
-    "dim": 3,
-    "reps": None,
-    "parent_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    "sub_basis": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    "map": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
-    "render": {"radius": 1},
-}
-
-# renders, and one oracle run, refused after the config is read:
-# (command, base, changed keys, exit code, message)
-REFUSED_RENDERS = {
-    "dim-3-without-star": ("render", "example1.json", FLAT3, 2,
-                           "cannot draw dimension 3 without a star embedding"),
-    # a plain 4x4 matrix map gives no star embedding
-    "dim-4-matrix-map": ("render", "ammann_beenker.json", {"map": {"matrix": identity_rows(4)}}, 2,
-                         "cannot draw dimension 4 without a star embedding"),
-    "non-coincidence": ("render", "example1.json", {"map": [["2", "0"], ["0", "1"]]}, 3,
-                        "|det| = 2 != 1"),
-    "palette-too-short": ("render", "example1.json",
-                          {"render": {"radius": 2, "palette": ["#111111"]}}, 2,
-                          "palette has 1 colours, colouring needs 6"),
-    "no-render-section": ("render", "example1.json", {"render": None}, 2,
-                          "render needs a render section in the config"),
-    "oracle-without-radius": ("oracle", "identity.json", {"oracle_radius": None}, 2,
-                              "oracle needs oracle_radius in the config"),
-}
-
-
-@pytest.mark.parametrize("name", REFUSED_RENDERS)
-def test_a_refused_render_writes_no_file(capsys, tmp_path, name):
-    command, base, changes, code, message = REFUSED_RENDERS[name]
-    dest = tmp_path / "fig.svg"
-    mode = ["--mode", "parent"] if command == "render" else []
-    path = variant(tmp_path, base, **changes)
-    got, out, err = run(capsys, command, path, *mode, "--out", str(dest))
-    assert (got, out) == (code, "")
-    kind = "ConfigError" if code == 2 else "NotCoincidence"
-    assert _one_error(err) == {"type": kind, "message": message}
-    assert not dest.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +623,293 @@ def test_an_out_that_cannot_be_written_is_one_config_error(capsys, tmp_path, com
     assert list(tmp_path.iterdir()) == []
 
 
-def _job(**changes) -> str:
-    """example1.json with top-level keys replaced, as JSON text (None is null)."""
-    return json.dumps({**json.loads((CONFIG_DIR / "example1.json").read_text()), **changes})
+# ---------------------------------------------------------------------------
+# config validation and exit codes
+
+
+def test_missing_file(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(OSError) as refused:
+        open(path, "rb")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert _one_error(err) == {
+        "type": "ConfigError", "message": f"cannot read config: {refused.value}"
+    }
+
+
+def _entry(base: str, key: str, literal: str = "1.5") -> list:
+    """The bundled config's `key` matrix with its first entry replaced by `literal`."""
+    rows = json.loads((CONFIG_DIR / base).read_text())[key]
+    rows[0][0] = literal
+    return rows
+
+
+E1, E2R, AB = "example1.json", "example2_rect.json", "ammann_beenker.json"
+SINGULAR = [["1", "2"], ["2", "4"]]
+ROW_OF_ZEROS = [["0", "0"], ["0", "1"]]
+SINGULAR_MAP = [["1", "0"], ["1", "0"]]
+STRETCH = [["2", "0"], ["0", "1"]]
+OVER_THE_COLOUR_BUDGET = [["100001", "0"], ["0", "1"]]
+HALF_STEP = [["1/2", "0"], ["0", "1"]]
+TWO_REPS = [["0", "0"], ["1", "0"]]
+ZERO_COEFFS = {"coeffs": ["0", "0", "0", "0"]}
+BAD_COEFFS = {"coeffs": ["1.5", "2/3", "0", "2/3"]}
+FLAT3 = {
+    "dim": 3,
+    "reps": None,
+    "parent_basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "sub_basis": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "map": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+    "render": {"radius": 1},
+}
+# literals echoed as their first 40 characters and their length
+LONG_LITERAL = "1." + "0" * 100_000
+OVER_THE_DIGIT_LIMIT = "1" + "0" * 5000
+ZERO_DENOMINATOR = "1/" + "0" * 5000
+# valid JSON that json.dumps cannot write at the digit limit: 10^5000
+ORACLE_RADIUS_5001 = _job(oracle_radius=0).replace('"oracle_radius": 0',
+                                                   '"oracle_radius": 1' + "0" * 5000)
+# counts over the digit limit when written out: a radius of 4000 digits
+# gives a window of 8000 digits in d = 2, and so does diag(9...9, 9...9)
+# with 4000 digits each for m
+RADIUS_4000 = int("9" * 4000)
+COLOURS_8000 = [["9" * 4000, "0"], ["0", "9" * 4000]]
+# every entry has at most 4000 digits, but a product of two, and so a
+# message that wrote the sublattice, has about 8000
+SUB_OUTSIDE_8000 = [["1" + "0" * 3998 + "1", "1/2"], ["1" + "0" * 3999, "9" * 4000]]
+# A = diag(10^2200, 10^2200): |det| has 4401 digits
+DET_4401 = [["1" + "0" * 2200, "0"], ["0", "1" + "0" * 2200]]
+RRGGBB = "render.palette must be an array of #rrggbb strings"
+COMMANDS = ("analyze", "oracle", "render")
+
+
+def _reps(*xs: str) -> list:
+    return [[x, "0"] for x in xs]
+
+
+def _palette(entry: str) -> dict:
+    """A render section of radius 2 with the palette #111111, `entry`."""
+    return {"render": {"radius": 2, "palette": ["#111111", entry]}}
+
+
+class Broken(NamedTuple):
+    """A config that each of `commands` refuses with exit `code` and `message`.
+
+    The config is the bundled `base` with the top-level keys `changes`
+    replaced (None deletes), or, with base None, the text `changes`, for
+    JSON that json.dumps cannot write.  Rows whose outcome needs Python's
+    int-to-str digit limit carry DIGIT_LIMIT in `marks`.
+    """
+
+    base: str | None
+    changes: dict | str
+    code: int
+    message: str
+    commands: tuple = COMMANDS
+    marks: object = ()
+
+    def text(self) -> str:
+        return self.changes if self.base is None else _job(self.base, **self.changes)
+
+
+# The configs that the commands refuse, each run at Python's default
+# digit limit.  Where a config has two faults, the message names the one
+# reported, which fixes the order in which a config is checked.
+BROKEN_CONFIGS = {
+    "dim-missing": Broken(E1, {"dim": None}, 2, "dim must be a positive integer"),
+    "dim-bool": Broken(E1, {"dim": True}, 2, "dim must be a positive integer"),
+    "parent-numbers": Broken(E1, {"parent_basis": [[1, 0], [0, 1]]}, 2,
+                             "parent_basis entries must be \"p/q\" strings"),
+    "map-matrix-literal": Broken(E1, {"map": {"matrix": _entry(E1, "map")}}, 2,
+                                 "map: not a rational literal: '1.5'"),
+    "parent-zero-denominator": Broken(E1, {"parent_basis": _entry(E1, "parent_basis", "1/0")}, 2,
+                                      "parent_basis: zero denominator: '1/0'"),
+    "map-zero-denominator": Broken(E1, {"map": [["1/0", "0"], ["0", "1"]]}, 2,
+                                   "map: zero denominator: '1/0'"),
+    "parent-non-square": Broken(E1, {"parent_basis": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
+                                "parent_basis must be a 2x2 array"),
+    "sub-ragged": Broken(E1, {"sub_basis": [["6", "0"], ["2"]]}, 2,
+                         "sub_basis must be a 2x2 array"),
+    "map-non-square": Broken(E1, {"map": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
+                             "map must be a 2x2 array"),
+    "parent-singular": Broken(E1, {"parent_basis": SINGULAR}, 2,
+                              "invalid basis: basis rows are linearly dependent"),
+    "sub-rank-deficient": Broken(E1, {"sub_basis": ROW_OF_ZEROS}, 2,
+                                 "invalid basis: basis rows are linearly dependent"),
+    "map-singular": Broken(E1, {"map": SINGULAR_MAP}, 2, "invalid map: matrix is singular"),
+    "map-zero": Broken(E1, {"map": [["0", "0"], ["0", "0"]]}, 2, "invalid map: matrix is singular"),
+    "coeffs-zero": Broken(AB, {"map": ZERO_COEFFS}, 2,
+                          "invalid map element: multiplication matrix of zero is singular"),
+    "coeffs-short": Broken(AB, {"map": {"coeffs": ["1", "0", "0"]}}, 2,
+                           "map.coeffs must be 4 \"p/q\" strings"),
+    "coeffs-in-dim-2": Broken(E1, {"map": {"coeffs": ["1", "0", "0", "0"]}}, 2,
+                              "a ring-element map needs dim = 4"),
+    "non-coincidence": Broken(E1, {"map": STRETCH}, 3, "|det| = 2 != 1"),
+    "ring-non-coincidence": Broken(AB, {"map": {"coeffs": ["1", "1", "0", "0"]}}, 3,
+                                   "|det| = 2 != 1"),
+    "render-radius-budget": Broken(E1, {"render": {"radius": 10**6}}, 2,
+                                   "render.radius 1000000 gives a window of 4000004000001 points "
+                                   "in dimension 2, over the budget of 2000000"),
+    "oracle-radius-budget": Broken(E1, {"oracle_radius": 10**6}, 2,
+                                   "oracle_radius 1000000 gives a window of 4000004000001 points "
+                                   "in dimension 2, over the budget of 2000000"),
+    "render-radius-bool": Broken(E1, {"render": {"radius": True}}, 2,
+                                 "render.radius must be a non-negative integer"),
+    "oracle-radius-bool": Broken(E1, {"oracle_radius": True}, 2,
+                                 "oracle_radius must be a positive integer"),
+    "highlight-csl-string": Broken(E1, {"render": {"radius": 8, "highlight_csl": "false"}}, 2,
+                                   "render.highlight_csl must be true or false"),
+    "colour-budget": Broken(E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET}, 2,
+                            "sub_basis gives 100001 colours, over the budget of 100000"),
+    "dim-budget": Broken(E1, {"dim": 17}, 2, "dim 17 is over the budget of 16"),
+    "sub-outside-parent": Broken(E1, {"reps": None, "sub_basis": HALF_STEP}, 2,
+                                 "invalid colouring: colouring needs sub inside parent"),
+    "reps-count": Broken(E1, {"reps": TWO_REPS}, 2,
+                         "invalid representatives: expected 6 representatives, got 2"),
+    "reps-first-not-zero": Broken(E1, {"reps": _reps("1", "0", "2", "3", "4", "5")}, 2,
+                                  "invalid representatives: first representative must be the zero "
+                                  "vector"),
+    "reps-congruent": Broken(E1, {"reps": _reps("0", "1", "2", "3", "4", "7")}, 2,
+                             "invalid representatives: representatives are congruent mod sub"),
+    "reps-outside-parent": Broken(E1, {"reps": _reps("0", "1", "2", "-1/2", "4", "5")}, 2,
+                                  "invalid colouring: (-1/2, 0) is not in the parent lattice"),
+    "reps-short-row": Broken(E1, {"reps": [["0", "0"], ["1"]]}, 2,
+                             "each rep must be 2 \"p/q\" strings"),
+    "reps-empty": Broken(E1, {"reps": []}, 2, "reps must be a nonempty array"),
+    "not-json": Broken(None, "{not json", 2, "config is not valid JSON: Expecting property name "
+                       "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "parent-literal": Broken(E1, {"parent_basis": _entry(E1, "parent_basis")}, 2,
+                             "parent_basis: not a rational literal: '1.5'"),
+    "sub-literal": Broken(E1, {"sub_basis": _entry(E1, "sub_basis")}, 2,
+                          "sub_basis: not a rational literal: '1.5'"),
+    "map-literal": Broken(E1, {"map": _entry(E1, "map")}, 2, "map: not a rational literal: '1.5'"),
+    "reps-literal": Broken(E1, {"reps": _entry(E1, "reps")}, 2,
+                           "reps: not a rational literal: '1.5'"),
+    "coeffs-literal": Broken(AB, {"map": BAD_COEFFS}, 2,
+                             "invalid map element: not a rational literal: '1.5'"),
+    "parent-trailing-newline": Broken(E1, {"parent_basis": _entry(E1, "parent_basis", "1\n")}, 2,
+                                      "parent_basis: not a rational literal: '1\\n'"),
+    "sub-trailing-newline": Broken(E1, {"sub_basis": _entry(E1, "sub_basis", "6\n")}, 2,
+                                   "sub_basis: not a rational literal: '6\\n'"),
+    "map-trailing-newline": Broken(E1, {"map": _entry(E1, "map", "4/5\n")}, 2,
+                                   "map: not a rational literal: '4/5\\n'"),
+    "map-long-literal": Broken(E1, {"map": _entry(E1, "map", LONG_LITERAL)}, 2,
+                               f"map: not a rational literal: {LONG_LITERAL[:40]!r}... "
+                               "(100002 characters)"),
+    # a palette entry is written into every fill attribute of its colour
+    "palette-markup": Broken(E2R, _palette("#zz</svg><script>x</script>"), 2, RRGGBB),
+    "palette-5-digits": Broken(E2R, _palette("#12345"), 2, RRGGBB),
+    "palette-7-digits": Broken(E2R, _palette("#1234567"), 2, RRGGBB),
+    "palette-not-hex": Broken(E2R, _palette("#12345g"), 2, RRGGBB),
+    # refused after the config is read; a plain 4x4 matrix map gives no
+    # star embedding
+    "dim-3-without-star": Broken(E1, FLAT3, 2, "cannot draw dimension 3 without a star embedding",
+                                 ("render",)),
+    "dim-4-matrix-map": Broken(AB, {"map": {"matrix": identity_rows(4)}}, 2,
+                               "cannot draw dimension 4 without a star embedding", ("render",)),
+    "palette-too-short": Broken(E1, {"render": {"radius": 2, "palette": ["#111111"]}}, 2,
+                                "palette has 1 colours, colouring needs 6", ("render",)),
+    "no-render-section": Broken(E1, {"render": None}, 2,
+                                "render needs a render section in the config", ("render",)),
+    "oracle-without-radius": Broken("identity.json", {"oracle_radius": None}, 2,
+                                    "oracle needs oracle_radius in the config", ("oracle",)),
+    # numbers past the digit limit are echoed by their size; these rows
+    # are named for the digit counts of their numbers
+    "map-5001": Broken(
+        E1, {"map": _entry(E1, "map", OVER_THE_DIGIT_LIMIT)}, 2,
+        f"map: over the limit of 4300 digits: {OVER_THE_DIGIT_LIMIT[:40]!r}... (5001 characters)",
+        marks=DIGIT_LIMIT),
+    "map-zero-den-5000": Broken(
+        E1, {"map": _entry(E1, "map", ZERO_DENOMINATOR)}, 2,
+        f"map: zero denominator: {ZERO_DENOMINATOR[:40]!r}... (5002 characters)"),
+    # valid JSON, so not called invalid
+    "json-int-5001": Broken(
+        None, ORACLE_RADIUS_5001, 2,
+        "config integer of 5001 digits is over the limit of 4300 digits", marks=DIGIT_LIMIT),
+    "dim-budget-4000-digits": Broken(E1, {"dim": 10**3999}, 2,
+                                     "dim about 10^3999 is over the budget of 16"),
+    "render-radius-4000": Broken(
+        E1, {"reps": None, "render": {"radius": RADIUS_4000}}, 2,
+        "render.radius about 10^4000 gives a window of about 10^8000 points in dimension 2, "
+        "over the budget of 2000000"),
+    "oracle-radius-4000": Broken(
+        E1, {"reps": None, "oracle_radius": RADIUS_4000}, 2,
+        "oracle_radius about 10^4000 gives a window of about 10^8000 points in dimension 2, "
+        "over the budget of 2000000"),
+    "colours-8000": Broken(
+        E1, {"reps": None, "sub_basis": COLOURS_8000}, 2,
+        "sub_basis gives about 10^8000 colours, over the budget of 100000"),
+    # example 1 keeps its 6 reps: the colour budget is checked first
+    "colours-8000+6-reps": Broken(
+        E1, {"sub_basis": COLOURS_8000}, 2,
+        "sub_basis gives about 10^8000 colours, over the budget of 100000"),
+    "sub-outside-8000": Broken(
+        E1, {"reps": None, "sub_basis": SUB_OUTSIDE_8000}, 2,
+        "invalid colouring: colouring needs sub inside parent"),
+    "det-4401": Broken(E1, {"map": DET_4401}, 3, "|det| = about 10^4400 != 1"),
+    # two faults
+    "parent-literal+sub-rank-deficient": Broken(
+        E1, {"parent_basis": _entry(E1, "parent_basis"), "sub_basis": ROW_OF_ZEROS}, 2,
+        "parent_basis: not a rational literal: '1.5'"),
+    "parent-singular+map-literal": Broken(
+        E1, {"parent_basis": SINGULAR, "map": _entry(E1, "map")}, 2,
+        "invalid basis: basis rows are linearly dependent"),
+    "parent-non-square+sub-literal": Broken(
+        E1, {"parent_basis": [["1", "0"]], "sub_basis": _entry(E1, "sub_basis")}, 2,
+        "parent_basis must be a 2x2 array"),
+    "sub-literal+reps-literal": Broken(
+        E1, {"sub_basis": _entry(E1, "sub_basis"), "reps": _entry(E1, "reps")}, 2,
+        "sub_basis: not a rational literal: '1.5'"),
+    "map-singular+reps-literal": Broken(
+        E1, {"map": SINGULAR_MAP, "reps": _entry(E1, "reps")}, 2,
+        "invalid map: matrix is singular"),
+    "map-literal+map-non-string": Broken(
+        E1, {"map": [["1.5", 0], ["0", "1"]]}, 2, "map entries must be \"p/q\" strings"),
+    "reps-literal+colour-budget": Broken(
+        E1, {"sub_basis": OVER_THE_COLOUR_BUDGET, "reps": _entry(E1, "reps")}, 2,
+        "reps: not a rational literal: '1.5'"),
+    "non-coincidence+reps-count": Broken(
+        E1, {"map": STRETCH, "reps": TWO_REPS}, 2,
+        "invalid representatives: expected 6 representatives, got 2"),
+    "sub-outside-parent+reps-count": Broken(
+        E1, {"sub_basis": HALF_STEP, "reps": TWO_REPS}, 2,
+        "invalid colouring: colouring needs sub inside parent"),
+    "render-radius-budget+map-singular": Broken(
+        E1, {"render": {"radius": 10**6}, "map": SINGULAR_MAP}, 2,
+        "invalid map: matrix is singular"),
+    "dim-budget+parent-literal": Broken(
+        E1, {"dim": 17, "parent_basis": _entry(E1, "parent_basis")}, 2,
+        "dim 17 is over the budget of 16"),
+    "coeffs-literal+coeffs-in-dim-2": Broken(
+        E1, {"map": BAD_COEFFS}, 2, "a ring-element map needs dim = 4"),
+    "coeffs-zero+sub-rank-deficient": Broken(
+        AB, {"map": ZERO_COEFFS, "sub_basis": [["0"] * 4] * 4}, 2,
+        "invalid basis: basis rows are linearly dependent"),
+    "colour-budget+non-coincidence": Broken(
+        E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET, "map": STRETCH}, 2,
+        "sub_basis gives 100001 colours, over the budget of 100000"),
+    "reps-congruent+reps-outside-parent": Broken(
+        E1, {"reps": _reps("0", "1", "1", "1/2", "4", "5")}, 2,
+        "invalid representatives: representatives are congruent mod sub"),
+}
+
+
+@pytest.mark.parametrize("name, command", [
+    pytest.param(name, command, id=f"{name}-{command}", marks=row.marks)
+    for name, row in BROKEN_CONFIGS.items() for command in row.commands
+])
+def test_a_broken_config_keeps_its_exit_code_and_message(capsys, tmp_path, name, command):
+    row = BROKEN_CONFIGS[name]
+    path = tmp_path / "job.json"
+    path.write_text(row.text())
+    with _default_digit_limit():
+        got, out, err = run(capsys, *_argv(command, str(path), tmp_path))
+    assert (got, out) == (row.code, "")
+    kind = "ConfigError" if row.code == 2 else "NotCoincidence"
+    assert _one_error(err) == {"type": kind, "message": row.message}
+    # a refused render leaves no file
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _nested_note(depth: int) -> str:
@@ -768,11 +918,14 @@ def _nested_note(depth: int) -> str:
     return _job(note=0).replace('"note": 0', '"note": ' + "[" * depth + "]" * depth)
 
 
+def _whole_process(id: str, name: str, *argv: str):
+    """The row `name` of BROKEN_CONFIGS as the whole-process row `id`, run as `argv`."""
+    row = BROKEN_CONFIGS[name]
+    return pytest.param(list(argv), row.text(), False, row.code, row.message, id=id,
+                        marks=row.marks)
+
+
 BROKEN_PIPE = f"cannot write the output: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}"
-# rows that read Python's default int-to-str limit of 4300 digits
-DIGIT_LIMIT = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
-)
 # Failures that a whole process meets differently from `main` called in
 # this one: the default int-to-str digit limit, the default recursion
 # limit, the interpreter's last flush of stdout, and the exit status
@@ -791,35 +944,17 @@ WHOLE_PROCESS_FAILURES = [
     # valid JSON past json.load's recursion limit on Python 3.10 to 3.13
     pytest.param(["analyze", "JOB"], _nested_note(100_000), False, 2,
                  "config is nested deeper than the JSON reader can read", id="deep-config"),
-    pytest.param(["oracle", "JOB"],
-                 _job(oracle_radius=0).replace('"oracle_radius": 0',
-                                               '"oracle_radius": 1' + "0" * 5000),
-                 False, 2, "config integer of 5001 digits is over the limit of 4300 digits",
-                 id="json-integer-over-the-digit-limit", marks=DIGIT_LIMIT),
+    _whole_process("json-integer-over-the-digit-limit", "json-int-5001", "oracle", "JOB"),
     # a rotation with a 4300-digit denominator: a csl2 entry has 4305 digits
-    pytest.param(["analyze", "JOB"],
-                 _job(reps=None, sub_basis=[["99991", "0"], ["0", "1"]],
-                      map=rotation_block(int("7" * 2150), int("3" * 2149))),
-                 False, 2, "a report entry is over the integer digit limit: Exceeds the limit "
-                 "(4300 digits) for integer string conversion; use sys.set_int_max_str_digits() "
-                 "to increase the limit",
-                 id="report-entry-over-the-digit-limit", marks=DIGIT_LIMIT),
-    pytest.param(["render", "JOB", "--mode", "parent", "--out", "fig.svg"],
-                 _job(**OVER_LIMIT_BUDGET_CASES["render-radius"]), False, 2,
-                 "render.radius about 10^4000 gives a window of about 10^8000 points in "
-                 "dimension 2, over the budget of 2000000",
-                 id="render-radius-over-the-digit-limit", marks=DIGIT_LIMIT),
-    pytest.param(["oracle", "JOB"], _job(reps=None, **OVER_LIMIT_BUDGET_CASES["colours"]), False,
-                 2, "sub_basis gives about 10^8000 colours, over the budget of 100000",
-                 id="colours-over-the-digit-limit", marks=DIGIT_LIMIT),
-    pytest.param(["analyze", "JOB"],
-                 _job(reps=None, sub_basis=[["1" + "0" * 3998 + "1", "1/2"],
-                                            ["1" + "0" * 3999, "9" * 4000]]),
-                 False, 2, "invalid colouring: colouring needs sub inside parent",
-                 id="sub-outside-the-parent-over-the-digit-limit", marks=DIGIT_LIMIT),
-    pytest.param(["analyze", "JOB"], _job(map=[["1" + "0" * 2200, "0"], ["0", "1" + "0" * 2200]]),
-                 False, 3, "|det| = about 10^4400 != 1",
-                 id="determinant-over-the-digit-limit", marks=DIGIT_LIMIT),
+    pytest.param(["analyze", "JOB"], _job(reps=None, **DIGIT_LIMIT_CASES["basis-entry"][0]), False,
+                 2, DIGIT_LIMIT_CASES["basis-entry"][1], id="report-entry-over-the-digit-limit",
+                 marks=DIGIT_LIMIT),
+    _whole_process("render-radius-over-the-digit-limit", "render-radius-4000",
+                   "render", "JOB", "--mode", "parent", "--out", "fig.svg"),
+    _whole_process("colours-over-the-digit-limit", "colours-8000", "oracle", "JOB"),
+    _whole_process("sub-outside-the-parent-over-the-digit-limit", "sub-outside-8000",
+                   "analyze", "JOB"),
+    _whole_process("determinant-over-the-digit-limit", "det-4401", "analyze", "JOB"),
 ]
 
 
@@ -843,285 +978,6 @@ def test_a_whole_process_failure_is_one_json_error(tmp_path, argv, text, closed,
     assert "Traceback" not in err and "Exception ignored" not in err
     kind = "ConfigError" if code == 2 else "NotCoincidence"
     assert _one_error(err) == {"type": kind, "message": message}
-
-
-# ---------------------------------------------------------------------------
-# config validation and exit codes
-
-
-def test_missing_file(capsys):
-    code, _, err = run(capsys, "analyze", "/nonexistent/nope.json")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ConfigError"
-
-
-def test_invalid_json(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "analyze", str(path))
-    assert code == 2
-
-
-def test_non_square_map_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["1", "0", "0"], ["0", "1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_singular_map_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["1", "0"], ["1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_bad_reps_rejected(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", reps=[["0", "0"], ["1", "0"]])
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_ring_map_needs_dim4(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map={"coeffs": ["1", "0", "0", "0"]})
-    assert run(capsys, "analyze", path)[0] == 2
-
-
-def test_non_coincidence_map_exit3(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", map=[["2", "0"], ["0", "1"]])
-    code, _, err = run(capsys, "analyze", path)
-    assert code == 3
-    assert json.loads(err)["error"]["type"] == "NotCoincidence"
-
-
-@pytest.mark.parametrize(
-    "key, entry", [("map", "4/5\n"), ("sub_basis", "6\n"), ("parent_basis", "1\n")]
-)
-def test_an_entry_with_a_trailing_newline_is_one_config_error(capsys, tmp_path, key, entry):
-    rows = json.loads((CONFIG_DIR / "example1.json").read_text())[key]
-    rows[0][0] = entry
-    code, out, err = run(capsys, "analyze", variant(tmp_path, "example1.json", **{key: rows}))
-    assert code == 2 and out == ""
-    assert "not a rational literal" in _one_error(err)["message"]
-
-
-@pytest.mark.parametrize(
-    "base, key, message",
-    [
-        ("example1.json", "parent_basis", "parent_basis: not a rational literal: '1.5'"),
-        ("example1.json", "sub_basis", "sub_basis: not a rational literal: '1.5'"),
-        ("example1.json", "map", "map: not a rational literal: '1.5'"),
-        ("example1.json", "reps", "reps: not a rational literal: '1.5'"),
-        ("ammann_beenker.json", "map.coeffs", "invalid map element: not a rational literal: '1.5'"),
-    ],
-)
-def test_a_bad_literal_is_one_config_error_naming_it(capsys, tmp_path, base, key, message):
-    raw = json.loads((CONFIG_DIR / base).read_text())
-    if key == "map.coeffs":
-        raw["map"]["coeffs"][0] = "1.5"
-    else:
-        raw[key][0][0] = "1.5"
-    code, out, err = run(capsys, "analyze", variant(tmp_path, base, **raw))
-    assert code == 2 and out == ""
-    assert _one_error(err) == {"type": "ConfigError", "message": message}
-
-
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-def test_a_long_bad_literal_is_echoed_as_a_prefix_and_its_length(capsys, tmp_path, command):
-    literal = "1." + "0" * 100_000
-    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
-    raw["map"][0][0] = literal
-    path = variant(tmp_path, "example1.json", **raw)
-    code, out, err = run(capsys, *_argv(command, path, tmp_path))
-    assert code == 2 and out == "" and len(err) < 1000
-    assert _one_error(err) == {
-        "type": "ConfigError",
-        "message": f"map: not a rational literal: {literal[:40]!r}... (100002 characters)",
-    }
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-@pytest.mark.parametrize(
-    "literal, error",
-    [("1" + "0" * 5000, "over the limit of 4300 digits"), ("1/" + "0" * 5000, "zero denominator")],
-    ids=["over-the-limit", "zero-denominator"],
-)
-def test_a_literal_past_the_digit_limit_is_one_short_config_error(
-    capsys, tmp_path, command, literal, error
-):
-    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
-    raw["map"][0][0] = literal
-    path = variant(tmp_path, "example1.json", **raw)
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, path, tmp_path))
-    assert code == 2 and out == "" and len(err) < 1000
-    assert _one_error(err) == {
-        "type": "ConfigError",
-        "message": f"map: {error}: {literal[:40]!r}... ({len(literal)} characters)",
-    }
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
-)
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-def test_a_json_integer_past_the_digit_limit_is_one_short_config_error(
-    capsys, tmp_path, command
-):
-    """oracle_radius 10^5000 is valid JSON past Python's int-to-str digit
-    limit; the refusal gives its digits and the limit, and does not call
-    the config invalid JSON."""
-    raw = json.loads((CONFIG_DIR / "example1.json").read_text())
-    raw["oracle_radius"] = 0
-    path = tmp_path / "job.json"
-    text = json.dumps(raw).replace('"oracle_radius": 0', '"oracle_radius": 1' + "0" * 5000)
-    path.write_text(text)
-    code, out, err = _at_the_digit_limit(capsys, *_argv(command, str(path), tmp_path))
-    assert code == 2 and out == "" and len(err) < 1000
-    assert _one_error(err) == {
-        "type": "ConfigError",
-        "message": "config integer of 5001 digits is over the limit of 4300 digits",
-    }
-
-
-def _entry(base: str, key: str, literal: str = "1.5") -> list:
-    """The bundled config's `key` matrix with its first entry replaced by `literal`."""
-    rows = json.loads((CONFIG_DIR / base).read_text())[key]
-    rows[0][0] = literal
-    return rows
-
-
-E1, AB = "example1.json", "ammann_beenker.json"
-SINGULAR = [["1", "2"], ["2", "4"]]
-ROW_OF_ZEROS = [["0", "0"], ["0", "1"]]
-SINGULAR_MAP = [["1", "0"], ["1", "0"]]
-STRETCH = [["2", "0"], ["0", "1"]]
-OVER_THE_COLOUR_BUDGET = [["100001", "0"], ["0", "1"]]
-HALF_STEP = [["1/2", "0"], ["0", "1"]]
-TWO_REPS = [["0", "0"], ["1", "0"]]
-ZERO_COEFFS = {"coeffs": ["0", "0", "0", "0"]}
-BAD_COEFFS = {"coeffs": ["1.5", "2/3", "0", "2/3"]}
-
-
-def _reps(*xs: str) -> list:
-    return [[x, "0"] for x in xs]
-
-
-# broken configs: (base, changed keys, exit code, message); where a config
-# has two faults, the message names the one reported, which fixes the order
-# in which a config is checked
-BROKEN_CONFIGS = {
-    "dim-missing": (E1, {"dim": None}, 2, "dim must be a positive integer"),
-    "dim-bool": (E1, {"dim": True}, 2, "dim must be a positive integer"),
-    "parent-numbers": (E1, {"parent_basis": [[1, 0], [0, 1]]}, 2,
-                       "parent_basis entries must be \"p/q\" strings"),
-    "map-matrix-literal": (E1, {"map": {"matrix": _entry(E1, "map")}}, 2,
-                           "map: not a rational literal: '1.5'"),
-    "parent-zero-denominator": (E1, {"parent_basis": _entry(E1, "parent_basis", "1/0")}, 2,
-                                "parent_basis: zero denominator: '1/0'"),
-    "map-zero-denominator": (E1, {"map": [["1/0", "0"], ["0", "1"]]}, 2,
-                             "map: zero denominator: '1/0'"),
-    "parent-non-square": (E1, {"parent_basis": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
-                          "parent_basis must be a 2x2 array"),
-    "sub-ragged": (E1, {"sub_basis": [["6", "0"], ["2"]]}, 2, "sub_basis must be a 2x2 array"),
-    "map-non-square": (E1, {"map": [["1", "0", "0"], ["0", "1", "0"]]}, 2,
-                       "map must be a 2x2 array"),
-    "parent-singular": (E1, {"parent_basis": SINGULAR}, 2,
-                        "invalid basis: basis rows are linearly dependent"),
-    "sub-rank-deficient": (E1, {"sub_basis": ROW_OF_ZEROS}, 2,
-                           "invalid basis: basis rows are linearly dependent"),
-    "map-singular": (E1, {"map": SINGULAR_MAP}, 2, "invalid map: matrix is singular"),
-    "map-zero": (E1, {"map": [["0", "0"], ["0", "0"]]}, 2, "invalid map: matrix is singular"),
-    "coeffs-zero": (AB, {"map": ZERO_COEFFS}, 2,
-                    "invalid map element: multiplication matrix of zero is singular"),
-    "coeffs-short": (AB, {"map": {"coeffs": ["1", "0", "0"]}}, 2,
-                     "map.coeffs must be 4 \"p/q\" strings"),
-    "coeffs-in-dim-2": (E1, {"map": {"coeffs": ["1", "0", "0", "0"]}}, 2,
-                        "a ring-element map needs dim = 4"),
-    "non-coincidence": (E1, {"map": STRETCH}, 3, "|det| = 2 != 1"),
-    "ring-non-coincidence": (AB, {"map": {"coeffs": ["1", "1", "0", "0"]}}, 3, "|det| = 2 != 1"),
-    "render-radius-budget": (E1, {"render": {"radius": 10**6}}, 2,
-                             "render.radius 1000000 gives a window of 4000004000001 points "
-                             "in dimension 2, over the budget of 2000000"),
-    "oracle-radius-budget": (E1, {"oracle_radius": 10**6}, 2,
-                             "oracle_radius 1000000 gives a window of 4000004000001 points "
-                             "in dimension 2, over the budget of 2000000"),
-    "render-radius-bool": (E1, {"render": {"radius": True}}, 2,
-                           "render.radius must be a non-negative integer"),
-    "oracle-radius-bool": (E1, {"oracle_radius": True}, 2,
-                           "oracle_radius must be a positive integer"),
-    "highlight-csl-string": (E1, {"render": {"radius": 8, "highlight_csl": "false"}}, 2,
-                             "render.highlight_csl must be true or false"),
-    "colour-budget": (E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET}, 2,
-                      "sub_basis gives 100001 colours, over the budget of 100000"),
-    "dim-budget": (E1, {"dim": 17}, 2, "dim 17 is over the budget of 16"),
-    "sub-outside-parent": (E1, {"reps": None, "sub_basis": HALF_STEP}, 2,
-                           "invalid colouring: colouring needs sub inside parent"),
-    "reps-count": (E1, {"reps": TWO_REPS}, 2,
-                   "invalid representatives: expected 6 representatives, got 2"),
-    "reps-first-not-zero": (E1, {"reps": _reps("1", "0", "2", "3", "4", "5")}, 2,
-                            "invalid representatives: first representative must be the zero "
-                            "vector"),
-    "reps-congruent": (E1, {"reps": _reps("0", "1", "2", "3", "4", "7")}, 2,
-                       "invalid representatives: representatives are congruent mod sub"),
-    "reps-outside-parent": (E1, {"reps": _reps("0", "1", "2", "-1/2", "4", "5")}, 2,
-                            "invalid colouring: (-1/2, 0) is not in the parent lattice"),
-    "reps-short-row": (E1, {"reps": [["0", "0"], ["1"]]}, 2, "each rep must be 2 \"p/q\" strings"),
-    "reps-empty": (E1, {"reps": []}, 2, "reps must be a nonempty array"),
-    # two faults
-    "parent-literal+sub-rank-deficient": (
-        E1, {"parent_basis": _entry(E1, "parent_basis"), "sub_basis": ROW_OF_ZEROS}, 2,
-        "parent_basis: not a rational literal: '1.5'"),
-    "parent-singular+map-literal": (
-        E1, {"parent_basis": SINGULAR, "map": _entry(E1, "map")}, 2,
-        "invalid basis: basis rows are linearly dependent"),
-    "parent-non-square+sub-literal": (
-        E1, {"parent_basis": [["1", "0"]], "sub_basis": _entry(E1, "sub_basis")}, 2,
-        "parent_basis must be a 2x2 array"),
-    "sub-literal+reps-literal": (
-        E1, {"sub_basis": _entry(E1, "sub_basis"), "reps": _entry(E1, "reps")}, 2,
-        "sub_basis: not a rational literal: '1.5'"),
-    "map-singular+reps-literal": (
-        E1, {"map": SINGULAR_MAP, "reps": _entry(E1, "reps")}, 2,
-        "invalid map: matrix is singular"),
-    "map-literal+map-non-string": (
-        E1, {"map": [["1.5", 0], ["0", "1"]]}, 2, "map entries must be \"p/q\" strings"),
-    "reps-literal+colour-budget": (
-        E1, {"sub_basis": OVER_THE_COLOUR_BUDGET, "reps": _entry(E1, "reps")}, 2,
-        "reps: not a rational literal: '1.5'"),
-    "non-coincidence+reps-count": (
-        E1, {"map": STRETCH, "reps": TWO_REPS}, 2,
-        "invalid representatives: expected 6 representatives, got 2"),
-    "sub-outside-parent+reps-count": (
-        E1, {"sub_basis": HALF_STEP, "reps": TWO_REPS}, 2,
-        "invalid colouring: colouring needs sub inside parent"),
-    "render-radius-budget+map-singular": (
-        E1, {"render": {"radius": 10**6}, "map": SINGULAR_MAP}, 2,
-        "invalid map: matrix is singular"),
-    "dim-budget+parent-literal": (
-        E1, {"dim": 17, "parent_basis": _entry(E1, "parent_basis")}, 2,
-        "dim 17 is over the budget of 16"),
-    "coeffs-literal+coeffs-in-dim-2": (
-        E1, {"map": BAD_COEFFS}, 2, "a ring-element map needs dim = 4"),
-    "coeffs-zero+sub-rank-deficient": (
-        AB, {"map": ZERO_COEFFS, "sub_basis": [["0"] * 4] * 4}, 2,
-        "invalid basis: basis rows are linearly dependent"),
-    "colour-budget+non-coincidence": (
-        E1, {"reps": None, "sub_basis": OVER_THE_COLOUR_BUDGET, "map": STRETCH}, 2,
-        "sub_basis gives 100001 colours, over the budget of 100000"),
-    "reps-congruent+reps-outside-parent": (
-        E1, {"reps": _reps("0", "1", "1", "1/2", "4", "5")}, 2,
-        "invalid representatives: representatives are congruent mod sub"),
-}
-
-
-@pytest.mark.parametrize("command", ["analyze", "oracle", "render"])
-@pytest.mark.parametrize("name", BROKEN_CONFIGS)
-def test_a_broken_config_keeps_its_exit_code_and_message(capsys, tmp_path, name, command):
-    base, changes, code, message = BROKEN_CONFIGS[name]
-    path = variant(tmp_path, base, **changes)
-    got, out, err = run(capsys, *_argv(command, path, tmp_path))
-    assert (got, out) == (code, "")
-    kind = "ConfigError" if code == 2 else "NotCoincidence"
-    assert _one_error(err) == {"type": kind, "message": message}
-    assert not (tmp_path / "x.svg").exists()
 
 
 def test_huge_oracle_radius_rejected_before_any_work(capsys, tmp_path, monkeypatch):
@@ -1229,18 +1085,6 @@ def test_dim_budget_refuses_before_any_lattice(capsys, tmp_path, monkeypatch, co
         "type": "ConfigError",
         "message": f"dim {over} is over the budget of {cli_module.DIM_BUDGET}",
     }
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
-def test_dim_budget_echoes_a_long_dim_bounded(capsys, tmp_path):
-    path = variant(tmp_path, "example1.json", dim=10**3999)
-    code, out, err = _at_the_digit_limit(capsys, "analyze", path)
-    assert code == 2 and out == ""
-    assert _one_error(err)["message"] == (
-        f"dim about 10^3999 is over the budget of {cli_module.DIM_BUDGET}"
-    )
 
 
 def test_the_swell_recipe_at_the_dim_budget_is_analyzed(capsys, tmp_path):
@@ -1485,19 +1329,13 @@ def test_a_large_report_is_json_dumps_indent_2_with_its_coset_reps(capsys, tmp_p
         assert len(report["permutation"]) == pairs
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
+@DIGIT_LIMIT
 def test_a_table_over_the_digit_limit_raises_config_error():
     # the lazy map over this column runs inside _report_json's try
     table = [[i, str(i)] for i in range(49)] + [[10**4399, "x"]]
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(ConfigError, match="digit limit"):
-            cli_module._report_json({"table": table})
-    finally:
-        sys.set_int_max_str_digits(saved)
+    with _default_digit_limit(), pytest.raises(ConfigError) as refused:
+        cli_module._report_json({"table": table})
+    assert str(refused.value) == "table has an entry of 4400 digits, over the limit of 4300 digits"
 
 
 def test_report_echoes_an_unknown_key_as_json_dumps_writes_it(capsys, tmp_path):
@@ -1534,17 +1372,11 @@ def test_report_echoes_a_deeply_nested_unknown_key_as_json_dumps_writes_it(
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
-)
+@DIGIT_LIMIT
 def test_a_deep_report_over_the_digit_limit_raises_config_error():
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(ConfigError, match="digit limit"):
-            cli_module._report_json({"note": nested(DEEP), "sigma": 10**4399})
-    finally:
-        sys.set_int_max_str_digits(saved)
+    with _default_digit_limit(), pytest.raises(ConfigError) as refused:
+        cli_module._report_json({"note": nested(DEEP), "sigma": 10**4399})
+    assert str(refused.value) == "sigma has 4400 digits, over the limit of 4300 digits"
 
 
 # ---------------------------------------------------------------------------
