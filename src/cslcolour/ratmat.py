@@ -235,6 +235,10 @@ def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
     of h are the staircase and the rest are zero.  In each column the
     rows below the pivot are cleared by Euclid's subtract-and-swap, and
     the entries above the pivot are then reduced into [0, pivot).
+    Every row operation runs in place on the columns from the pivot
+    column on: at pivot column col the rows from `rank` down, the pivot
+    row among them, are zero left of col, so the multiples of the pivot
+    row that are added, and the rows added to it, change nothing there.
     Nothing else is reduced: the rows still to be eliminated keep the
     multiples added to them, so their entries in later columns swell
     with the dimension and the bit length of m (README, "Dimension
@@ -245,22 +249,33 @@ def _hermite(m: Sequence[Sequence[int]]) -> tuple[list, int]:
     h = [list(row) for row in m]
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if h[r][col]), None)
-        if piv is None:
+        live = [r for r in range(rank, nrows) if h[r][col]]
+        if not live:
             continue
-        h[rank], h[piv] = h[piv], h[rank]
-        for r in range(rank + 1, nrows):
+        span = range(col, ncols)
+        p = h[live[0]]
+        h[live[0]] = h[rank]
+        for r in live[1:]:
             # gcd the pivot against row r by euclidean subtract-and-swap
-            while h[r][col]:
-                q = h[rank][col] // h[r][col]
-                _row_addmul(h, rank, r, -q)
-                h[rank], h[r] = h[r], h[rank]
-        if h[rank][col] < 0:
-            h[rank] = [-x for x in h[rank]]
+            b = h[r]
+            while b[col]:
+                q = p[col] // b[col]
+                if q:
+                    for j in span:
+                        p[j] -= q * b[j]
+                p, b = b, p
+            h[r] = b
+        if p[col] < 0:
+            for j in span:
+                p[j] = -p[j]
+        h[rank] = p
+        pc = p[col]
         for r in range(rank):
-            q = h[r][col] // h[rank][col]
+            row = h[r]
+            q = row[col] // pc
             if q:
-                _row_addmul(h, r, rank, -q)
+                for j in span:
+                    row[j] -= q * p[j]
         rank += 1
     return h, rank
 

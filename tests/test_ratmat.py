@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cslcolour.coincidence import commensurable_map
@@ -404,23 +404,132 @@ def test_hnf_invariant_under_unimodular_row_action():
             assert h2 == h
 
 
+def ref_rank(m):
+    """The rank of m by Gaussian elimination over Fraction."""
+    work = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col] / work[rank][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def assert_hermite_form(m):
+    """The kernel's form of m meets the definition of a row Hermite form of m."""
+    h, u = hnf(m)
+    got, rank = _hermite(m)
+    assert rank == ref_rank(m)
+    assert got == [list(row) for row in h]
+    assert mat_mul(u, m) == h
+    assert abs(ref_det(u)) == 1
+    # a staircase of `rank` rows with positive pivots, entries above each
+    # pivot inside [0, pivot), and zero rows after it
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h[:rank]]
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert h[i][j] > 0
+        assert all(0 <= h[r][j] < h[i][j] for r in range(i))
+    assert not any(any(row) for row in h[rank:])
+
+
 def test_hnf_shape_normalization():
-    # pivots positive, entries above pivots inside [0, pivot)
     rng = random.Random(496)
     for _ in range(30):
         n = rng.randrange(2, 5)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-        if ref_det(m) == 0:
+        assert_hermite_form(m)
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "rank-deficient"])
+def test_hnf_of_64_bit_matrices_meets_the_definition(shape):
+    rng = random.Random(f"hermite:{shape}")
+    for _ in range(12):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        if shape == "wide":
+            cols += rows
+        elif shape == "tall":
+            rows, cols = rows + cols, rows
+        if shape == "rank-deficient":
+            # a (rows + 2) x (cols + 2) product through rank <= min(rows, cols)
+            r = min(rows, cols)
+            left = [[rng.randint(-(2**32), 2**32) for _ in range(r)] for _ in range(rows + 2)]
+            right = [[rng.randint(-(2**32), 2**32) for _ in range(cols + 2)] for _ in range(r)]
+            m = mat_mul(left, right)
+        else:
+            m = [[rng.randint(-(2**64), 2**64) for _ in range(cols)] for _ in range(rows)]
+        assert_hermite_form(m)
+
+
+def _add_row_multiple(rows, dst, src, factor):
+    rows[dst] = [x + factor * y for x, y in zip(rows[dst], rows[src])]
+
+
+def hermite_by_whole_rows(m):
+    """The Hermite loop with every row operation on whole rows, as a test oracle."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    h = [list(row) for row in m]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if h[r][col]), None)
+        if piv is None:
             continue
-        h, u = hnf(m)
-        assert mat_mul(u, m) == h
-        assert abs(ref_det(u)) == 1
-        for i in range(n):
-            assert h[i][i] > 0
-            for j in range(i):
-                assert h[i][j] == 0
-            for r in range(i):
-                assert 0 <= h[r][i] < h[i][i]
+        h[rank], h[piv] = h[piv], h[rank]
+        for r in range(rank + 1, nrows):
+            while h[r][col]:
+                _add_row_multiple(h, rank, r, -(h[rank][col] // h[r][col]))
+                h[rank], h[r] = h[r], h[rank]
+        if h[rank][col] < 0:
+            h[rank] = [-x for x in h[rank]]
+        for r in range(rank):
+            _add_row_multiple(h, r, rank, -(h[r][col] // h[rank][col]))
+        rank += 1
+    return h, rank
+
+
+@st.composite
+def hermite_inputs(draw):
+    """1-9 x 1-9 integer matrices of 2-, 10- or 64-bit entries, some with a
+    zero column or a row that is a combination of two others."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bits = draw(st.sampled_from([2, 10, 64]))
+    entry = st.integers(-(2**bits), 2**bits)
+    m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[zero] = 0
+    if nrows > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2))
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [f * x + g * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+# the shapes the package passes in: a d x d image, a 2d x 2d stack
+# [[A, A], [B, 0]] (d = 2 and 4), and a (d + 2k) x 2k graph walk
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs())
+@example(((-241, 0, -241, -44), (44, -241, 0, -241), (0, 44, -482, -44), (44, 0, 44, -482)))
+@example(((17, 0, 17, 0), (0, 17, 0, 17), (1, 38, 0, 0), (0, 289, 0, 0)))
+@example((
+    (1, 0, 1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1, 0, 1), (0, 0, 2, 0, 0, 0, 2, 0),
+    (0, 0, 0, 2, 0, 0, 0, 2), (1, 0, 1, 221, 0, 0, 0, 0), (0, 1, 221, 728, 0, 0, 0, 0),
+    (0, 0, 729, 0, 0, 0, 0, 0), (0, 0, 0, 729, 0, 0, 0, 0),
+))
+@example((
+    (1, 8, 16, 4), (0, 13, 11, 5),
+    (23, 0, 0, 0), (0, 23, 0, 0), (0, 0, 23, 0), (0, 0, 0, 23),
+))
+def test_hermite_equals_the_whole_row_loop(m):
+    assert _hermite(m) == hermite_by_whole_rows(m)
 
 
 # ---------------------------------------------------------------------------
