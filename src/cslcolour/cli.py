@@ -97,11 +97,12 @@ def _is_int(x) -> bool:
 
 def _require_window(radius: int, dim: int, what: str) -> None:
     points = (2 * radius + 1) ** dim
-    _require(
-        points <= WINDOW_BUDGET,
-        f"{what} {_bounded(radius)} gives a window of {_bounded(points)} points "
-        f"in dimension {dim}, over the budget of {WINDOW_BUDGET}",
-    )
+    # the message is formatted only on failure, so a passing check costs no _bounded call
+    if points > WINDOW_BUDGET:
+        raise ConfigError(
+            f"{what} {_bounded(radius)} gives a window of {_bounded(points)} points "
+            f"in dimension {dim}, over the budget of {WINDOW_BUDGET}"
+        )
 
 
 def _parse_matrix(raw, dim: int, what: str) -> list:
@@ -150,7 +151,8 @@ def load_job_config(path: str) -> JobConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     dim = raw.get("dim")
     _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
-    _require(dim <= DIM_BUDGET, f"dim {_bounded(dim)} is over the budget of {DIM_BUDGET}")
+    if dim > DIM_BUDGET:
+        raise ConfigError(f"dim {_bounded(dim)} is over the budget of {DIM_BUDGET}")
     parent, sub = (
         _checked(what, "invalid basis", lattice_new, _parse_matrix(raw.get(what), dim, what))
         for what in ("parent_basis", "sub_basis")
@@ -230,10 +232,10 @@ def build_colouring(cfg: JobConfig) -> Colouring:
     """The job's colouring, with m checked against the budget before any custom reps."""
     call = ("invalid representatives", "invalid colouring", Colouring, cfg.parent, cfg.sub)
     colouring = _checked(*call)
-    _require(
-        colouring.m <= COLOUR_BUDGET,
-        f"sub_basis gives {_bounded(colouring.m)} colours, over the budget of {COLOUR_BUDGET}",
-    )
+    if colouring.m > COLOUR_BUDGET:
+        raise ConfigError(
+            f"sub_basis gives {_bounded(colouring.m)} colours, over the budget of {COLOUR_BUDGET}"
+        )
     return colouring if cfg.reps is None else _checked(*call, cfg.reps)
 
 

@@ -13,9 +13,12 @@ image maps hnf_rows . N over den . q for a map N / q; a meet is the
 lower diagonal block of one stacked Hermite form (`_stacked`), whose
 upper block, the sum, decides whether a coset meets a lattice;
 coordinates in a lattice are one forward substitution against the
-triangular hnf_rows.  A sublattice's basis in parent coordinates is
-triangular too (an index is the product of its diagonal), and so is the Hermite
-form of a colour subgroup: one walk over a triangular basis cut to a
+triangular hnf_rows, scaled once (`_solve_upper_triangular`).  A
+sublattice's basis in parent coordinates is one staircase substitution,
+each of its Hermite rows solved from its pivot with the two dens as one
+scalar (`_relative_basis`).  It is triangular too (an index is the
+product of its diagonal), and so is the Hermite form of a colour
+subgroup: one walk over a triangular basis cut to a
 box (`_box_columns`) lists, as one list per column, a lattice's points
 in a window (`_window_columns`), the prefixes of the colours a lattice
 meets (`_walk`) and the Hermite box of the default reps (`_radix_reps`);
@@ -89,9 +92,12 @@ class Lattice:
 def _canonical(h: Sequence[Sequence[int]], den: int) -> Lattice:
     """The lattice with Hermite basis rows h over `den`, with minimal den.
 
-    h / g is again a Hermite form for g = gcd(den, all entries).
+    h / g is again a Hermite form for g = gcd(den, all entries); at g = 1
+    the rows are only made tuples.
     """
-    g = gcd(den, *(x for row in h for x in row))
+    g = gcd(den, *chain.from_iterable(h))
+    if g == 1:
+        return Lattice(dim=len(h), den=den, hnf_rows=tuple(map(tuple, h)))
     return Lattice(
         dim=len(h), den=den // g, hnf_rows=tuple(tuple(x // g for x in row) for row in h)
     )
@@ -131,19 +137,27 @@ def standard_lattice(d: int) -> Lattice:
 
 
 def _solve_upper_triangular(
-    h: IntMatrix, w: Sequence[int], scale: int = 1
+    h: Sequence[Sequence[int]], w: Sequence[int], scale: int = 1
 ) -> Optional[tuple[int, ...]]:
-    """Solve x . (scale.h) = w over Z for upper triangular h with nonzero pivots."""
-    d = len(h)
-    x = [0] * d
-    for j in range(d):
-        acc = w[j]
-        for i in range(j):
-            acc -= scale * x[i] * h[i][j]
-        q, r = divmod(acc, scale * h[j][j])
+    """Solve x . (scale.h) = w over Z for upper triangular h with nonzero pivots.
+
+    x . (scale.h) is scale.(x . h), so scale divides every w_j or there is
+    no solution; that is checked once, and x . h = w / scale is solved
+    with no scale in the loop, skipping the zero coordinates.  Only the
+    first len(h) columns of h are read.
+    """
+    if scale != 1 and any(v % scale for v in w):
+        return None
+    x: list[int] = []
+    for j, row in enumerate(h):
+        acc = w[j] // scale
+        for i, xi in enumerate(x):
+            if xi:
+                acc -= xi * h[i][j]
+        q, r = divmod(acc, row[j])
         if r:
             return None
-        x[j] = q
+        x.append(q)
     return tuple(x)
 
 
@@ -152,7 +166,9 @@ def _coords(lat: Lattice, w: Sequence[int], q: int) -> Optional[tuple[int, ...]]
 
     x . hnf_rows / den = w / q is x . (q . hnf_rows) = den . w.
     """
-    return _solve_upper_triangular(lat.hnf_rows, [lat.den * x for x in w], q)
+    if lat.den != 1:
+        w = [lat.den * x for x in w]
+    return _solve_upper_triangular(lat.hnf_rows, w, q)
 
 
 def _point_ints(v: Sequence, dim: int, what: str) -> tuple[tuple[int, ...], int]:
@@ -226,13 +242,31 @@ def transform(lat: Lattice, map_matrix: Sequence[Sequence]) -> Lattice:
 
 
 def _relative_basis(parent: Lattice, sub: Lattice) -> IntMatrix:
-    """Integer matrix expressing sub's basis rows in parent coordinates."""
+    """Integer matrix expressing sub's basis rows in parent coordinates.
+
+    Row i solves x . hnf_rows / parent.den = w / sub.den by forward
+    substitution.  Both dens are minimal, so sub lies in parent only if
+    sub.den divides parent.den, and then the equation is x . hnf_rows =
+    f.w for the one scalar f = parent.den / sub.den.  Both bases are
+    upper triangular, so w and x are zero left of column i: the solve
+    starts at the row's pivot.  The result is upper triangular too.
+    """
+    f, r = divmod(parent.den, sub.den)
+    if r:
+        raise NotASublattice("sub is not inside parent")
+    h, d = parent.hnf_rows, parent.dim
     out = []
-    for row in sub.hnf_rows:
-        coords = _coords(parent, row, sub.den)
-        if coords is None:
-            raise NotASublattice("sub is not inside parent")
-        out.append(coords)
+    for i, w in enumerate(sub.hnf_rows):
+        x = [0] * d
+        for j in range(i, d):
+            acc = f * w[j]
+            for k in range(i, j):
+                if x[k]:
+                    acc -= x[k] * h[k][j]
+            x[j], r = divmod(acc, h[j][j])
+            if r:
+                raise NotASublattice("sub is not inside parent")
+        out.append(tuple(x))
     return tuple(out)
 
 

@@ -852,3 +852,140 @@ def test_box_columns_match_a_box_scan(case):
         sums = box_scan_prefixes(h, lo, hi, depth)
         columns = [[s[c] for s in sums] for c in range(len(h[0]))]
         assert lattice_module._box_columns(h, lo, hi, depth) == columns
+
+
+# ---------------------------------------------------------------------------
+# triangular substitution, against the per-row loops it replaced
+
+
+def solve_by_scaled_loop(h, w, scale=1):
+    """x . (scale.h) = w over Z by forward substitution with scale in every term, or None.
+
+    The test oracle for `_solve_upper_triangular`, which checks scale's
+    divisibility once; only the first len(h) columns of h are read.
+    """
+    x = [0] * len(h)
+    for j in range(len(h)):
+        acc = w[j]
+        for i in range(j):
+            acc -= scale * x[i] * h[i][j]
+        q, r = divmod(acc, scale * h[j][j])
+        if r:
+            return None
+        x[j] = q
+    return tuple(x)
+
+
+def coords_by_scaled_loop(lat, w, q):
+    """lat's coordinates of w / q, or None, through the oracle solve of den.w."""
+    return solve_by_scaled_loop(lat.hnf_rows, [lat.den * x for x in w], q)
+
+
+def relative_basis_by_rows(parent, sub):
+    """sub's basis in parent coordinates, one whole-row solve per row.
+
+    The test oracle for `_relative_basis`, which solves each row from its
+    pivot with the two dens as one scalar.
+    """
+    out = []
+    for row in sub.hnf_rows:
+        coords = coords_by_scaled_loop(parent, row, sub.den)
+        if coords is None:
+            raise NotASublattice("sub is not inside parent")
+        out.append(coords)
+    return tuple(out)
+
+
+def canonical_by_division(h, den):
+    """The lattice of Hermite rows h over den, every entry divided by the gcd, g = 1 too."""
+    g = gcd(den, *(x for row in h for x in row))
+    rows = tuple(tuple(x // g for x in row) for row in h)
+    return Lattice(dim=len(h), den=den // g, hnf_rows=rows)
+
+
+def solved_or_refused(fn, *args):
+    """fn's value, or the type and message of the NotASublattice it raises."""
+    try:
+        return fn(*args)
+    except NotASublattice as exc:
+        return NotASublattice, str(exc)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two lattices of d = 1..6 with dens up to 6, and their meet, in every order.
+
+    The meet lies in both; the other orders are sublattices only by chance.
+    """
+    d = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    matrix = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    a, b = (lattice_new(m) for m in draw(st.lists(
+        matrix.filter(lambda m: ref_det(m) != 0), min_size=2, max_size=2)))
+    meet = intersect(a, b)
+    return [(a, meet), (b, meet), (a, b), (b, a), (meet, a), (a, a)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_pairs())
+@example([(Z2, EX1_SUB), (EX1_SUB, Z2), (lattice_new([["1/2", 0], [0, 1]]), Z2),
+          (Z2, lattice_new([["1/2", 0], [0, 1]])), (lattice_new([["1/6", 0], [0, 1]]),
+                                                    lattice_new([["1/3", 0], [0, "1/2"]]))])
+def test_relative_basis_equals_the_per_row_solve(pairs):
+    for parent, sub in pairs:
+        solved = solved_or_refused(lattice_module._relative_basis, parent, sub)
+        assert solved == solved_or_refused(relative_basis_by_rows, parent, sub)
+        for row in sub.hnf_rows + parent.hnf_rows:
+            for q in (1, sub.den, 2 * parent.den):
+                assert lattice_module._coords(parent, row, q) == coords_by_scaled_loop(
+                    parent, row, q)
+
+
+@st.composite
+def triangular_systems(draw):
+    """(h, w, scale): h upper triangular, d = 1..6 rows of d or 2d columns, pivots +-1..5.
+
+    w is scale.(x . h) for a drawn x, then left alone, nudged in one
+    coordinate, or not a multiple of scale, so that both the solvable and
+    the None cases occur.
+    """
+    d = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([d, 2 * d]))
+    h = [
+        [0] * j + [draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))]
+        + [draw(st.integers(-9, 9)) for _ in range(width - j - 1)]
+        for j in range(d)
+    ]
+    scale = draw(st.sampled_from([1, 1, 2, 3, 6, 25]))
+    x = draw(st.lists(st.integers(-7, 7), min_size=d, max_size=d))
+    w = [scale * sum(x[i] * h[i][j] for i in range(d)) for j in range(d)]
+    change = draw(st.sampled_from(["none", "nudge", "scale"]))
+    if change != "none":
+        j = draw(st.integers(0, d - 1))
+        w[j] += draw(st.integers(1, 4)) * (scale if change == "nudge" else 1)
+    return h, w, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangular_systems())
+# x = (1, 1) gives w = (4, 8); nudged by a multiple of scale times the last
+# pivot it is solvable, by scale alone it is not, and an odd w_j is no multiple of scale
+@example(([[2, 1], [0, 3]], [4, 8 + 6], 2))
+@example(([[2, 1], [0, 3]], [4, 8 + 2], 2))
+@example(([[2, 1], [0, 3]], [4, 8 + 1], 2))
+# the 2d-wide rows of a stacked form, as `coset_meets_lattice` passes them
+@example(([[1, 0, 3, 1], [0, 2, 0, 5]], [3, 4], 1))
+def test_scaled_solve_equals_the_loop_with_scale_in_every_term(system):
+    h, w, scale = system
+    assert lattice_module._solve_upper_triangular(h, w, scale) == solve_by_scaled_loop(h, w, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims.flatmap(rational_matrices), st.sampled_from([1, 2, 3, 10]))
+def test_canonical_equals_the_division_pass(basis, k):
+    lat = lattice_new(basis)
+    # lat's own rows have g = 1; k times them over k.den have g = k
+    rows = [[k * x for x in row] for row in lat.hnf_rows]
+    assert lattice_module._canonical(rows, k * lat.den) == canonical_by_division(
+        rows, k * lat.den) == lat
+    assert lattice_module._canonical([list(row) for row in lat.hnf_rows], lat.den) == lat
