@@ -12,13 +12,16 @@ when it fixes the zero colour, i.e. maps sub meet csl(A^-1) onto
 sub meet csl(A); A maps csl(A^-1) onto csl(A), so the image of
 sub meet csl(A^-1) is A(sub) meet csl(A), a lattice the diagram holds.
 
-Cost model: each lattice of the diagram is built once, seven Hermite
-forms per analysis (three images and four meets) whatever the number
-of colours m.  The colouring numbers the colours that csl(A^-1) and
-csl(A) meet, the sets I and J, and under a colour coincidence the
-permutation between them, in one more small Hermite form under a
-colour coincidence and two otherwise, and none per colour (see
-`cslcolour.lattice`).
+Cost model: each lattice of the diagram is built once, whatever the
+number of colours m: three images and four meets, each one d x d
+Hermite form, where a meet first makes the left half of its stacked
+matrix triangular by Euclid alone.  Under a colour coincidence the
+sublattice CSL is sub meet csl(A), already built, so there are three
+meets and six forms, and the indices t = s and v = u are solved once.
+The colouring numbers the colours that csl(A^-1) and csl(A) meet, the
+sets I and J, and under a colour coincidence the permutation between
+them, in one more small Hermite form under a colour coincidence and two
+otherwise, and none per colour (see `cslcolour.lattice`).
 
 Maps and lattices meet as integers: a CommensurableMap is A^T and A^-T
 as (integer matrix, denominator) pairs from its construction, and
@@ -195,44 +198,47 @@ class ColouringAnalysis:
     set_J: tuple[int, ...]
 
 
-def _check_analysis(a: ColouringAnalysis) -> None:
-    """Every structural identity the diagram must satisfy; failures are bugs."""
-    checks = [
-        (a.sigma2 * a.m == a.t * a.u * a.sigma1, "index formula (t.u form)"),
-        (a.sigma2 * a.m == a.s * a.v * a.sigma1, "index formula (s.v form)"),
-        (a.m % a.s == 0, "s divides m"),
-        (a.m % a.t == 0, "t divides m"),
-        (a.s % a.u == 0, "u divides s"),
-        (a.t % a.v == 0, "v divides t"),
-        (a.t * a.u == a.s * a.v, "t.u = s.v"),
-        (len(a.set_I) == a.s, "|I| = s"),
-        (len(a.set_J) == a.t, "|J| = t"),
-        ((a.s == a.t) == (a.u == a.v), "s = t iff u = v"),
-        ((a.m * a.sigma2) % a.sigma1 == 0, "sigma1 divides m.sigma2"),
-        ((a.m * a.sigma1) % a.sigma2 == 0, "sigma2 divides m.sigma1"),
-        (a.set_I[0] == 0 and a.set_J[0] == 0, "colour 0 appears on both sides"),
-        (
-            (a.permutation is not None) == a.colour_coincidence,
-            "permutation present iff colour coincidence",
-        ),
-    ]
+def _identities(a: ColouringAnalysis):
+    """(holds, label) for each structural identity of the diagram, in order.
+
+    Each is evaluated only once the ones before it hold, so an analysis
+    broken in one place (an empty set, a zero index) fails one labelled
+    identity and raises nothing else.
+    """
+    yield a.sigma2 * a.m == a.t * a.u * a.sigma1, "index formula (t.u form)"
+    yield a.sigma2 * a.m == a.s * a.v * a.sigma1, "index formula (s.v form)"
+    yield a.m % a.s == 0, "s divides m"
+    yield a.m % a.t == 0, "t divides m"
+    yield a.s % a.u == 0, "u divides s"
+    yield a.t % a.v == 0, "v divides t"
+    yield a.t * a.u == a.s * a.v, "t.u = s.v"
+    yield len(a.set_I) == a.s, "|I| = s"
+    yield len(a.set_J) == a.t, "|J| = t"
+    yield (a.s == a.t) == (a.u == a.v), "s = t iff u = v"
+    yield (a.m * a.sigma2) % a.sigma1 == 0, "sigma1 divides m.sigma2"
+    yield (a.m * a.sigma1) % a.sigma2 == 0, "sigma2 divides m.sigma1"
+    yield a.set_I[:1] == a.set_J[:1] == (0,), "colour 0 appears on both sides"
+    yield (
+        (a.permutation is not None) == a.colour_coincidence,
+        "permutation present iff colour coincidence",
+    )
     if a.colour_coincidence:
-        checks.append((a.sigma1 % a.sigma2 == 0, "sigma2 divides sigma1"))
+        yield a.sigma1 % a.sigma2 == 0, "sigma2 divides sigma1"
     if a.s == a.t == a.m:
-        checks.append(
-            (
-                a.colour_coincidence == (a.sigma1 == a.sigma2),
-                "full-colour case: coincidence iff equal indices",
-            )
+        yield (
+            a.colour_coincidence == (a.sigma1 == a.sigma2),
+            "full-colour case: coincidence iff equal indices",
         )
     if a.permutation is not None:
-        sources, images = zip(*a.permutation)
-        checks += [
-            (sources == a.set_I, "permutation domain is I"),
-            (sorted(images) == list(a.set_J), "permutation image is J"),
-            (dict(a.permutation).get(0) == 0, "permutation fixes colour 0"),
-        ]
-    for ok, label in checks:
+        sources, images = zip(*a.permutation) if a.permutation else ((), ())
+        yield sources == a.set_I, "permutation domain is I"
+        yield sorted(images) == list(a.set_J), "permutation image is J"
+        yield dict(a.permutation).get(0) == 0, "permutation fixes colour 0"
+
+
+def _check_analysis(a: ColouringAnalysis) -> None:
+    """Every structural identity the diagram must satisfy (`_identities`); failures are bugs."""
+    for ok, label in _identities(a):
         if not ok:
             raise InternalInvariantViolation(f"analysis invariant failed: {label}")
 
@@ -240,34 +246,42 @@ def _check_analysis(a: ColouringAnalysis) -> None:
 def analyze(colouring: Colouring, amap: CommensurableMap) -> ColouringAnalysis:
     """Compute the complete index diagram for one colouring and one map.
 
-    Each lattice of the diagram is built once, in 7 Hermite forms.  I
-    and J are the colours that csl1_inv and csl1 = A(csl1_inv) meet;
-    for either verdict the colouring reads them off csl1_inv's basis
-    rows beside their images (`Colouring._colour_sets`), and under a
-    colour coincidence, where A carries each colour of csl1_inv to one
-    colour of csl1, it reads that permutation in the same walk.  All
-    reported numbers come from pure lattice algebra; every identity
-    that must relate them is verified before returning.
+    Each lattice of the diagram is built once, in 7 Hermite forms, or 6
+    under a colour coincidence: csl2 lies in csl1, so it is the meet of
+    sub meet csl1 and A(sub) meet csl1, which are then equal, and the
+    diagram's t = s and v = u are solved once.  I and J are the colours
+    that csl1_inv and csl1 = A(csl1_inv) meet; for either verdict the
+    colouring reads them off csl1_inv's basis rows beside their images
+    (`Colouring._colour_sets`), and under a colour coincidence, where A
+    carries each colour of csl1_inv to one colour of csl1, it reads that
+    permutation in the same walk.  All reported numbers come from pure
+    lattice algebra; every identity that must relate them is verified
+    before returning.
     """
     parent = colouring.parent
     sub = colouring.sub
     image_parent, csl1 = _image_and_csl(parent, amap)
     csl1_inv = _image(csl1, *amap.backward)
-    image_sub, csl2 = _image_and_csl(sub, amap)
+    image_sub = _image(sub, *amap.forward)
     sub_in_csl = intersect(sub, csl1)
     image_sub_in_csl = intersect(image_sub, csl1)
     # A(sub meet csl1_inv) = A(sub) meet A(csl1_inv) = A(sub) meet csl1
     cc = image_sub_in_csl == sub_in_csl
+    # csl2 = sub meet A(sub) lies in csl1, so it is sub_in_csl meet
+    # image_sub_in_csl, and under a colour coincidence sub_in_csl itself
+    csl2 = sub_in_csl if cc else intersect(sub, image_sub)
+    s = index(csl1, image_sub_in_csl)
+    u = index(sub_in_csl, csl2)
 
     set_i, set_j, perm = colouring._colour_sets(csl1_inv, amap.forward, graph=cc)
     analysis = ColouringAnalysis(
         m=colouring.m,
         sigma1=_two_sided_index(parent, image_parent, csl1),
         sigma2=_two_sided_index(sub, image_sub, csl2),
-        s=index(csl1, image_sub_in_csl),
-        t=index(csl1, sub_in_csl),
-        u=index(sub_in_csl, csl2),
-        v=index(image_sub_in_csl, csl2),
+        s=s,
+        t=s if cc else index(csl1, sub_in_csl),
+        u=u,
+        v=u if cc else index(image_sub_in_csl, csl2),
         csl1=csl1,
         csl1_inv=csl1_inv,
         csl2=csl2,

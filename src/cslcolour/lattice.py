@@ -10,13 +10,15 @@ backbone of the colour-coincidence criterion, into tuple comparison.
 
 Every operation works on integer rows over a common denominator: an
 image maps hnf_rows . N over den . q for a map N / q; a meet is the
-lower diagonal block of one stacked Hermite form (`_stacked`), whose
-upper block, the sum, decides whether a coset meets a lattice;
-coordinates in a lattice are one forward substitution against the
-triangular hnf_rows, scaled once (`_solve_upper_triangular`).  A
-sublattice's basis in parent coordinates is one staircase substitution,
-each of its Hermite rows solved from its pivot with the two dens as one
-scalar (`_relative_basis`).  It is triangular too (an index is the
+Hermite form of the lower-right block of the stacked Zassenhaus matrix
+once Euclid alone has made its left half triangular (`_stacked`), and
+the triangular rows above, a basis of the sum that is never reduced,
+decide whether a coset meets a lattice; coordinates in a lattice are
+one forward substitution against the triangular hnf_rows, scaled once
+(`_solve_upper_triangular`).  A sublattice's basis in parent
+coordinates is one staircase substitution, each of its Hermite rows
+solved from its pivot with the two dens as one scalar
+(`_relative_basis`).  It is triangular too (an index is the
 product of its diagonal), and so is the Hermite form of a colour
 subgroup: one walk over a triangular basis cut to a
 box (`_box_columns`) lists, as one list per column, a lattice's points
@@ -192,36 +194,60 @@ def index(sup: Lattice, sub: Lattice) -> int:
     return prod(rel[i][i] for i in range(sup.dim))
 
 
-def _stacked(l1: Lattice, l2: Lattice) -> tuple[list, int]:
-    """Hermite form of [[A, A], [B, 0]] and its scale (Zassenhaus).
+def _stacked(l1: Lattice, l2: Lattice) -> tuple[list, list, int]:
+    """The sum rows and the meet of [[A, A], [B, 0]], and their scale (Zassenhaus).
 
     A and B are the Hermite bases of scale*l1 and scale*l2, scale the
-    lcm of their dens.  The rows span the pairs (x.A + y.B, x.A), so the
-    upper-left d x d block of the form is the Hermite basis of
-    scale*(l1 + l2), and the rows whose left half is zero, x.A = -y.B,
-    leave the Hermite basis of scale*(l1 meet l2) in the lower-right
-    block.  The matrix has |det| = |det A.det B| > 0, so all 2d rows are
-    pivots.
+    lcm of their dens.  The rows span the pairs (x.A + y.B, x.A).  Column
+    by column, Euclid's subtract-and-swap alone makes the left half
+    upper triangular; it has rank d, so rows 0..d-1 come out with
+    nonzero pivots of either sign, their left halves a triangular basis
+    of scale*(l1 + l2), and are left as they are: a row (w, x.A) of them
+    splits w into x.A in scale*l1 and w - x.A = y.B in scale*l2.  Rows
+    d..2d-1 are zero on the left, x.A = -y.B, so their right halves span
+    scale*(l1 meet l2), and their Hermite form, the one `_hermite` call,
+    is the meet's basis.  It is the lower-right block of the whole
+    stacked form: the reductions that form adds above each pivot and its
+    sign flips touch only the rows above, so rows d..2d-1 get exactly the
+    row operations made here.
     """
     if l1.dim != l2.dim:
         raise DimensionMismatch("lattices live in different dimensions")
+    d = l1.dim
     scale = lcm(l1.den, l2.den)
     f1, f2 = scale // l1.den, scale // l2.den
-    zero = [0] * l1.dim
-    h, rank = _hermite(
-        [[f1 * x for x in row] * 2 for row in l1.hnf_rows]
-        + [[f2 * x for x in row] + zero for row in l2.hnf_rows]
-    )
-    if rank != 2 * l1.dim:
+    zero = [0] * d
+    h = [[f1 * x for x in row] * 2 for row in l1.hnf_rows] + [
+        [f2 * x for x in row] + zero for row in l2.hnf_rows
+    ]
+    width = 2 * d
+    for col in range(d):
+        live = [r for r in range(col, width) if h[r][col]]
+        if not live:
+            raise InternalInvariantViolation("stacked bases must have rank 2d")
+        span = range(col, width)
+        p = h[live[0]]
+        h[live[0]] = h[col]
+        for r in live[1:]:
+            b = h[r]
+            while b[col]:
+                q = p[col] // b[col]
+                if q:
+                    for j in span:
+                        p[j] -= q * b[j]
+                p, b = b, p
+            h[r] = b
+        h[col] = p
+    meet, rank = _hermite([row[d:] for row in h[d:]])
+    if rank != d:
         raise InternalInvariantViolation("stacked bases must have rank 2d")
-    return h, scale
+    return h[:d], meet, scale
 
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     """Set intersection, again a full-rank lattice (see `_stacked`)."""
-    h, scale = _stacked(l1, l2)
-    d = l1.dim
-    return _canonical([row[d:] for row in h[d:]], scale)
+    meet, scale = _stacked(l1, l2)[1:]
+    return _canonical(meet, scale)
 
 
 def _image(lat: Lattice, num: IntMatrix, den: int) -> Lattice:
@@ -612,25 +638,33 @@ def colour_of(colouring: Colouring, v: Sequence) -> int:
 def coset_meets_lattice(
     rep: Sequence, sub: Lattice, lat: Lattice
 ) -> Optional[Vector]:
-    """A point of (rep + sub) intersected with lat, or None if empty.
+    """The point of (rep + sub) intersected with lat in the meet's Hermite box, or None.
 
-    The coset meets lat exactly when rep lies in sub + lat, the
-    upper-left block of the stacked form (see `_stacked`), which lies in
-    Z^d / scale.  Solving gamma . h[:d] = (w, shift) there, the right
-    half is shift = x.A in sub, and w - shift = y.B lies in lat.  When
-    present the witness is verified against both memberships.
+    The coset meets lat exactly when rep lies in sub + lat, which lies
+    in Z^d / scale and has the left halves of the stacked sum rows as a
+    triangular basis (see `_stacked`).  Solving gamma . sums = (w, x.A)
+    there, against pivots of either sign, x.A lies in sub and w - x.A =
+    y.B in lat.  The points of the coset in lat are a coset of sub meet
+    lat, so reducing y.B by the rows of the meet's Hermite form leaves
+    the one point whose coordinate j lies in [0, pivot j) / scale: the
+    witness depends on the coset, not on the elimination.  It is
+    verified against both memberships.
     """
     w, q = _point_ints(rep, sub.dim, "lattice")
     d = sub.dim
-    h, scale = _stacked(sub, lat)
+    sums, meet, scale = _stacked(sub, lat)
     if scale % q:
         return None
     w = tuple(scale // q * x for x in w)
-    gamma = _solve_upper_triangular(h[:d], w)
+    gamma = _solve_upper_triangular(sums, w)
     if gamma is None:
         return None
-    shift = vec_mat(gamma, h[:d])[d:]
-    witness = tuple(x - s for x, s in zip(w, shift))
+    witness = [x - s for x, s in zip(w, vec_mat(gamma, sums)[d:])]
+    for j, row in enumerate(meet):
+        k = witness[j] // row[j]
+        if k:
+            witness = [x - k * r for x, r in zip(witness, row)]
+    shift = [x - y for x, y in zip(w, witness)]
     if _coords(lat, witness, scale) is None or _coords(sub, shift, scale) is None:
         raise InternalInvariantViolation("witness failed membership verification")
     return tuple(Fraction(x, scale) for x in witness)

@@ -1087,10 +1087,11 @@ def test_dim_budget_refuses_before_any_lattice(capsys, tmp_path, monkeypatch, co
     }
 
 
-def test_the_swell_recipe_at_the_dim_budget_is_analyzed(capsys, tmp_path):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_swell_recipe_at_the_dim_budget_is_analyzed(capsys, tmp_path, seed):
     d = cli_module.DIM_BUDGET
     path = tmp_path / "swell.json"
-    path.write_text(json.dumps(_swell_config(d, seed=0)))
+    path.write_text(json.dumps(_swell_config(d, seed=seed)))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 0 and err == ""
     assert json.loads(out)["m"] == 2

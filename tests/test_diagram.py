@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -293,9 +294,14 @@ def assert_verdicts_agree(cases):
     assert verdicts[True] and verdicts[False]
 
 
-def test_verdict_is_the_zero_colour_criterion_on_the_corpus():
+def corpus_cases():
+    """The 12 SUBLATTICE_BASES of Z^2 under the 52 rotations of denominator <= 40."""
     subs = [lattice_new(rows) for rows in SUBLATTICE_BASES]
-    cases = [(Colouring(Z2, sub), amap) for amap in enumerate_square_rotations(40) for sub in subs]
+    return [(Colouring(Z2, sub), amap) for amap in enumerate_square_rotations(40) for sub in subs]
+
+
+def test_verdict_is_the_zero_colour_criterion_on_the_corpus():
+    cases = corpus_cases()
     assert len(cases) == 624
     assert_verdicts_agree(cases)
 
@@ -321,16 +327,41 @@ MODULE8_SUBLATTICES = [
 ]
 
 
-def test_verdict_is_the_zero_colour_criterion_on_module8():
+def module8_cases():
+    """The MODULE8_SUBLATTICES of Z^4 under the first four powers of the rotation."""
     z4 = standard_lattice(4)
     power = AMMANN_BEENKER_ROTATION
     powers = []
     for _ in range(4):
         powers.append(multiplication_map(power))
         power = power * AMMANN_BEENKER_ROTATION
-    assert_verdicts_agree(
-        (Colouring(z4, sub), amap) for amap in powers for sub in MODULE8_SUBLATTICES
-    )
+    return [(Colouring(z4, sub), amap) for amap in powers for sub in MODULE8_SUBLATTICES]
+
+
+def test_verdict_is_the_zero_colour_criterion_on_module8():
+    assert_verdicts_agree(module8_cases())
+
+
+@pytest.mark.parametrize("cases", [corpus_cases, module8_cases], ids=["corpus", "module8"])
+def test_the_diagram_equals_its_lattices_built_one_at_a_time(cases):
+    # under a colour coincidence analyze takes csl2 as sub meet csl1 and
+    # solves t = s and v = u once; here each meet and index is its own call
+    verdicts = Counter()
+    for colouring, amap in cases():
+        got = analyze(colouring, amap)
+        sub, csl1 = colouring.sub, csl(colouring.parent, amap)
+        image_sub = lattice_module._image(sub, *amap.forward)
+        csl2 = intersect(sub, image_sub)
+        sub_in_csl, image_sub_in_csl = intersect(sub, csl1), intersect(image_sub, csl1)
+        assert got.csl2 == csl2
+        assert (got.s, got.t, got.u, got.v) == (
+            index(csl1, image_sub_in_csl),
+            index(csl1, sub_in_csl),
+            index(sub_in_csl, csl2),
+            index(image_sub_in_csl, csl2),
+        )
+        verdicts[got.colour_coincidence] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.mark.parametrize("verdict", [is_colour_coincidence, colour_permutation])
@@ -349,12 +380,17 @@ def test_every_verdict_passes_the_invariant_web(monkeypatch, verdict):
     [
         ({"permutation": None}, "permutation present iff colour coincidence"),
         ({"permutation": ((0, 1), (1, 0), (2, 2))}, "permutation fixes colour 0"),
+        # empty or zero entries fail an identity, not an index or a division
+        ({"set_I": ()}, "|I| = s"),
+        ({"set_J": ()}, "|J| = t"),
+        ({"permutation": ()}, "permutation domain is I"),
+        ({"s": 0}, "index formula (s.v form)"),
     ],
 )
 def test_the_invariant_web_names_the_identity_a_broken_analysis_fails(change, label):
     # example 2: sub diag(3, 1) under the 3-4-5 rotation is a colour coincidence
     analysis = analyze(Colouring(Z2, lattice_new([[3, 0], [0, 1]])), rotation(4, 3, 5))
-    with pytest.raises(InternalInvariantViolation, match=f"^analysis invariant failed: {label}$"):
+    with pytest.raises(InternalInvariantViolation, match=f"^analysis invariant failed: {re.escape(label)}$"):
         coincidence_module._check_analysis(dataclasses.replace(analysis, **change))
 
 
@@ -362,7 +398,9 @@ def test_the_invariant_web_names_the_identity_a_broken_analysis_fails(change, la
 # cost: a fixed number of Hermite forms, no per-colour search
 
 
-def test_hermite_calls_do_not_grow_with_m(monkeypatch):
+@pytest.fixture
+def hermite_calls(monkeypatch):
+    """The row count of each _hermite call, made through any module's binding."""
     calls = []
     original = ratmat_module._hermite
 
@@ -372,6 +410,10 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
 
     for module in (ratmat_module, lattice_module, coincidence_module):
         monkeypatch.setattr(module, "_hermite", counting)
+    return calls
+
+
+def test_hermite_calls_do_not_grow_with_m(monkeypatch, hermite_calls):
 
     def never(*args):
         raise AssertionError("coset_meets_lattice called during analyze")
@@ -381,33 +423,42 @@ def test_hermite_calls_do_not_grow_with_m(monkeypatch):
     counts = {}
     for k in (5, 200):
         colouring = Colouring(Z2, lattice_new([[k, 0], [0, k]]))
-        calls.clear()
+        hermite_calls.clear()
         result = analyze(colouring, rotation(3, 4, 5))
-        counts[k] = len(calls)
+        counts[k] = len(hermite_calls)
         assert result.m == k * k
     assert counts[5] == counts[200]
 
 
-def test_a_census_takes_three_hermite_forms(monkeypatch):
-    calls = []
-    original = ratmat_module._hermite
+@pytest.mark.parametrize(
+    "sub_rows, cc",
+    [([[3, 0], [0, 1]], True), ([[6, 0], [2, 1]], False)],
+    ids=["colour-coincidence", "otherwise"],
+)
+def test_an_analysis_takes_six_or_seven_lattice_forms(hermite_calls, sub_rows, cc):
+    colouring = Colouring(Z2, lattice_new(sub_rows))
+    hermite_calls.clear()
+    assert analyze(colouring, rotation(4, 3, 5)).colour_coincidence == cc
+    # 3 images and the meet blocks of sub meet csl1, A(sub) meet csl1 and
+    # csl1 are d x d forms; csl2 is sub meet csl1 under a colour
+    # coincidence and one more meet otherwise.  Both colourings have
+    # k = 1 modulus above 1: the graph's form is (d + 2k) rows, and the
+    # two walks of I and J are (d + k) rows each
+    assert hermite_calls == ([2] * 6 + [4] if cc else [2] * 7 + [3, 3])
 
-    def counting(m):
-        calls.append(len(m))
-        return original(m)
 
-    for module in (ratmat_module, lattice_module, coincidence_module):
-        monkeypatch.setattr(module, "_hermite", counting)
+def test_a_census_takes_three_hermite_forms(hermite_calls):
     cubic = Colouring(standard_lattice(3), lattice_new(CUBIC_SUBLATTICES[1]))
     for colouring, amap in (
         (Colouring(Z2, lattice_new([[3, 0], [0, 1]])), rotation(3, 4, 5)),
         (cubic, commensurable_map(cayley_rotation(1, 2, 2, 0))),
     ):
-        calls.clear()
+        hermite_calls.clear()
         window_census(colouring, amap, 3)
-        # csl(parent, A^-1) is an image and a stacked meet, csl1 its image
+        # csl(parent, A^-1) is an image and the meet block of a stacked
+        # form, csl1 its image
         d = colouring.parent.dim
-        assert calls == [d, 2 * d, d]
+        assert hermite_calls == [d, d, d]
 
 
 def test_a_graph_that_is_not_a_function_is_caught(monkeypatch):

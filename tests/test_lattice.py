@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +37,7 @@ from cslcolour.lattice import (
     standard_lattice,
     transform,
 )
-from cslcolour.ratmat import mat_mul, snf, vec_mat
+from cslcolour.ratmat import _hermite, mat_mul, snf, vec_mat
 from conftest import apply, contains, is_sublattice, lattice_sum, ref_det, ref_solve
 
 Z2 = standard_lattice(2)
@@ -287,7 +287,9 @@ def test_meet_sum_and_witness_take_one_hermite_form_each(monkeypatch):
     ):
         calls.clear()
         op()
-        assert calls == [4]  # one stacked 2d x 2d form
+        # the left half is made triangular without _hermite, and the meet
+        # block is one d x d form
+        assert calls == [2]
 
 
 @settings(max_examples=50)
@@ -487,6 +489,13 @@ def test_kernel_coset_meets_lattice_against_reference(triple):
         if meets:
             assert ref_contains(b_lat, witness)
             assert ref_contains(b_sub, [w - r for w, r in zip(witness, rep)])
+            # the coset's one point in the Hermite box of sub meet lat,
+            # the same from another rep of the coset
+            meet = intersect(sub, lat)
+            assert all(0 <= x < Fraction(row[j], meet.den)
+                       for j, (x, row) in enumerate(zip(witness, meet.hnf_rows)))
+            moved = [r + a - b for r, a, b in zip(rep, b_sub[0], b_sub[-1])]
+            assert coset_meets_lattice(moved, sub, lat) == witness
 
 
 @settings(max_examples=60, deadline=None)
@@ -989,3 +998,47 @@ def test_canonical_equals_the_division_pass(basis, k):
     assert lattice_module._canonical(rows, k * lat.den) == canonical_by_division(
         rows, k * lat.den) == lat
     assert lattice_module._canonical([list(row) for row in lat.hnf_rows], lat.den) == lat
+
+
+# ---------------------------------------------------------------------------
+# the stacked Zassenhaus form, against the full Hermite form it replaced
+
+
+def stacked_by_full_hermite(l1, l2):
+    """The whole Hermite form of [[A, A], [B, 0]] and its scale, with the sum block reduced.
+
+    The test oracle for `_stacked`, which makes the left half triangular
+    by Euclid alone and takes one Hermite form of the meet block.
+    """
+    scale = lcm(l1.den, l2.den)
+    f1, f2 = scale // l1.den, scale // l2.den
+    zero = [0] * l1.dim
+    h, rank = _hermite(
+        [[f1 * x for x in row] * 2 for row in l1.hnf_rows]
+        + [[f2 * x for x in row] + zero for row in l2.hnf_rows]
+    )
+    assert rank == 2 * l1.dim
+    return h, scale
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_pairs())
+@example([(Z2, EX1_SUB), (EX1_SUB, transform(Z2, ROT)),
+          (lattice_new([["1/6", 0], [0, 1]]), lattice_new([["1/3", 0], [0, "1/2"]]))])
+def test_stacked_meet_block_is_that_of_the_full_form(pairs):
+    for l1, l2 in pairs:
+        d = l1.dim
+        sums, meet, scale = lattice_module._stacked(l1, l2)
+        full, full_scale = stacked_by_full_hermite(l1, l2)
+        assert scale == full_scale
+        assert meet == [row[d:] for row in full[d:]]
+        # the sum rows: triangular on the left, pivots of either sign
+        assert len(sums) == d
+        for i, row in enumerate(sums):
+            assert len(row) == 2 * d and row[i] != 0 and not any(row[:i])
+        assert _hermite([row[:d] for row in sums]) == ([row[:d] for row in full[:d]], d)
+        # each sum row is (x.A + y.B, x.A): x.A in l1 and y.B in l2, over scale
+        for row in sums:
+            left, right = row[:d], row[d:]
+            assert contains(l1, [Fraction(x, scale) for x in right])
+            assert contains(l2, [Fraction(a - b, scale) for a, b in zip(left, right)])

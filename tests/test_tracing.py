@@ -61,6 +61,7 @@ def test_tracer_wraps_every_kernel_and_restores_them():
     # the calls made through the package's own bindings were seen
     assert tracer.calls("other", "coincidence.analyze") == 2
     assert tracer.calls("other", "lattice.Colouring") == 2
-    # 7 lattice forms, then 1 form of the colour graph for a colour
-    # coincidence or 2 forms of the key subgroups I and J otherwise
-    assert hermite == [(True, 8), (False, 8 + 9)]
+    # 6 lattice forms and 1 form of the colour graph for a colour
+    # coincidence, or 7 lattice forms and 2 forms of the key subgroups I
+    # and J otherwise
+    assert hermite == [(True, 7), (False, 7 + 9)]
